@@ -18,6 +18,8 @@ from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .errors import RecwalkError
 from .recurrence import PRESETS, RecurrenceSpec, generate
@@ -172,11 +174,11 @@ def cmd_spectrum(args) -> int:
     window = generate(spec, args.n)
     spectrum = compute_spectrum(window, n_max_states=args.nmax_states)
     mods = abs(spectrum.eigenvalues)
-    ks = range(1, spectrum.modulus + 1)
     if args.top is not None:
-        order = sorted(ks, key=lambda k: mods[k - 1], reverse=True)[: args.top]
+        # stable on -mods: ties keep increasing k, as sorted(reverse=True) does
+        order = (np.argsort(-mods, kind="stable")[: args.top] + 1).tolist()
     else:
-        order = list(ks)
+        order = range(1, spectrum.modulus + 1)
     rows = [["k", "re", "im", "modulus"]]
     entries = []
     for k in order:

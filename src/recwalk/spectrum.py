@@ -7,7 +7,9 @@ matrix is circulant and its eigenvalues are
 
 indexed k = 1..N with lambda_N = 1.  Exponents k*G_i are reduced mod N
 in exact integer arithmetic before any float conversion; naive floating
-angles lose all precision once k*G_i approaches 2^53.
+angles lose all precision once k*G_i approaches 2^53.  The root
+xi_N^r is then read from two phase tables of O(sqrt(N)) entries each
+rather than evaluated with exp per term.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DegenerateStateSpace, DomainError, NotFirstOrder, StateSpaceTooLarge
-from .recurrence import SequenceWindow
+from .recurrence import RecurrenceSpec, SequenceWindow, generate
 
 # Dense full-spectrum storage cap (entries). Larger N must stream.
 DEFAULT_N_MAX = 2**24
@@ -53,13 +55,47 @@ class UnnormalizedEigenvalue:
     value: complex
 
 
-def _eigenvalue_block(ks: np.ndarray, steps: list[int], N: int) -> np.ndarray:
-    """lambda_k for one block of k values; fixed summation order over i."""
+def _phase_tables(N: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Tables (s, hi, lo) with xi_N^r = hi[r >> s] * lo[r & (2^s - 1)], 0 <= r < N.
+
+    2^s is about sqrt(N), so both tables hold O(sqrt(N)) entries and
+    the same lookup serves the dense path and streaming past the cap.
+    A lookup costs one complex product and differs from
+    np.exp(2*pi*i*r/N) by about 1e-15 at most, as both round an angle
+    below 2*pi.
+    """
+    s = ((N - 1).bit_length() + 1) // 2
+    angle = 2j * np.pi / N
+    lo = np.exp(angle * np.arange(1 << s))
+    hi = np.exp(angle * (np.arange(((N - 1) >> s) + 1, dtype=np.int64) << s))
+    return s, hi, lo
+
+
+def _eigenvalue_block(
+    ks: np.ndarray, steps: list[int], N: int, tables: tuple[int, np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """lambda_k for one block of k values; fixed summation order over i.
+
+    Every operation is elementwise over k, so lambda_k comes out the same
+    whatever block it falls in.
+    """
+    s, hi, lo = tables
     acc = np.zeros(len(ks), dtype=np.complex128)
+    r = np.empty_like(ks)
+    top = np.empty_like(ks)
+    term = np.empty_like(acc)
+    low = np.empty_like(acc)
     for g in steps:
-        r = (ks * g) % N
-        acc += np.exp((2j * np.pi / N) * r)
-    return acc / len(steps)
+        np.remainder(np.multiply(ks, g, out=r), N, out=r)
+        np.right_shift(r, s, out=top)
+        np.bitwise_and(r, (1 << s) - 1, out=r)
+        # Indices are in range by construction; mode="clip" skips the
+        # buffered bounds check that mode="raise" makes with out=.
+        np.take(hi, top, out=term, mode="clip")
+        term *= np.take(lo, r, out=low, mode="clip")
+        acc += term
+    acc /= len(steps)
+    return acc
 
 
 def iter_eigenvalue_chunks(
@@ -67,8 +103,9 @@ def iter_eigenvalue_chunks(
 ) -> Iterator[np.ndarray]:
     """Yield the nontrivial eigenvalues lambda_1..lambda_{N-1} in k order.
 
-    Storage-free except for one chunk at a time, so it works beyond the
-    dense cap; SLEM and one-pass bound sums are built on this.
+    Storage-free except for one chunk at a time and the O(sqrt(N)) phase
+    tables, so it works beyond the dense cap; the dense spectrum, SLEM
+    and one-pass bound sums are all built on this.
     """
     N = window.modulus
     if N > _INT64_SAFE_N:
@@ -76,10 +113,10 @@ def iter_eigenvalue_chunks(
             f"N = {N} exceeds the exact int64 reduction range"
         )
     steps = [g % N for g in window.values]
-    for lo in range(1, N, chunk):
-        hi = min(lo + chunk, N)
-        ks = np.arange(lo, hi, dtype=np.int64)
-        yield _eigenvalue_block(ks, steps, N)
+    tables = _phase_tables(N)
+    for start in range(1, N, chunk):
+        ks = np.arange(start, min(start + chunk, N), dtype=np.int64)
+        yield _eigenvalue_block(ks, steps, N, tables)
 
 
 def compute_spectrum(
@@ -140,18 +177,11 @@ def unnormalized_eigenvalue(c: int, n: int, k: int) -> complex:
 
 
 def unnormalized_values(c: int, n: int) -> np.ndarray:
-    """lambda-tilde_{n,k} for all k = 1..c^(n-1), vectorized over k."""
+    """lambda-tilde_{n,k} for all k = 1..c^(n-1): n times the pow-c spectrum."""
     if c < 2:
         raise NotFirstOrder(f"base must be an integer >= 2, got {c}")
-    N = c**(n - 1)
-    if N > _INT64_SAFE_N:
-        raise StateSpaceTooLarge(f"c^(n-1) = {N} too large for dense evaluation")
-    ks = np.arange(1, N + 1, dtype=np.int64)
-    acc = np.zeros(N, dtype=np.complex128)
-    for m in range(n):
-        q = c**m
-        acc += np.exp((2j * np.pi / q) * (ks % q))
-    return acc
+    window = generate(RecurrenceSpec((c,), (1,)), n)
+    return n * compute_spectrum(window).eigenvalues
 
 
 def unnormalized_moduli(c: int, n: int) -> np.ndarray:

@@ -18,7 +18,19 @@ from recwalk import (
     unnormalized_values,
 )
 
+from recwalk.spectrum import _INT64_SAFE_N, _phase_tables
+
 from expected_values import SLEMS
+
+# np.exp and the table lookup each round an angle below 2*pi (half an ulp
+# of 2*pi apiece), then the exp and the lookup's product add a few ulps of 1.
+PHASE_TOL = 2 * float(np.spacing(2 * np.pi))
+
+
+def _phase_error(N, r):
+    s, hi, lo = _phase_tables(N)
+    looked_up = hi[r >> s] * lo[r & ((1 << s) - 1)]
+    return float(np.max(np.abs(looked_up - np.exp((2j * np.pi / N) * r))))
 
 
 def spectrum_for(name, n):
@@ -89,6 +101,26 @@ def test_streaming_slem_agrees_with_dense():
         window = generate(PRESETS[name], 7)
         dense = slem(compute_spectrum(window))
         assert slem_streaming(window, chunk=64) == pytest.approx(dense, abs=1e-14)
+
+
+def test_streaming_slem_is_exactly_dense():
+    # each lambda_k is computed elementwise, so chunking cannot change it
+    for name in PRESETS:
+        for n in range(2, 10):
+            window = generate(PRESETS[name], n)
+            assert slem_streaming(window, chunk=64) == slem(compute_spectrum(window))
+
+
+def test_phase_tables_match_exp():
+    for N in (2, 3, 2**10 - 1, 2**10, 2**10 + 1, 2**11 - 1, 2**11, 2**11 + 1):
+        assert _phase_error(N, np.arange(N, dtype=np.int64)) <= PHASE_TOL, N
+
+
+def test_phase_tables_match_exp_near_int64_limit():
+    rng = np.random.default_rng(0)
+    for N in (_INT64_SAFE_N, _INT64_SAFE_N - 1, 2**31 + 1):
+        r = np.concatenate(([0, 1, N - 1], rng.integers(0, N, 10**5)))
+        assert _phase_error(N, r) <= PHASE_TOL, N
 
 
 def test_dense_cap_enforced():

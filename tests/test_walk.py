@@ -14,7 +14,30 @@ from recwalk import (
     uniform,
 )
 
+from recwalk.walk import _convolve_once
+
 from expected_values import EXACT_TMIX
+
+
+def _roll_convolve(probs, step):
+    """Reference: the sum over the support of w_x * np.roll(probs, x)."""
+    out = np.zeros_like(probs)
+    for x in np.flatnonzero(step.probs):
+        out += step.probs[x] * np.roll(probs, x)
+    return out
+
+
+def _roll_scan(window, epsilon):
+    """Reference TV curve up to the first t with TV <= epsilon."""
+    step = step_distribution(window)
+    probs = point_mass(step.N).probs
+    curve = []
+    while True:
+        tv = 0.5 * float(np.abs(probs - 1.0 / step.N).sum())
+        curve.append((len(curve), tv))
+        if tv <= epsilon:
+            return tuple(curve)
+        probs = _roll_convolve(probs, step)
 
 
 def test_step_distribution_counts_multiplicities():
@@ -148,3 +171,34 @@ def test_mixing_epsilon_monotonicity():
     loose = mixing_time(window, 0.4).t_mix
     tight = mixing_time(window, 0.05).t_mix
     assert loose <= tight
+
+
+def test_convolution_bit_identical_to_roll_reference():
+    for name in PRESETS:
+        for n in range(1, 11):
+            step = step_distribution(generate(PRESETS[name], n))
+            probs = np.random.default_rng(n).random(step.N)
+            assert np.array_equal(
+                _convolve_once(probs, step), _roll_convolve(probs, step)
+            ), (name, n)
+
+
+def test_mixing_curve_bit_identical_to_roll_reference():
+    for name in PRESETS:
+        for n in range(1, 11):
+            window = generate(PRESETS[name], n)
+            for eps in (0.25, 0.01):
+                res = mixing_time(window, eps)
+                assert res.tv_curve == _roll_scan(window, eps), (name, n, eps)
+
+
+def test_convolution_with_distinct_weights_bit_identical():
+    # three distinct weights interleaved in x order, so every output entry
+    # mixes products taken from different per-weight buffers
+    step = Distribution(N=7, probs=np.array([0.1, 0.3, 0.0, 0.2, 0.1, 0.3, 0.0]))
+    expected = point_mass(7).probs
+    for t in range(1, 25):
+        expected = _roll_convolve(expected, step)
+        assert np.array_equal(evolve(step, t, method="direct").probs, expected), t
+    probs = np.random.default_rng(7).random(7)
+    assert np.array_equal(_convolve_once(probs, step), _roll_convolve(probs, step))
