@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from typing import Iterator
 
 import numpy as np
 
@@ -147,6 +148,16 @@ def relaxation_lower(slem: float, epsilon: float) -> float:
     return (1.0 / (1.0 - slem) - 1.0) * math.log(1.0 / (2.0 * epsilon))
 
 
+def ubl_sums(spectrum: Spectrum) -> Iterator[float]:
+    """Yield the upper-bound-lemma sum (1/4) sum_{k<N} |lambda_k|^(2t)
+    for t = 0, 1, 2, ... without end; it bounds TV(t)^2 from above."""
+    sq = np.abs(spectrum.eigenvalues[:-1]) ** 2
+    powered = np.ones_like(sq)
+    while True:
+        yield 0.25 * float(powered.sum())
+        powered *= sq
+
+
 def ubl_implied_t(spectrum: Spectrum, epsilon: float) -> int:
     """Smallest t with (1/4) sum_{k<N} |lambda_k|^(2t) <= epsilon^2.
 
@@ -159,14 +170,9 @@ def ubl_implied_t(spectrum: Spectrum, epsilon: float) -> int:
     if spectrum.slem >= 1.0:
         raise DomainError("slem >= 1: the scan would not terminate")
     target = float(epsilon) ** 2
-    sq = np.abs(spectrum.eigenvalues[:-1]) ** 2
-    powered = np.ones_like(sq)
-    t = 0
-    while True:
-        if 0.25 * float(powered.sum()) <= target:
+    for t, total in enumerate(ubl_sums(spectrum)):
+        if total <= target:
             return t
-        powered *= sq
-        t += 1
 
 
 def seq2bound_multiset(c: int, n: int) -> list[tuple[float, int]]:

@@ -89,7 +89,6 @@ def _manifest(args, sequences: list[tuple[str, RecurrenceSpec]]) -> RunManifest:
         "sequences": resolved,
         "epsilon": str(args.epsilon),
         "nmax_states": args.nmax_states,
-        "threads": args.threads,
         "format": args.format,
         "seed": args.seed,
     }
@@ -297,8 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--eta1", type=float, default=None,
                         help="override lower growth base for the general lower bound")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker hint; outputs are thread-count independent")
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--format", choices=("csv", "json"), default=None)
     common.add_argument("--seed", type=int, default=0,
@@ -349,8 +346,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.format is None:
         args.format = args.default_format
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     try:
         return args.func(args)
     except RecwalkError as exc:

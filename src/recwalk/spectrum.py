@@ -98,6 +98,20 @@ def _eigenvalue_block(
     return acc
 
 
+def iter_k_blocks(N: int, chunk: int = _CHUNK) -> Iterator[np.ndarray]:
+    """k = 1..N-1 as int64 blocks of at most chunk entries.
+
+    (k * g) mod N for 0 <= g < N is exact in int64 up to N = _INT64_SAFE_N;
+    past it this raises StateSpaceTooLarge at the call, before any block.
+    """
+    if N > _INT64_SAFE_N:
+        raise StateSpaceTooLarge(f"N = {N} exceeds the exact int64 reduction range")
+    return (
+        np.arange(start, min(start + chunk, N), dtype=np.int64)
+        for start in range(1, N, chunk)
+    )
+
+
 def iter_eigenvalue_chunks(
     window: SequenceWindow, chunk: int = _CHUNK
 ) -> Iterator[np.ndarray]:
@@ -108,14 +122,10 @@ def iter_eigenvalue_chunks(
     and one-pass bound sums are all built on this.
     """
     N = window.modulus
-    if N > _INT64_SAFE_N:
-        raise StateSpaceTooLarge(
-            f"N = {N} exceeds the exact int64 reduction range"
-        )
+    blocks = iter_k_blocks(N, chunk)  # range guard before the tables are built
     steps = [g % N for g in window.values]
     tables = _phase_tables(N)
-    for start in range(1, N, chunk):
-        ks = np.arange(start, min(start + chunk, N), dtype=np.int64)
+    for ks in blocks:
         yield _eigenvalue_block(ks, steps, N, tables)
 
 

@@ -19,10 +19,11 @@ from .recurrence import PRESETS, RecurrenceSpec, generate, s_value
 from .spectrum import (
     DEFAULT_N_MAX,
     compute_spectrum,
-    iter_eigenvalue_chunks,
+    iter_k_blocks,
+    slem_streaming,
     unnormalized_values,
 )
-from .bounds import seq2bound_multiset
+from .bounds import seq2bound_multiset, ubl_sums
 from . import walk
 
 SUITE_NAMES = (
@@ -52,29 +53,23 @@ class SuiteResult:
 
 
 def _preset_windows(specs: dict[str, RecurrenceSpec], n_min: int, n_max: int):
+    if n_min < 2:
+        raise DomainError(f"the windowed suites need n >= 2, got n_min = {n_min}")
     for name, spec in specs.items():
         for n in range(n_min, n_max + 1):
             yield name, generate(spec, n)
 
 
 def eigmod_bound_suite(
-    specs: dict[str, RecurrenceSpec],
-    n_min: int = 2,
-    n_max: int = 8,
-    n_max_states: int = DEFAULT_N_MAX,
+    specs: dict[str, RecurrenceSpec], n_min: int = 2, n_max: int = 8
 ) -> SuiteResult:
     """|lambda_k| <= 1 - (2/n)(1 - |cos(pi/(s+1))|) for every nontrivial k."""
-    if n_min < 2:
-        raise DomainError("eigmod-bound requires n >= 2")
     cases = []
     worst = math.inf
     for name, window in _preset_windows(specs, n_min, n_max):
         s = s_value(window.spec)
         bound = 1.0 - (2.0 / window.n) * (1.0 - abs(math.cos(math.pi / (s + 1))))
-        top = 0.0
-        for block in iter_eigenvalue_chunks(window):
-            top = max(top, float(np.max(np.abs(block))))
-        slack = bound - top
+        slack = bound - slem_streaming(window)
         worst = min(worst, slack)
         cases.append(
             {"sequence": name, "n": window.n, "slack": slack, "bound": bound}
@@ -84,10 +79,7 @@ def eigmod_bound_suite(
 
 
 def angle_cover_suite(
-    specs: dict[str, RecurrenceSpec],
-    n_min: int = 2,
-    n_max: int = 8,
-    n_max_states: int = DEFAULT_N_MAX,
+    specs: dict[str, RecurrenceSpec], n_min: int = 2, n_max: int = 8
 ) -> SuiteResult:
     """Every k in 1..N-1 has some j < n with frac(k G_j / N) in the
     closed interval [1/(s+1), s/(s+1)].
@@ -95,11 +87,8 @@ def angle_cover_suite(
     Containment is decided in exact integers: N <= (s+1) r <= s N with
     r = (k G_j) mod N; the reported margin is the float fraction.
     """
-    if n_min < 2:
-        raise DomainError("angle-cover requires n >= 2")
     cases = []
     worst = math.inf
-    chunk = 1 << 18
     for name, window in _preset_windows(specs, n_min, n_max):
         N = window.modulus
         s = s_value(window.spec)
@@ -107,8 +96,7 @@ def angle_cover_suite(
         gs = [g % N for g in window.values[:-1]]  # j = 1..n-1
         miss = 0
         margin = math.inf
-        for klo in range(1, N, chunk):
-            ks = np.arange(klo, min(klo + chunk, N), dtype=np.int64)
+        for ks in iter_k_blocks(N):
             covered = np.zeros(len(ks), dtype=bool)
             best = np.full(len(ks), -math.inf)
             for g in gs:
@@ -190,20 +178,14 @@ def ubl_consistency_suite(
     n_max_states: int = DEFAULT_N_MAX,
 ) -> SuiteResult:
     """TV(t)^2 <= (1/4) sum_{k<N} |lambda_k|^(2t) at every scanned t."""
-    if n_min < 2:
-        raise DomainError("ubl-consistency requires n >= 2")
     cases = []
     worst = math.inf
     for name, window in _preset_windows(specs, n_min, n_max):
         spectrum = compute_spectrum(window, n_max_states=n_max_states)
-        sq = np.abs(spectrum.eigenvalues[:-1]) ** 2
         result = walk.mixing_time(window, epsilon, n_max_states=n_max_states)
-        powered = np.ones_like(sq)
         margin = math.inf
-        for t, tv in result.tv_curve:
-            rhs = 0.25 * float(powered.sum())
+        for (_, tv), rhs in zip(result.tv_curve, ubl_sums(spectrum)):
             margin = min(margin, rhs - tv * tv)
-            powered *= sq
         worst = min(worst, margin)
         cases.append({"sequence": name, "n": window.n, "margin": margin})
     passed = worst >= -UBL_TOL
@@ -217,20 +199,16 @@ def run_suites(
     n_max: int = 8,
     epsilon: float = 0.25,
     n_max_states: int = DEFAULT_N_MAX,
-    lift_bases: tuple[int, ...] = (2, 3),
-    domination_bases: tuple[int, ...] = (2, 3, 4),
     cap: int = 10**5,
 ) -> list[SuiteResult]:
     """Run one named suite, or all of them."""
     if specs is None:
         specs = dict(PRESETS)
     runners = {
-        "eigmod-bound": lambda: eigmod_bound_suite(specs, n_min, n_max, n_max_states),
-        "angle-cover": lambda: angle_cover_suite(specs, n_min, n_max, n_max_states),
-        "lifting": lambda: lifting_suite(lift_bases, cap),
-        "multiset-domination": lambda: multiset_domination_suite(
-            domination_bases, cap
-        ),
+        "eigmod-bound": lambda: eigmod_bound_suite(specs, n_min, n_max),
+        "angle-cover": lambda: angle_cover_suite(specs, n_min, n_max),
+        "lifting": lambda: lifting_suite(cap=cap),
+        "multiset-domination": lambda: multiset_domination_suite(cap=cap),
         "ubl-consistency": lambda: ubl_consistency_suite(
             specs, n_min, n_max, epsilon, n_max_states
         ),

@@ -131,33 +131,31 @@ def _powers_clamped(lam: np.ndarray, t: int) -> np.ndarray:
     return result
 
 
-def evolve(step: Distribution, t: int, method: str = "auto") -> Distribution:
+def evolve(step: Distribution, t: int, method: str = "spectral") -> Distribution:
     """t-fold self-convolution of the step law applied to the point mass at 0.
 
-    method "spectral" (the default route) powers the DFT coefficients
+    method "spectral" (the default) powers the DFT coefficients
     and inverts; "direct" repeats time-domain convolution and serves as
     the independent oracle for the spectral path.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
+    if method not in ("spectral", "direct"):
+        raise ValueError(f"unknown method {method!r}")
     N = step.N
     if t == 0:
         return point_mass(N)
-    if method == "auto":
-        method = "spectral"
     if method == "direct":
         convolve = _Convolver(step)
         probs, spare = point_mass(N).probs, np.empty(N)
         for _ in range(t):
             probs, spare = convolve(probs, spare), probs
         return Distribution(N=N, probs=probs)
-    if method == "spectral":
-        lam = N * np.fft.ifft(step.probs)  # lam[m] = eigenvalue at k = m mod N
-        lam[0] = 1.0  # step law is stochastic by construction
-        powered = _powers_clamped(lam, t)
-        probs = np.fft.fft(powered).real / N
-        return Distribution(N=N, probs=probs)
-    raise ValueError(f"unknown method {method!r}")
+    lam = N * np.fft.ifft(step.probs)  # lam[m] = eigenvalue at k = m mod N
+    lam[0] = 1.0  # step law is stochastic by construction
+    powered = _powers_clamped(lam, t)
+    probs = np.fft.fft(powered).real / N
+    return Distribution(N=N, probs=probs)
 
 
 def tv_to_uniform(dist: Distribution, work: np.ndarray | None = None) -> float:

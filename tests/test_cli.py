@@ -221,13 +221,6 @@ def test_simulate_seed_changes_output(capsys):
     assert out_a != out_b
 
 
-def test_threads_flag_validated(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "--threads", "0"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-
-
 def test_generation_failure_maps_to_exit_2(capsys):
     code, _, err = run_cli(
         capsys,

@@ -18,7 +18,7 @@ from recwalk import (
     unnormalized_values,
 )
 
-from recwalk.spectrum import _INT64_SAFE_N, _phase_tables
+from recwalk.spectrum import _INT64_SAFE_N, _phase_tables, iter_k_blocks
 
 from expected_values import SLEMS
 
@@ -121,6 +121,22 @@ def test_phase_tables_match_exp_near_int64_limit():
     for N in (_INT64_SAFE_N, _INT64_SAFE_N - 1, 2**31 + 1):
         r = np.concatenate(([0, 1, N - 1], rng.integers(0, N, 10**5)))
         assert _phase_error(N, r) <= PHASE_TOL, N
+
+
+def test_k_blocks_cover_one_to_n_minus_one():
+    for N in (1, 2, 3, 64, 65, 129):
+        blocks = list(iter_k_blocks(N, chunk=64))
+        assert all(b.dtype == np.int64 and 1 <= len(b) <= 64 for b in blocks), N
+        got = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+        assert np.array_equal(got, np.arange(1, N)), N
+
+
+def test_k_blocks_refuse_past_int64_range():
+    with pytest.raises(StateSpaceTooLarge):
+        next(iter_k_blocks(_INT64_SAFE_N + 1))
+    assert next(iter_k_blocks(_INT64_SAFE_N, chunk=4)).tolist() == [1, 2, 3, 4]
+    with pytest.raises(StateSpaceTooLarge):
+        slem_streaming(generate(PRESETS["pow2"], 33))  # N = 2^32
 
 
 def test_dense_cap_enforced():

@@ -1,12 +1,22 @@
+import math
+
+import numpy as np
 import pytest
 
 from recwalk import (
     DomainError,
     PRESETS,
     SUITE_NAMES,
+    RecurrenceSpec,
+    StateSpaceTooLarge,
     UnknownSuite,
+    compute_spectrum,
+    generate,
+    mixing_time,
     run_suites,
+    s_value,
 )
+from recwalk.spectrum import iter_eigenvalue_chunks
 from recwalk.verify import (
     angle_cover_suite,
     eigmod_bound_suite,
@@ -92,3 +102,65 @@ def test_suite_result_serializes():
     assert d["suite"] == "eigmod-bound"
     assert isinstance(d["cases"], list)
     assert d["passed"] is True
+
+
+def test_angle_cover_refuses_past_int64_range():
+    # N = 3^21: (k * G_j) mod N would wrap in int64, so no scan may start
+    with pytest.raises(StateSpaceTooLarge):
+        angle_cover_suite({"pow3": PRESETS["pow3"]}, n_min=22, n_max=22)
+
+
+# Standalone loops for the three windowed suites, kept here as oracles
+# so the shared SLEM, k-block and UBL code must reproduce them bit for bit.
+
+
+def _eigmod_slack_oracle(window):
+    s = s_value(window.spec)
+    bound = 1.0 - (2.0 / window.n) * (1.0 - abs(math.cos(math.pi / (s + 1))))
+    top = 0.0
+    for block in iter_eigenvalue_chunks(window):
+        top = max(top, float(np.max(np.abs(block))))
+    return bound - top
+
+
+def _angle_margin_oracle(window):
+    N = window.modulus
+    s = s_value(window.spec)
+    lo_frac, hi_frac = 1.0 / (s + 1), s / (s + 1)
+    gs = [g % N for g in window.values[:-1]]
+    margin = math.inf
+    chunk = 1 << 18
+    for klo in range(1, N, chunk):
+        ks = np.arange(klo, min(klo + chunk, N), dtype=np.int64)
+        best = np.full(len(ks), -math.inf)
+        for g in gs:
+            frac = ((ks * g) % N) / N
+            best = np.maximum(best, np.minimum(frac - lo_frac, hi_frac - frac))
+        margin = min(margin, float(best.min()))
+    return margin
+
+
+def _ubl_margin_oracle(window):
+    sq = np.abs(compute_spectrum(window).eigenvalues[:-1]) ** 2
+    powered = np.ones_like(sq)
+    margin = math.inf
+    for _, tv in mixing_time(window, 0.25).tv_curve:
+        margin = min(margin, 0.25 * float(powered.sum()) - tv * tv)
+        powered *= sq
+    return margin
+
+
+def test_windowed_suites_match_standalone_loops_exactly():
+    specs = {**PRESETS, "custom": RecurrenceSpec((1, 1), (1, 2))}
+    order = [(name, n) for name in specs for n in range(2, 11)]
+    checks = (
+        (eigmod_bound_suite, "slack", _eigmod_slack_oracle),
+        (angle_cover_suite, "margin", _angle_margin_oracle),
+        (ubl_consistency_suite, "margin", _ubl_margin_oracle),
+    )
+    for suite, key, oracle in checks:
+        result = suite(specs, n_min=2, n_max=10)
+        assert [(c["sequence"], c["n"]) for c in result.cases] == order
+        expected = [oracle(generate(specs[name], n)) for name, n in order]
+        assert [c[key] for c in result.cases] == expected, result.suite
+        assert result.worst_slack == min(expected), result.suite
