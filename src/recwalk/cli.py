@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .errors import RecwalkError
+from .errors import DomainError, RecwalkError
 from .recurrence import PRESETS, RecurrenceSpec, generate
 from .spectrum import DEFAULT_N_MAX, compute_spectrum
 from .bounds import build_report
@@ -170,6 +170,8 @@ def cmd_table(args) -> int:
 
 def cmd_spectrum(args) -> int:
     name, spec = _single_sequence(args)
+    if args.top is not None and args.top < 1:
+        raise DomainError(f"--top must be at least 1, got {args.top}")
     window = generate(spec, args.n)
     spectrum = compute_spectrum(window, n_max_states=args.nmax_states)
     mods = abs(spectrum.eigenvalues)

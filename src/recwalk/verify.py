@@ -55,6 +55,8 @@ class SuiteResult:
 def _preset_windows(specs: dict[str, RecurrenceSpec], n_min: int, n_max: int):
     if n_min < 2:
         raise DomainError(f"the windowed suites need n >= 2, got n_min = {n_min}")
+    if n_max < n_min:
+        raise DomainError(f"no windows: n_max = {n_max} is below n_min = {n_min}")
     for name, spec in specs.items():
         for n in range(n_min, n_max + 1):
             yield name, generate(spec, n)

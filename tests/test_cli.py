@@ -142,6 +142,16 @@ def test_spectrum_top_rows(capsys):
     assert float(first[3]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("top", ["0", "-3"])
+def test_spectrum_top_below_one_is_usage_error(capsys, top):
+    code, out, err = run_cli(
+        capsys, "spectrum", "--seq", "pow2", "--n", "3", "--top", top
+    )
+    assert code == 2
+    assert out == ""
+    assert "--top must be at least 1" in err
+
+
 def test_bounds_json_report(capsys):
     code, out, _ = run_cli(
         capsys, "bounds", "--seq", "pow2", "--n", "5", "--format", "json"
@@ -194,6 +204,13 @@ def test_verify_unknown_suite_is_usage_error(capsys):
         main(["verify", "--suite", "nope"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_verify_without_windows_is_usage_error(capsys):
+    assert main(["verify", "--nmax", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "no windows" in err
 
 
 def test_simulate_deterministic_output(capsys):

@@ -1,3 +1,7 @@
+import math
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from recwalk import (
@@ -75,3 +79,93 @@ def test_big_state_space_fallback():
     assert curve == simulate_tv(config)
     for _, tv in curve:
         assert 0.99 < tv <= 1.0 + 1e-12
+
+
+def _blocked_simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
+    """The former two-loop simulation, kept as an oracle.
+
+    Trajectories ran in blocks of 2^20, each block drawing all of its
+    steps before the next; one Counter per t gathered the histograms.
+    Below N = 2^62 positions were int64, past it a list of Python ints.
+    """
+    block = 1 << 20
+    window = config.window
+    N = window.modulus
+    T = config.num_trajectories
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    counters = [Counter() for _ in range(config.t_max + 1)]
+    counters[0][0] = T
+    if N < 1 << 62:
+        steps = np.array([g % N for g in window.values], dtype=np.int64)
+        for lo in range(0, T, block):
+            size = min(block, T - lo)
+            pos = np.zeros(size, dtype=np.int64)
+            for t in range(1, config.t_max + 1):
+                pos = (pos + steps[rng.integers(0, window.n, size=size)]) % N
+                vals, cnts = np.unique(pos, return_counts=True)
+                counters[t].update(dict(zip(vals.tolist(), cnts.tolist())))
+    else:
+        steps_big = [g % N for g in window.values]
+        for lo in range(0, T, block):
+            size = min(block, T - lo)
+            pos_big = [0] * size
+            for t in range(1, config.t_max + 1):
+                idx = rng.integers(0, window.n, size=size)
+                pos_big = [
+                    (p + steps_big[i]) % N for p, i in zip(pos_big, idx.tolist())
+                ]
+                counters[t].update(pos_big)
+    out = []
+    for t in range(config.t_max + 1):
+        occupied = np.fromiter(counters[t].values(), dtype=np.float64) / T - 1.0 / N
+        missing = (N - len(counters[t])) / N
+        out.append((t, 0.5 * (float(np.abs(occupied).sum()) + missing)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec, n, t_max, trajectories, seed",
+    [
+        (PRESETS["pow3"], 3, 12, 100_000, 1),  # N = 9 < T
+        (PRESETS["pow3"], 10, 12, 5_000, 2),  # N = 19683 > T
+        (PRESETS["fib-odd"], 6, 3, 1 << 20, 7),  # one full former block
+        (RecurrenceSpec((2,), (1,)), 64, 6, 500, 5),  # N = 2^63, Python ints
+        (RecurrenceSpec((2,), (1,)), 63, 6, 2_000, 3),  # N = 2^62, smallest on the Python-int path
+    ],
+)
+def test_bit_identical_to_blocked_loop(spec, n, t_max, trajectories, seed):
+    window = generate(spec, n)
+    config = SimConfig(
+        window=window, t_max=t_max, num_trajectories=trajectories, seed=seed
+    )
+    assert simulate_tv(config) == _blocked_simulate_tv(config)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sparse_support_invariant(seed):
+    """T < N: each visited state holds at least 1/T > 1/N of the mass, so
+    N(1 - TV(t)) is the number of occupied states, at most min(T, C(n+t-1, t))
+    and exactly 1 at t = 0."""
+    n, T = 10, 2000
+    window = generate(PRESETS["pow3"], n)
+    N = window.modulus
+    assert T < N
+    curve = simulate_tv(
+        SimConfig(window=window, t_max=20, num_trajectories=T, seed=seed)
+    )
+    for t, tv in curve:
+        occupied = N * (1.0 - tv)
+        assert occupied == pytest.approx(round(occupied), abs=1e-6), t
+        cap = 1 if t == 0 else min(T, math.comb(n + t - 1, t))
+        assert 1 <= round(occupied) <= cap, t
+
+
+def test_more_than_one_former_block_tracks_exact_distribution():
+    window = generate(PRESETS["pow3"], 2)
+    step = step_distribution(window)
+    curve = simulate_tv(
+        SimConfig(window=window, t_max=4, num_trajectories=(1 << 20) + 1, seed=11)
+    )
+    for t, emp in curve:
+        exact = tv_to_uniform(evolve(step, t, method="direct"))
+        assert emp == pytest.approx(exact, abs=5e-3), t

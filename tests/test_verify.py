@@ -67,6 +67,14 @@ def test_eigmod_bound_requires_n_at_least_2():
         eigmod_bound_suite(dict(PRESETS), n_min=1, n_max=4)
 
 
+@pytest.mark.parametrize(
+    "suite", [eigmod_bound_suite, angle_cover_suite, ubl_consistency_suite]
+)
+def test_windowed_suites_refuse_empty_range(suite):
+    with pytest.raises(DomainError):
+        suite(dict(PRESETS), n_min=2, n_max=1)
+
+
 def test_angle_cover_all_covered():
     result = angle_cover_suite(dict(PRESETS), n_min=2, n_max=7)
     assert result.passed
