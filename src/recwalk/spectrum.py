@@ -5,9 +5,11 @@ matrix is circulant and its eigenvalues are
 
     lambda_k = (1/n) * sum_i xi_N^(k*G_i),   xi_N = exp(2*pi*i/N),
 
-indexed k = 1..N with lambda_N = 1.  Exponents k*G_i are reduced mod N
-in exact integer arithmetic before any float conversion; naive floating
-angles lose all precision once k*G_i approaches 2^53.  The root
+indexed k = 1..N with lambda_N = 1.  The step law is real, so
+lambda_{N-k} = conj(lambda_k), and only k = 1..N//2 are evaluated.
+Exponents k*G_i are reduced mod N in exact integer arithmetic before
+any float conversion; naive floating angles lose all precision once
+k*G_i approaches 2^53.  The root
 xi_N^r is then read from two phase tables of O(sqrt(N)) entries each
 rather than evaluated with exp per term.
 """
@@ -77,7 +79,8 @@ def _eigenvalue_block(
     """lambda_k for one block of k values; fixed summation order over i.
 
     Every operation is elementwise over k, so lambda_k comes out the same
-    whatever block it falls in.
+    whatever block it falls in.  A step g = 0 mod N (always G_n) adds
+    exactly 1, as its lookup hi[0] * lo[0] would, so it is added without one.
     """
     s, hi, lo = tables
     acc = np.zeros(len(ks), dtype=np.complex128)
@@ -86,6 +89,9 @@ def _eigenvalue_block(
     term = np.empty_like(acc)
     low = np.empty_like(acc)
     for g in steps:
+        if g == 0:
+            acc += 1.0
+            continue
         np.remainder(np.multiply(ks, g, out=r), N, out=r)
         np.right_shift(r, s, out=top)
         np.bitwise_and(r, (1 << s) - 1, out=r)
@@ -98,14 +104,18 @@ def _eigenvalue_block(
     return acc
 
 
+def _require_int64_safe(N: int) -> None:
+    if N > _INT64_SAFE_N:
+        raise StateSpaceTooLarge(f"N = {N} exceeds the exact int64 reduction range")
+
+
 def iter_k_blocks(N: int, chunk: int = _CHUNK) -> Iterator[np.ndarray]:
     """k = 1..N-1 as int64 blocks of at most chunk entries.
 
     (k * g) mod N for 0 <= g < N is exact in int64 up to N = _INT64_SAFE_N;
     past it this raises StateSpaceTooLarge at the call, before any block.
     """
-    if N > _INT64_SAFE_N:
-        raise StateSpaceTooLarge(f"N = {N} exceeds the exact int64 reduction range")
+    _require_int64_safe(N)
     return (
         np.arange(start, min(start + chunk, N), dtype=np.int64)
         for start in range(1, N, chunk)
@@ -115,24 +125,31 @@ def iter_k_blocks(N: int, chunk: int = _CHUNK) -> Iterator[np.ndarray]:
 def iter_eigenvalue_chunks(
     window: SequenceWindow, chunk: int = _CHUNK
 ) -> Iterator[np.ndarray]:
-    """Yield the nontrivial eigenvalues lambda_1..lambda_{N-1} in k order.
+    """Yield lambda_1..lambda_{N//2} in k order.
 
+    The step law is real, so lambda_{N-k} = conj(lambda_k) and these
+    determine every nontrivial eigenvalue; k = N/2 (N even) is its own
+    mirror and is computed directly.
     Storage-free except for one chunk at a time and the O(sqrt(N)) phase
     tables, so it works beyond the dense cap; the dense spectrum, SLEM
     and one-pass bound sums are all built on this.
     """
     N = window.modulus
-    blocks = iter_k_blocks(N, chunk)  # range guard before the tables are built
+    _require_int64_safe(N)  # on N itself: every k * g is reduced mod N
     steps = [g % N for g in window.values]
     tables = _phase_tables(N)
-    for ks in blocks:
+    for ks in iter_k_blocks(N // 2 + 1, chunk):  # k = 1..N//2
         yield _eigenvalue_block(ks, steps, N, tables)
 
 
 def compute_spectrum(
     window: SequenceWindow, n_max_states: int = DEFAULT_N_MAX
 ) -> Spectrum:
-    """Materialize the full spectrum for N = G_n <= n_max_states."""
+    """Materialize the full spectrum for N = G_n <= n_max_states.
+
+    lambda_1..lambda_{N//2} come from the engine; the upper half is
+    filled in place with their conjugates, lambda_{N-k} = conj(lambda_k).
+    """
     N = window.modulus
     if N > n_max_states:
         raise StateSpaceTooLarge(f"N = {N} exceeds the dense cap {n_max_states}")
@@ -145,6 +162,8 @@ def compute_spectrum(
         if m > worst:
             worst = m
         pos += len(block)
+    mirrored = N - 1 - pos  # k = pos+1..N-1 take conj(lambda_{N-k})
+    np.conjugate(eig[:mirrored][::-1], out=eig[pos : N - 1])
     return Spectrum(n=window.n, modulus=N, eigenvalues=eig, slem=worst)
 
 
@@ -156,7 +175,7 @@ def slem(spectrum: Spectrum) -> float:
 
 
 def slem_streaming(window: SequenceWindow, chunk: int = _CHUNK) -> float:
-    """SLEM in one pass without storing the spectrum (any N)."""
+    """SLEM in one pass over k <= N/2 without storing the spectrum (any N)."""
     if window.modulus < 2:
         raise DegenerateStateSpace("N = 1 has no nontrivial eigenvalue")
     worst = 0.0

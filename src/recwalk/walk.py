@@ -68,6 +68,13 @@ def step_distribution(
     return Distribution(N=N, probs=p)
 
 
+# Output entries per tile of the shift-and-add: every shift is added into
+# one tile, which stays in cache, before the next tile is touched.
+# 2^16 float64 (512 KiB) measured best on a 2-vCPU Xeon (2 MiB L2 per
+# core), ahead of 2^14, 2^15, 2^17 and 2^18.
+_TILE = 1 << 16
+
+
 class _Convolver:
     """Cyclic convolution with one step law, in the time domain.
 
@@ -75,28 +82,44 @@ class _Convolver:
     over its support is O(N * n) and free of FFT rounding.  Each call
     forms fl(w * probs) once per distinct weight w, into buffers owned
     here, and adds the shifted copies into the caller's out buffer with
-    slices, support points in increasing x.  Every output entry thus
-    receives the same products in the same order as the sum over x of
+    slices, one _TILE-entry tile of out at a time, support points in
+    increasing x within each tile.  Every output entry thus receives the
+    same products in the same order as the sum over x of
     w_x * np.roll(probs, x), so results are bit-identical to that sum,
     without allocating per call.  Steps from generate() all carry the
     weight 1/n, as G_1 < ... < G_{n-1} < N and G_n = 0 mod N.
     """
 
     def __init__(self, step: Distribution):
+        N = step.N
         support = np.flatnonzero(step.probs)
         self.weights, slots = np.unique(step.probs[support], return_inverse=True)
-        self.shifts = list(zip(support.tolist(), slots.tolist()))
-        self.products = np.empty((len(self.weights), step.N))
+        self.products = np.empty((len(self.weights), N))
+        shifts = [(x, self.products[slot]) for x, slot in zip(support.tolist(), slots)]
+        # Per tile [lo, hi): the adds out[a:b] += source, where out[j] takes
+        # product[(j - x) mod N]; a shift x inside the tile splits it at
+        # j = x, where the source index wraps.
+        self.plan = []
+        for lo in range(0, N, _TILE):
+            hi = min(lo + _TILE, N)
+            adds = []
+            for x, product in shifts:
+                if x <= lo:
+                    adds.append((lo, hi, product[lo - x : hi - x]))
+                elif x >= hi:
+                    adds.append((lo, hi, product[lo - x + N : hi - x + N]))
+                else:
+                    adds.append((lo, x, product[lo - x + N :]))
+                    adds.append((x, hi, product[: hi - x]))
+            self.plan.append((lo, hi, adds))
 
     def __call__(self, probs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        N = len(probs)
         for w, product in zip(self.weights, self.products):
             np.multiply(probs, w, out=product)
-        out.fill(0.0)
-        for x, slot in self.shifts:
-            product = self.products[slot]
-            out[x:] += product[: N - x]
-            out[:x] += product[N - x :]
+        for lo, hi, adds in self.plan:
+            out[lo:hi] = 0.0
+            for a, b, source in adds:
+                out[a:b] += source
         return out
 
 

@@ -249,3 +249,14 @@ def test_generation_failure_maps_to_exit_2(capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+def test_simulate_trajectories_past_cap_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--seq", "pow3", "--n", "3",
+        "--trajectories", str(2**24 + 1),
+    )
+    assert code == 2
+    assert out == ""
+    assert "trajectories" in err

@@ -14,6 +14,7 @@ from recwalk import (
     step_distribution,
     tv_to_uniform,
 )
+from recwalk.montecarlo import _MAX_TRAJECTORIES
 
 
 def test_config_validation():
@@ -169,3 +170,48 @@ def test_more_than_one_former_block_tracks_exact_distribution():
     for t, emp in curve:
         exact = tv_to_uniform(evolve(step, t, method="direct"))
         assert emp == pytest.approx(exact, abs=5e-3), t
+
+
+def _unique_simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
+    """The int64 loop with every histogram taken by np.unique, as an oracle."""
+    window = config.window
+    N = window.modulus
+    T = config.num_trajectories
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    steps = np.array([g % N for g in window.values], dtype=np.int64)
+    pos = np.zeros(T, dtype=np.int64)
+    out = []
+    for t in range(config.t_max + 1):
+        if t:
+            pos += steps[rng.integers(0, window.n, size=T)]
+            pos %= N
+        counts = np.unique(pos, return_counts=True)[1]
+        occupied = counts / T - 1.0 / N
+        missing = (N - len(counts)) / N
+        out.append((t, 0.5 * (float(np.abs(occupied).sum()) + missing)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, n, trajectories",
+    [
+        ("pow3", 3, 1_000),  # N = 9 < T
+        ("fib-odd", 5, 5_000),  # N = 55 < T
+        ("pow3", 3, 9),  # N == T
+        ("pow3", 5, 81),  # N == T
+    ],
+)
+def test_bincount_histogram_matches_unique_exactly(name, n, trajectories):
+    window = generate(PRESETS[name], n)
+    assert window.modulus <= trajectories
+    config = SimConfig(window=window, t_max=15, num_trajectories=trajectories, seed=4)
+    assert simulate_tv(config) == _unique_simulate_tv(config)
+
+
+def test_trajectory_count_capped():
+    window = generate(PRESETS["pow3"], 3)
+    SimConfig(window=window, t_max=5, num_trajectories=_MAX_TRAJECTORIES, seed=1)
+    with pytest.raises(ValueError):
+        SimConfig(
+            window=window, t_max=5, num_trajectories=_MAX_TRAJECTORIES + 1, seed=1
+        )

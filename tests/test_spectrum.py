@@ -6,6 +6,7 @@ from recwalk import (
     DomainError,
     NotFirstOrder,
     PRESETS,
+    RecurrenceSpec,
     StateSpaceTooLarge,
     compute_spectrum,
     generate,
@@ -234,3 +235,53 @@ def test_lift_rejects_bad_arguments():
         unnormalized_eigenvalue(3, 2, 0)
     with pytest.raises(NotFirstOrder):
         unnormalized_values(0, 3)
+
+
+def _windows_up_to(n_max):
+    specs = {**PRESETS, "custom": RecurrenceSpec((1, 1), (1, 2))}
+    return [generate(spec, n) for spec in specs.values() for n in range(1, n_max + 1)]
+
+
+def test_upper_half_is_exact_conjugate_of_lower_half():
+    moduli = set()
+    for window in _windows_up_to(10):
+        eig = compute_spectrum(window).eigenvalues
+        N = window.modulus
+        moduli.add(N)
+        k = np.arange(1, N)
+        off_middle = 2 * k != N
+        mirrored = eig[N - 1 - k]  # lambda_{N-k}
+        assert np.array_equal(
+            mirrored[off_middle], np.conj(eig[k - 1])[off_middle]
+        ), N
+        if N % 2 == 0:
+            # k = N/2 is computed directly, its imaginary part only dust
+            assert abs(eig[N // 2 - 1].imag) <= 1e-15
+        assert eig[N - 1] == 1.0
+    # N = 2, 3, 4 and both parities are among the windows
+    assert {2, 3, 4} <= moduli
+    assert any(N % 2 for N in moduli) and any(N % 2 == 0 for N in moduli)
+
+
+def test_eigenvalues_match_per_term_exp_oracle():
+    for window in _windows_up_to(11):
+        N = window.modulus
+        if N > 2**16:
+            continue
+        ks = np.arange(1, N + 1, dtype=np.int64)
+        oracle = np.zeros(N, dtype=np.complex128)
+        for g in window.values:
+            oracle += np.exp((2j * np.pi / N) * ((ks * (g % N)) % N))
+        oracle /= window.n
+        got = compute_spectrum(window).eigenvalues
+        assert float(np.max(np.abs(got - oracle))) <= 1e-15, (window.n, N)
+
+
+def test_streaming_slem_exact_for_uneven_chunks():
+    # chunks that split k = 1..N//2 with a short last block, or one short one
+    for window in _windows_up_to(7):
+        if window.modulus < 2:
+            continue
+        dense = compute_spectrum(window).slem
+        for chunk in (1, 3, 7, 100):
+            assert slem_streaming(window, chunk=chunk) == dense, (window.n, chunk)

@@ -14,6 +14,7 @@ from recwalk import (
     uniform,
 )
 
+from recwalk import walk
 from recwalk.walk import _convolve_once
 
 from expected_values import EXACT_TMIX
@@ -203,3 +204,39 @@ def test_convolution_with_distinct_weights_bit_identical():
         assert np.array_equal(evolve(step, t, method="direct").probs, expected), t
     probs = np.random.default_rng(7).random(7)
     assert np.array_equal(_convolve_once(probs, step), _roll_convolve(probs, step))
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [
+        ("pow2", 18),  # N = 2^17: two full tiles
+        ("pow3", 12),  # N = 177147: a partial last tile
+        ("fib-odd", 13),  # N = 121393
+    ],
+)
+def test_mixing_curve_bit_identical_past_one_tile(name, n):
+    window = generate(PRESETS[name], n)
+    assert window.modulus > walk._TILE
+    assert mixing_time(window, 0.25).tv_curve == _roll_scan(window, 0.25)
+
+
+def test_small_tiles_bit_identical_to_roll_reference(monkeypatch):
+    # tiles of 64 entries put shifts before, inside, on the edge of and
+    # past each tile, so every wrap branch of the plan fires
+    monkeypatch.setattr(walk, "_TILE", 64)
+    for name in PRESETS:
+        for n in range(1, 11):
+            window = generate(PRESETS[name], n)
+            step = step_distribution(window)
+            probs = np.random.default_rng(n).random(step.N)
+            assert np.array_equal(
+                _convolve_once(probs, step), _roll_convolve(probs, step)
+            ), (name, n)
+            curve = mixing_time(window, 0.25).tv_curve
+            assert curve == _roll_scan(window, 0.25), (name, n)
+    monkeypatch.setattr(walk, "_TILE", 3)
+    step = Distribution(N=7, probs=np.array([0.1, 0.3, 0.0, 0.2, 0.1, 0.3, 0.0]))
+    expected = point_mass(7).probs
+    for t in range(1, 25):
+        expected = _roll_convolve(expected, step)
+        assert np.array_equal(evolve(step, t, method="direct").probs, expected), t
