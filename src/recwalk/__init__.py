@@ -31,24 +31,17 @@ from .recurrence import (
 from .spectrum import (
     DEFAULT_N_MAX,
     Spectrum,
-    UnnormalizedEigenvalue,
     compute_spectrum,
-    lift_eigenvalue,
-    slem,
     slem_streaming,
-    unnormalized_eigenvalue,
-    unnormalized_moduli,
     unnormalized_values,
 )
 from .walk import (
-    Distribution,
     MixingResult,
     evolve,
     mixing_time,
     point_mass,
     step_distribution,
     tv_to_uniform,
-    uniform,
 )
 from .bounds import (
     BoundReport,

@@ -205,7 +205,6 @@ def build_report(
     epsilon: float,
     eta1_override: float | None = None,
     n_max_states: int = DEFAULT_N_MAX,
-    include_exact: bool = True,
 ) -> BoundReport:
     """Evaluate every applicable bound for one window.
 
@@ -244,8 +243,7 @@ def build_report(
         spectrum = compute_spectrum(window, n_max_states=n_max_states)
         lam_star = spectrum.slem
         ubl_t = ubl_implied_t(spectrum, eps)
-        if include_exact:
-            exact = walk.mixing_time(window, eps, n_max_states=n_max_states).t_mix
+        exact = walk.mixing_time(window, eps, n_max_states=n_max_states).t_mix
     else:
         lam_star = slem_streaming(window)
 

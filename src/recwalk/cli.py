@@ -52,6 +52,20 @@ def _parse_epsilon(text: str) -> Fraction:
     return eps
 
 
+def _parse_nmax_states(text: str) -> int:
+    """A dense cap in 1..DEFAULT_N_MAX; larger caps would let the dense
+    spectrum take 16 bytes per state without bound."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad --nmax-states {text!r}")
+    if not 1 <= cap <= DEFAULT_N_MAX:
+        raise argparse.ArgumentTypeError(
+            f"--nmax-states must be in 1..{DEFAULT_N_MAX}, got {cap}"
+        )
+    return cap
+
+
 def _resolve_sequences(seq_args: list[str] | None) -> list[tuple[str, RecurrenceSpec]]:
     """Map --seq values (preset names or JSON specs) to named specs."""
     if not seq_args:
@@ -292,9 +306,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--nmax-states",
         dest="nmax_states",
-        type=int,
+        type=_parse_nmax_states,
         default=DEFAULT_N_MAX,
-        help=f"dense state-space cap (default {DEFAULT_N_MAX})",
+        help=f"dense state-space cap, 1..{DEFAULT_N_MAX} (default {DEFAULT_N_MAX})",
     )
     common.add_argument("--eta1", type=float, default=None,
                         help="override lower growth base for the general lower bound")

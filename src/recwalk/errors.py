@@ -42,4 +42,8 @@ class UnknownSuite(RecwalkError):
 
 
 class NoMixing(RecwalkError):
-    """Mixing-time scan failed to terminate within the safety cap."""
+    """Mixing-time scan ran all _SCAN_CAP steps without TV <= epsilon.
+
+    Reachable: an epsilon below the float TV's rounding floor is never
+    met (see ROADMAP item 1).
+    """

@@ -116,9 +116,7 @@ def s_value(spec: RecurrenceSpec) -> int:
     return s
 
 
-def estimate_growth(
-    window: SequenceWindow, eta1_override: float | None = None
-) -> GrowthEstimate:
+def estimate_growth(window: SequenceWindow) -> GrowthEstimate:
     """Estimate the limiting ratio G_{i+1}/G_i from a window.
 
     The reported dominant_rate is the raw trailing ratio.  For the
@@ -128,8 +126,7 @@ def estimate_growth(
     limit is L = i*r_i - (i-1)*r_{i-1}, exact for both geometric ratios
     (constant r) and polynomial families (r_i = 1 + O(1/i)).
 
-    eta1_lower is the caller's override when given, otherwise the
-    minimum ratio over the trailing half of the window.
+    eta1_lower is the minimum ratio over the trailing half of the window.
     """
     if window.n < 3:
         raise WindowTooShort("growth estimation needs at least 3 terms")
@@ -141,11 +138,7 @@ def estimate_growth(
     extrapolated = float(i * ratios[-1] - (i - 1) * ratios[-2])
     exponential = extrapolated >= 1.0 + GROWTH_DELTA
 
-    if eta1_override is not None:
-        eta1 = float(eta1_override)
-    else:
-        tail = ratios[len(ratios) // 2 :]
-        eta1 = float(min(tail))
+    eta1 = float(min(ratios[len(ratios) // 2 :]))
     return GrowthEstimate(
         dominant_rate=dominant, is_exponential=exponential, eta1_lower=eta1
     )

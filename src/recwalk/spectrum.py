@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DegenerateStateSpace, DomainError, NotFirstOrder, StateSpaceTooLarge
+from .errors import DegenerateStateSpace, NotFirstOrder, StateSpaceTooLarge
 from .recurrence import RecurrenceSpec, SequenceWindow, generate
 
 # Dense full-spectrum storage cap (entries). Larger N must stream.
@@ -40,21 +40,7 @@ class Spectrum:
     n: int
     modulus: int
     eigenvalues: np.ndarray  # index k-1 holds lambda_k
-    slem: float
-
-    def eigenvalue(self, k: int) -> complex:
-        if not 1 <= k <= self.modulus:
-            raise DomainError(f"k must be in 1..{self.modulus}, got {k}")
-        return complex(self.eigenvalues[k - 1])
-
-
-@dataclass(frozen=True)
-class UnnormalizedEigenvalue:
-    """lambda-tilde_{n,k} = n * lambda_{n,k} for the sequence c^(n-1)."""
-
-    n: int
-    k: int
-    value: complex
+    slem: float  # max over k != N of |lambda_k|; 0.0 when N = 1
 
 
 def _phase_tables(N: int) -> tuple[int, np.ndarray, np.ndarray]:
@@ -167,13 +153,6 @@ def compute_spectrum(
     return Spectrum(n=window.n, modulus=N, eigenvalues=eig, slem=worst)
 
 
-def slem(spectrum: Spectrum) -> float:
-    """Second largest eigenvalue modulus, max over k != N of |lambda_k|."""
-    if spectrum.modulus < 2:
-        raise DegenerateStateSpace("N = 1 has no nontrivial eigenvalue")
-    return spectrum.slem
-
-
 def slem_streaming(window: SequenceWindow, chunk: int = _CHUNK) -> float:
     """SLEM in one pass over k <= N/2 without storing the spectrum (any N)."""
     if window.modulus < 2:
@@ -186,25 +165,6 @@ def slem_streaming(window: SequenceWindow, chunk: int = _CHUNK) -> float:
     return worst
 
 
-def unnormalized_eigenvalue(c: int, n: int, k: int) -> complex:
-    """lambda-tilde_{n,k} for the first-order sequence G_i = c^(i-1).
-
-    Equals sum over m = 0..n-1 of exp(2*pi*i * (k mod c^m) / c^m); the
-    m = 0 term is always 1.
-    """
-    if c < 2 or int(c) != c:
-        raise NotFirstOrder(f"base must be an integer >= 2, got {c}")
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    if not 1 <= k <= c**(n - 1):
-        raise DomainError(f"k must be in 1..c^(n-1) = {c**(n-1)}, got {k}")
-    total = 0j
-    for m in range(n):
-        q = c**m
-        total += np.exp(2j * np.pi * (k % q) / q)
-    return complex(total)
-
-
 def unnormalized_values(c: int, n: int) -> np.ndarray:
     """lambda-tilde_{n,k} for all k = 1..c^(n-1): n times the pow-c spectrum."""
     if c < 2:
@@ -212,33 +172,3 @@ def unnormalized_values(c: int, n: int) -> np.ndarray:
     window = generate(RecurrenceSpec((c,), (1,)), n)
     return n * compute_spectrum(window).eigenvalues
 
-
-def unnormalized_moduli(c: int, n: int) -> np.ndarray:
-    """|lambda-tilde_{n,k}| for all k = 1..c^(n-1)."""
-    return np.abs(unnormalized_values(c, n))
-
-
-def lift_eigenvalue(c: int, n: int, k: int) -> list[UnnormalizedEigenvalue]:
-    """The c level-(n+1) descendants of lambda-tilde_{n,k}.
-
-    Returns the pairs (k + j*c^(n-1), lambda-tilde_{n+1, k + j*c^(n-1)})
-    for j = 0..c-1, evaluated directly at level n+1.  Each equals
-    lambda-tilde_{n,k} + xi_{c^n}^(k + j*c^(n-1)); the verification
-    suite checks that identity numerically.
-    """
-    if c < 2 or int(c) != c:
-        raise NotFirstOrder(f"base must be an integer >= 2, got {c}")
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    base = c**(n - 1)
-    if not 1 <= k <= base:
-        raise DomainError(f"k must be in 1..c^(n-1) = {base}, got {k}")
-    out = []
-    for j in range(c):
-        idx = k + j * base
-        out.append(
-            UnnormalizedEigenvalue(
-                n=n + 1, k=idx, value=unnormalized_eigenvalue(c, n + 1, idx)
-            )
-        )
-    return out

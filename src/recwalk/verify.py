@@ -197,7 +197,6 @@ def ubl_consistency_suite(
 def run_suites(
     suite: str,
     specs: dict[str, RecurrenceSpec] | None = None,
-    n_min: int = 2,
     n_max: int = 8,
     epsilon: float = 0.25,
     n_max_states: int = DEFAULT_N_MAX,
@@ -207,12 +206,12 @@ def run_suites(
     if specs is None:
         specs = dict(PRESETS)
     runners = {
-        "eigmod-bound": lambda: eigmod_bound_suite(specs, n_min, n_max),
-        "angle-cover": lambda: angle_cover_suite(specs, n_min, n_max),
+        "eigmod-bound": lambda: eigmod_bound_suite(specs, n_max=n_max),
+        "angle-cover": lambda: angle_cover_suite(specs, n_max=n_max),
         "lifting": lambda: lifting_suite(cap=cap),
         "multiset-domination": lambda: multiset_domination_suite(cap=cap),
         "ubl-consistency": lambda: ubl_consistency_suite(
-            specs, n_min, n_max, epsilon, n_max_states
+            specs, n_max=n_max, epsilon=epsilon, n_max_states=n_max_states
         ),
     }
     if suite == "all":

@@ -2,7 +2,8 @@
 
 The walk is X_{t+1} = X_t + z_t mod N with z_t uniform on the step
 multiset {G_1 mod N, ..., G_n mod N}, started from the point mass at 0.
-Distributions are dense float64 vectors over Z_N.
+Laws are dense float64 arrays over Z_N: entry x is the mass at x, and
+N is the array's length.
 """
 
 from __future__ import annotations
@@ -13,48 +14,34 @@ import numpy as np
 
 from .errors import NoMixing, StateSpaceTooLarge
 from .recurrence import SequenceWindow
-from .spectrum import DEFAULT_N_MAX
+from .spectrum import DEFAULT_N_MAX, compute_spectrum
 
-# Hard stop for the mixing scan; unreachable for any valid window since
-# slem < 1 drives TV to zero geometrically.
+# Hard stop for the mixing scan.  slem < 1 drives the exact TV to zero
+# geometrically, but the float TV stalls at a floor of rounding dust, so
+# an epsilon below that floor is never met and the scan runs to this cap:
+# fib-odd n = 9 at epsilon = 1e-16 scans all 10^6 steps before NoMixing
+# (60 s in ROADMAP item 1), and larger N take longer.
 _SCAN_CAP = 1_000_000
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """A probability vector over Z_N (negative entries only as fp dust)."""
-
-    N: int
-    probs: np.ndarray
-
-    def __post_init__(self):
-        if len(self.probs) != self.N:
-            raise ValueError(f"expected {self.N} entries, got {len(self.probs)}")
 
 
 @dataclass(frozen=True)
 class MixingResult:
     n: int
     N: int
-    epsilon: float
     t_mix: int
     tv_curve: tuple[tuple[int, float], ...]
 
 
-def point_mass(N: int) -> Distribution:
+def point_mass(N: int) -> np.ndarray:
     p = np.zeros(N)
     p[0] = 1.0
-    return Distribution(N=N, probs=p)
-
-
-def uniform(N: int) -> Distribution:
-    return Distribution(N=N, probs=np.full(N, 1.0 / N))
+    return p
 
 
 def step_distribution(
     window: SequenceWindow, n_max_states: int = DEFAULT_N_MAX
-) -> Distribution:
-    """Step law: probs[x] = #{i : G_i = x mod N} / n.
+) -> np.ndarray:
+    """Step law: p[x] = #{i : G_i = x mod N} / n.
 
     Multiplicities matter; in particular G_n contributes to x = 0.
     """
@@ -65,7 +52,7 @@ def step_distribution(
     for g in window.values:
         p[g % N] += 1.0
     p /= window.n
-    return Distribution(N=N, probs=p)
+    return p
 
 
 # Output entries per tile of the shift-and-add: every shift is added into
@@ -90,10 +77,10 @@ class _Convolver:
     weight 1/n, as G_1 < ... < G_{n-1} < N and G_n = 0 mod N.
     """
 
-    def __init__(self, step: Distribution):
-        N = step.N
-        support = np.flatnonzero(step.probs)
-        self.weights, slots = np.unique(step.probs[support], return_inverse=True)
+    def __init__(self, step: np.ndarray):
+        N = len(step)
+        support = np.flatnonzero(step)
+        self.weights, slots = np.unique(step[support], return_inverse=True)
         self.products = np.empty((len(self.weights), N))
         shifts = [(x, self.products[slot]) for x, slot in zip(support.tolist(), slots)]
         # Per tile [lo, hi): the adds out[a:b] += source, where out[j] takes
@@ -123,7 +110,7 @@ class _Convolver:
         return out
 
 
-def _convolve_once(probs: np.ndarray, step: Distribution) -> np.ndarray:
+def _convolve_once(probs: np.ndarray, step: np.ndarray) -> np.ndarray:
     """probs convolved once with the step law, into a new array."""
     return _Convolver(step)(probs, np.empty_like(probs))
 
@@ -154,40 +141,40 @@ def _powers_clamped(lam: np.ndarray, t: int) -> np.ndarray:
     return result
 
 
-def evolve(step: Distribution, t: int, method: str = "spectral") -> Distribution:
-    """t-fold self-convolution of the step law applied to the point mass at 0.
+def evolve(window: SequenceWindow, t: int, method: str = "spectral") -> np.ndarray:
+    """Law of X_t: the step law convolved t times with the point mass at 0.
 
-    method "spectral" (the default) powers the DFT coefficients
-    and inverts; "direct" repeats time-domain convolution and serves as
-    the independent oracle for the spectral path.
+    method "spectral" (the default) powers the eigenvalues from
+    compute_spectrum and inverts with one FFT; "direct" repeats
+    time-domain convolution and serves as the independent oracle for
+    the spectral path.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if method not in ("spectral", "direct"):
         raise ValueError(f"unknown method {method!r}")
-    N = step.N
+    N = window.modulus
     if t == 0:
         return point_mass(N)
     if method == "direct":
-        convolve = _Convolver(step)
-        probs, spare = point_mass(N).probs, np.empty(N)
+        convolve = _Convolver(step_distribution(window))
+        probs, spare = point_mass(N), np.empty(N)
         for _ in range(t):
             probs, spare = convolve(probs, spare), probs
-        return Distribution(N=N, probs=probs)
-    lam = N * np.fft.ifft(step.probs)  # lam[m] = eigenvalue at k = m mod N
-    lam[0] = 1.0  # step law is stochastic by construction
-    powered = _powers_clamped(lam, t)
-    probs = np.fft.fft(powered).real / N
-    return Distribution(N=N, probs=probs)
+        return probs
+    # Index m holds lambda_m, and lambda_0 = lambda_N = 1 exactly.  Then
+    # fft gives sum_m lambda_m^t xi_N^(-m x) = N * P(X_t = x).
+    lam = np.roll(compute_spectrum(window).eigenvalues, 1)
+    return np.fft.fft(_powers_clamped(lam, t)).real / N
 
 
-def tv_to_uniform(dist: Distribution, work: np.ndarray | None = None) -> float:
-    """(1/2) sum_x |probs[x] - 1/N|.
+def tv_to_uniform(probs: np.ndarray, work: np.ndarray | None = None) -> float:
+    """(1/2) sum_x |probs[x] - 1/N|, N = len(probs).
 
     work, when given, is an N-entry float64 buffer that is overwritten
     instead of allocating one.
     """
-    dev = np.subtract(dist.probs, 1.0 / dist.N, out=work)
+    dev = np.subtract(probs, 1.0 / len(probs), out=work)
     return 0.5 * float(np.abs(dev, out=dev).sum())
 
 
@@ -210,20 +197,14 @@ def mixing_time(
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     eps = float(epsilon)
     step = step_distribution(window, n_max_states=n_max_states)
-    N = step.N
+    N = len(step)
     convolve = _Convolver(step)
-    probs, spare = point_mass(N).probs, np.empty(N)
+    probs, spare = point_mass(N), np.empty(N)
     curve: list[tuple[int, float]] = []
     for t in range(_SCAN_CAP + 1):
-        tv = tv_to_uniform(Distribution(N=N, probs=probs), work=spare)
+        tv = tv_to_uniform(probs, work=spare)
         curve.append((t, tv))
         if tv <= eps:
-            return MixingResult(
-                n=window.n,
-                N=N,
-                epsilon=eps,
-                t_mix=t,
-                tv_curve=tuple(curve),
-            )
+            return MixingResult(n=window.n, N=N, t_mix=t, tv_curve=tuple(curve))
         probs, spare = convolve(probs, spare), probs
     raise NoMixing(f"TV never reached {eps} within {_SCAN_CAP} steps")

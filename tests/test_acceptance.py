@@ -29,7 +29,7 @@ from recwalk.verify import (
     multiset_domination_suite,
     ubl_consistency_suite,
 )
-from recwalk.walk import Distribution, _convolve_once
+from recwalk.walk import _convolve_once
 
 from expected_values import REFERENCE_TABLE
 
@@ -89,14 +89,15 @@ def test_acceptance_evolution_oracle(capsys):
     worst = 0.0
     for name in SEQ_ORDER:
         for n in range(1, 9):
-            step = step_distribution(generate(PRESETS[name], n))
-            probs = np.zeros(step.N)
+            window = generate(PRESETS[name], n)
+            step = step_distribution(window)
+            probs = np.zeros(len(step))
             probs[0] = 1.0
             for t in range(0, 65):
                 if t > 0:
                     probs = _convolve_once(probs, step)
-                spectral = evolve(step, t, method="spectral")
-                gap = float(np.max(np.abs(probs - spectral.probs)))
+                spectral = evolve(window, t, method="spectral")
+                gap = float(np.max(np.abs(probs - spectral)))
                 worst = max(worst, gap)
     ok = worst <= 1e-9
     with capsys.disabled():
@@ -203,10 +204,9 @@ def test_acceptance_monte_carlo(capsys):
     curve = simulate_tv(config)
     rerun = simulate_tv(config)
 
-    step = step_distribution(window)
     worst = 0.0
     for t, emp in curve:
-        exact = tv_to_uniform(evolve(step, t, method="direct"))
+        exact = tv_to_uniform(evolve(window, t, method="direct"))
         worst = max(worst, abs(emp - exact))
     identical = curve == rerun
     ok = worst <= 5e-3 and identical

@@ -1,7 +1,9 @@
 import json
+import tracemalloc
 
 import pytest
 
+from recwalk import cli
 from recwalk.cli import main
 
 from expected_values import EXACT_TMIX, SEQUENCE_VALUES
@@ -260,3 +262,24 @@ def test_simulate_trajectories_past_cap_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "trajectories" in err
+
+
+@pytest.mark.parametrize("cap", [2**24 + 1, 0])
+def test_nmax_states_outside_dense_cap_is_usage_error(capsys, monkeypatch, cap):
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("the spectrum was computed")
+
+    monkeypatch.setattr(cli, "compute_spectrum", no_spectrum)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--seq", "pow2", "--n", "3",
+                  "--nmax-states", str(cap)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "--nmax-states must be in 1..16777216" in err
+    assert peak < 2**20

@@ -11,7 +11,6 @@ from recwalk import (
     evolve,
     generate,
     simulate_tv,
-    step_distribution,
     tv_to_uniform,
 )
 from recwalk.montecarlo import _MAX_TRAJECTORIES
@@ -56,12 +55,11 @@ def test_different_seeds_differ():
 
 def test_empirical_tracks_exact_distribution():
     window = generate(PRESETS["pow3"], 2)
-    step = step_distribution(window)
     curve = simulate_tv(
         SimConfig(window=window, t_max=4, num_trajectories=200_000, seed=11)
     )
     for t, emp in curve:
-        exact = tv_to_uniform(evolve(step, t, method="direct"))
+        exact = tv_to_uniform(evolve(window, t, method="direct"))
         assert emp == pytest.approx(exact, abs=5e-3), t
 
 
@@ -163,12 +161,11 @@ def test_sparse_support_invariant(seed):
 
 def test_more_than_one_former_block_tracks_exact_distribution():
     window = generate(PRESETS["pow3"], 2)
-    step = step_distribution(window)
     curve = simulate_tv(
         SimConfig(window=window, t_max=4, num_trajectories=(1 << 20) + 1, seed=11)
     )
     for t, emp in curve:
-        exact = tv_to_uniform(evolve(step, t, method="direct"))
+        exact = tv_to_uniform(evolve(window, t, method="direct"))
         assert emp == pytest.approx(exact, abs=5e-3), t
 
 

@@ -125,13 +125,6 @@ def test_growth_estimate_window_too_short():
         estimate_growth(window)
 
 
-def test_growth_estimate_eta1_override():
-    window = generate(PRESETS["pow3"], 6)
-    est = estimate_growth(window, eta1_override=2.5)
-    assert est.eta1_lower == 2.5
-    assert est.dominant_rate == 3.0
-
-
 def test_growth_rate_sandwich_for_presets():
     # log G_n / n stays within the geometric bracket for every preset
     for spec in PRESETS.values():

@@ -3,23 +3,19 @@ import pytest
 
 from recwalk import (
     DegenerateStateSpace,
-    DomainError,
     NotFirstOrder,
     PRESETS,
     RecurrenceSpec,
     StateSpaceTooLarge,
     compute_spectrum,
     generate,
-    lift_eigenvalue,
-    slem,
     slem_streaming,
     step_distribution,
-    unnormalized_eigenvalue,
-    unnormalized_moduli,
     unnormalized_values,
 )
 
 from recwalk.spectrum import _INT64_SAFE_N, _phase_tables, iter_k_blocks
+from recwalk.verify import lifting_suite
 
 from expected_values import SLEMS
 
@@ -38,25 +34,42 @@ def spectrum_for(name, n):
     return compute_spectrum(generate(PRESETS[name], n))
 
 
+def per_term_exp_eigenvalues(window):
+    """lambda_1..lambda_N with one np.exp per step and k, from the exact
+    reduction k * G_i mod N: the formula the phase tables replace."""
+    N = window.modulus
+    ks = np.arange(1, N + 1, dtype=np.int64)
+    lam = np.zeros(N, dtype=np.complex128)
+    for g in window.values:
+        lam += np.exp((2j * np.pi / N) * ((ks * (g % N)) % N))
+    return lam / window.n
+
+
+def tilde_oracle(c, n, k):
+    """lambda-tilde_{n,k} for G_i = c^(i-1) as the scalar sum over
+    m = 0..n-1 of exp(2 pi i (k mod c^m) / c^m); the m = 0 term is 1."""
+    return complex(sum(np.exp(2j * np.pi * (k % c**m) / c**m) for m in range(n)))
+
+
 def test_trivial_eigenvalue_is_exactly_one():
     for name in PRESETS:
         for n in range(1, 7):
             spec = spectrum_for(name, n)
-            assert spec.eigenvalue(spec.modulus) == 1.0 + 0.0j
+            assert spec.eigenvalues[spec.modulus - 1] == 1.0 + 0.0j
 
 
 def test_pow2_n2_spectrum():
     # steps {1, 2} on Z_2: lambda_1 = (xi_2 + 1)/2 = 0
     spec = spectrum_for("pow2", 2)
-    assert abs(spec.eigenvalue(1)) < 1e-15
+    assert abs(spec.eigenvalues[0]) < 1e-15
     assert spec.slem < 1e-15
 
 
 def test_pow3_n2_spectrum():
     # steps {1, 3} on Z_3: |lambda_1| = |lambda_2| = 1/2
     spec = spectrum_for("pow3", 2)
-    assert abs(spec.eigenvalue(1)) == pytest.approx(0.5, abs=1e-12)
-    assert abs(spec.eigenvalue(2)) == pytest.approx(0.5, abs=1e-12)
+    assert abs(spec.eigenvalues[0]) == pytest.approx(0.5, abs=1e-12)
+    assert abs(spec.eigenvalues[1]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_conjugate_symmetry():
@@ -79,20 +92,17 @@ def test_slem_matches_frozen_values():
     for name, expected in SLEMS.items():
         for i, want in enumerate(expected):
             spec = spectrum_for(name, i + 2)
-            assert slem(spec) == pytest.approx(want, abs=1e-12), (name, i + 2)
+            assert spec.slem == pytest.approx(want, abs=1e-12), (name, i + 2)
 
 
 def test_pow2_slem_closed_form():
     # k = N/2 maps every step but G_1 to +1, giving |(n-2)/n| exactly
     for n in range(3, 10):
         spec = spectrum_for("pow2", n)
-        assert slem(spec) == pytest.approx((n - 2) / n, abs=1e-12)
+        assert spec.slem == pytest.approx((n - 2) / n, abs=1e-12)
 
 
 def test_slem_requires_nontrivial_state_space():
-    spec = spectrum_for("pow2", 1)
-    with pytest.raises(DegenerateStateSpace):
-        slem(spec)
     with pytest.raises(DegenerateStateSpace):
         slem_streaming(generate(PRESETS["pow2"], 1))
 
@@ -100,7 +110,7 @@ def test_slem_requires_nontrivial_state_space():
 def test_streaming_slem_agrees_with_dense():
     for name in PRESETS:
         window = generate(PRESETS[name], 7)
-        dense = slem(compute_spectrum(window))
+        dense = compute_spectrum(window).slem
         assert slem_streaming(window, chunk=64) == pytest.approx(dense, abs=1e-14)
 
 
@@ -109,7 +119,7 @@ def test_streaming_slem_is_exactly_dense():
     for name in PRESETS:
         for n in range(2, 10):
             window = generate(PRESETS[name], n)
-            assert slem_streaming(window, chunk=64) == slem(compute_spectrum(window))
+            assert slem_streaming(window, chunk=64) == compute_spectrum(window).slem
 
 
 def test_phase_tables_match_exp():
@@ -146,14 +156,6 @@ def test_dense_cap_enforced():
         compute_spectrum(window, n_max_states=1024)
 
 
-def test_eigenvalue_accessor_range():
-    spec = spectrum_for("pow3", 3)
-    with pytest.raises(DomainError):
-        spec.eigenvalue(0)
-    with pytest.raises(DomainError):
-        spec.eigenvalue(10)
-
-
 def test_against_naive_angle_oracle():
     """Cross-check the exact-reduction path against naive float angles.
 
@@ -178,16 +180,20 @@ def test_against_dft_of_step_distribution():
         window = generate(PRESETS[name], 6)
         N = window.modulus
         spec = compute_spectrum(window)
-        lam = N * np.fft.ifft(step_distribution(window).probs)
+        lam = N * np.fft.ifft(step_distribution(window))
         for k in range(1, N + 1):
-            assert spec.eigenvalue(k) == pytest.approx(lam[k % N], abs=1e-9)
+            assert spec.eigenvalues[k - 1] == pytest.approx(lam[k % N], abs=1e-9)
 
 
 def test_unnormalized_scalar_values():
     # c=2: tilde(1,1) = 1, tilde(2,2) = 2, tilde(3,2) = 1 + xi_4^2 + 1 = 1
-    assert unnormalized_eigenvalue(2, 1, 1) == pytest.approx(1.0, abs=1e-12)
-    assert unnormalized_eigenvalue(2, 2, 2) == pytest.approx(2.0, abs=1e-12)
-    assert unnormalized_eigenvalue(2, 3, 2) == pytest.approx(1.0, abs=1e-12)
+    for n, k, want in ((1, 1, 1.0), (2, 2, 2.0), (3, 2, 1.0)):
+        assert tilde_oracle(2, n, k) == pytest.approx(want, abs=1e-12)
+        assert unnormalized_values(2, n)[k - 1] == pytest.approx(want, abs=1e-12)
+    for c, n in [(2, 6), (3, 5), (4, 4), (5, 3)]:
+        got = unnormalized_values(c, n)
+        want = [tilde_oracle(c, n, k) for k in range(1, c ** (n - 1) + 1)]
+        assert float(np.max(np.abs(got - want))) <= 1e-12, (c, n)
 
 
 def test_unnormalized_matches_scaled_spectrum():
@@ -202,37 +208,36 @@ def test_unnormalized_matches_scaled_spectrum():
 
 def test_unnormalized_moduli_bounded_by_n():
     for c, n in [(2, 6), (3, 5), (4, 4)]:
-        mods = unnormalized_moduli(c, n)
+        mods = np.abs(unnormalized_values(c, n))
         assert float(np.max(mods)) <= n + 1e-12
         # k = c^(n-1) hits every root equal to 1
         assert mods[-1] == pytest.approx(n, abs=1e-12)
 
 
 def test_lift_children_of_constant_eigenvalue():
-    children = lift_eigenvalue(2, 1, 1)
-    assert [child.k for child in children] == [1, 2]
-    assert children[0].value == pytest.approx(1 + np.exp(1j * np.pi), abs=1e-12)
-    assert children[1].value == pytest.approx(2.0, abs=1e-12)
+    # the level-2 children of tilde(1, 1) = 1 are 1 + xi_2^1 and 1 + xi_2^2
+    children = unnormalized_values(2, 2)
+    assert children[0] == pytest.approx(1 + np.exp(1j * np.pi), abs=1e-12)
+    assert children[1] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_lift_satisfies_additive_identity():
+    # tilde(n+1, k + j c^(n-1)) = tilde(n, k) + xi_{c^n}^(k + j c^(n-1))
     for c in (2, 3):
         for n in range(1, 5):
             base = c ** (n - 1)
+            parents = unnormalized_values(c, n)
+            children = unnormalized_values(c, n + 1)
             for k in range(1, base + 1):
-                parent = unnormalized_eigenvalue(c, n, k)
-                for child in lift_eigenvalue(c, n, k):
-                    predicted = parent + np.exp(2j * np.pi * child.k / c**n)
-                    assert child.value == pytest.approx(predicted, abs=1e-9)
+                for j in range(c):
+                    idx = k + j * base
+                    predicted = parents[k - 1] + np.exp(2j * np.pi * idx / c**n)
+                    assert children[idx - 1] == pytest.approx(predicted, abs=1e-9)
 
 
 def test_lift_rejects_bad_arguments():
     with pytest.raises(NotFirstOrder):
-        lift_eigenvalue(1, 2, 1)
-    with pytest.raises(DomainError):
-        lift_eigenvalue(2, 2, 3)
-    with pytest.raises(DomainError):
-        unnormalized_eigenvalue(3, 2, 0)
+        lifting_suite(bases=(1,), cap=10)
     with pytest.raises(NotFirstOrder):
         unnormalized_values(0, 3)
 
@@ -268,13 +273,9 @@ def test_eigenvalues_match_per_term_exp_oracle():
         N = window.modulus
         if N > 2**16:
             continue
-        ks = np.arange(1, N + 1, dtype=np.int64)
-        oracle = np.zeros(N, dtype=np.complex128)
-        for g in window.values:
-            oracle += np.exp((2j * np.pi / N) * ((ks * (g % N)) % N))
-        oracle /= window.n
         got = compute_spectrum(window).eigenvalues
-        assert float(np.max(np.abs(got - oracle))) <= 1e-15, (window.n, N)
+        gap = float(np.max(np.abs(got - per_term_exp_eigenvalues(window))))
+        assert gap <= 1e-15, (window.n, N)
 
 
 def test_streaming_slem_exact_for_uneven_chunks():

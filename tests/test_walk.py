@@ -1,40 +1,49 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, reject, settings, strategies as st
+
 from recwalk import (
-    Distribution,
     PRESETS,
+    RecurrenceSpec,
+    RecwalkError,
     StateSpaceTooLarge,
+    compute_spectrum,
     evolve,
     generate,
     mixing_time,
     point_mass,
     step_distribution,
     tv_to_uniform,
-    uniform,
 )
 
 from recwalk import walk
-from recwalk.walk import _convolve_once
+from recwalk.walk import _Convolver, _convolve_once
 
 from expected_values import EXACT_TMIX
+from test_spectrum import per_term_exp_eigenvalues
+
+# Three distinct weights interleaved in x order, so every output entry
+# mixes products taken from different per-weight buffers.
+THREE_WEIGHTS = np.array([0.1, 0.3, 0.0, 0.2, 0.1, 0.3, 0.0])
 
 
 def _roll_convolve(probs, step):
     """Reference: the sum over the support of w_x * np.roll(probs, x)."""
     out = np.zeros_like(probs)
-    for x in np.flatnonzero(step.probs):
-        out += step.probs[x] * np.roll(probs, x)
+    for x in np.flatnonzero(step):
+        out += step[x] * np.roll(probs, x)
     return out
 
 
 def _roll_scan(window, epsilon):
     """Reference TV curve up to the first t with TV <= epsilon."""
     step = step_distribution(window)
-    probs = point_mass(step.N).probs
+    N = len(step)
+    probs = point_mass(N)
     curve = []
     while True:
-        tv = 0.5 * float(np.abs(probs - 1.0 / step.N).sum())
+        tv = 0.5 * float(np.abs(probs - 1.0 / N).sum())
         curve.append((len(curve), tv))
         if tv <= epsilon:
             return tuple(curve)
@@ -44,16 +53,16 @@ def _roll_scan(window, epsilon):
 def test_step_distribution_counts_multiplicities():
     # pow3 n=2: steps {1, 3} on Z_3, so 3 wraps onto 0
     step = step_distribution(generate(PRESETS["pow3"], 2))
-    assert step.probs == pytest.approx([0.5, 0.5, 0.0])
+    assert step == pytest.approx([0.5, 0.5, 0.0])
 
     # pow2 n=3: steps {1, 2, 4} on Z_4, 4 wraps onto 0
     step = step_distribution(generate(PRESETS["pow2"], 3))
-    assert step.probs == pytest.approx([1 / 3, 1 / 3, 1 / 3, 0.0])
+    assert step == pytest.approx([1 / 3, 1 / 3, 1 / 3, 0.0])
 
 
 def test_step_distribution_single_state():
     step = step_distribution(generate(PRESETS["pow2"], 1))
-    assert step.probs == pytest.approx([1.0])
+    assert step == pytest.approx([1.0])
 
 
 def test_step_distribution_respects_cap():
@@ -62,61 +71,55 @@ def test_step_distribution_respects_cap():
         step_distribution(window, n_max_states=1024)
 
 
-def test_distribution_length_checked():
-    with pytest.raises(ValueError):
-        Distribution(N=3, probs=np.zeros(4))
-
-
 def test_evolve_zero_steps_is_point_mass():
-    step = step_distribution(generate(PRESETS["pow3"], 3))
+    window = generate(PRESETS["pow3"], 3)
     for method in ("direct", "spectral"):
-        dist = evolve(step, 0, method=method)
-        assert dist.probs[0] == 1.0
-        assert float(dist.probs.sum()) == 1.0
+        probs = evolve(window, 0, method=method)
+        assert probs[0] == 1.0
+        assert float(probs.sum()) == 1.0
 
 
 def test_evolve_small_cases_exact():
     # pow3 n=2 after 2 steps: (1/2, 1/2, 0) convolved with itself
-    step = step_distribution(generate(PRESETS["pow3"], 2))
+    window = generate(PRESETS["pow3"], 2)
     for method in ("direct", "spectral"):
-        d1 = evolve(step, 1, method=method)
-        assert d1.probs == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
-        d2 = evolve(step, 2, method=method)
-        assert d2.probs == pytest.approx([0.25, 0.5, 0.25], abs=1e-12)
-        assert tv_to_uniform(d2) == pytest.approx(1 / 6, abs=1e-12)
+        p1 = evolve(window, 1, method=method)
+        assert p1 == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
+        p2 = evolve(window, 2, method=method)
+        assert p2 == pytest.approx([0.25, 0.5, 0.25], abs=1e-12)
+        assert tv_to_uniform(p2) == pytest.approx(1 / 6, abs=1e-12)
 
 
 def test_evolve_rejects_bad_arguments():
-    step = step_distribution(generate(PRESETS["pow2"], 2))
+    window = generate(PRESETS["pow2"], 2)
     with pytest.raises(ValueError):
-        evolve(step, -1)
+        evolve(window, -1)
     for t, method in ((3, "magic"), (0, "auto"), (3, "auto")):
         with pytest.raises(ValueError):
-            evolve(step, t, method=method)
+            evolve(window, t, method=method)
 
 
 def test_direct_and_spectral_agree():
     for name in PRESETS:
-        step = step_distribution(generate(PRESETS[name], 6))
+        window = generate(PRESETS[name], 6)
         for t in (1, 2, 3, 7, 16, 33, 64):
-            a = evolve(step, t, method="direct")
-            b = evolve(step, t, method="spectral")
-            gap = float(np.max(np.abs(a.probs - b.probs)))
+            a = evolve(window, t, method="direct")
+            b = evolve(window, t, method="spectral")
+            gap = float(np.max(np.abs(a - b)))
             assert gap <= 1e-9, (name, t, gap)
 
 
 def test_spectral_stays_normalized_at_huge_t():
     # repeated squaring with modulus clamping: mass error stays tiny
     # even at t = 10^6, and negative entries are only rounding dust
-    step = step_distribution(generate(PRESETS["pow3"], 3))
-    dist = evolve(step, 10**6, method="spectral")
-    assert abs(float(dist.probs.sum()) - 1.0) <= 1e-9
-    assert float(dist.probs.min()) >= -1e-12
-    assert tv_to_uniform(dist) <= 1e-9
+    probs = evolve(generate(PRESETS["pow3"], 3), 10**6, method="spectral")
+    assert abs(float(probs.sum()) - 1.0) <= 1e-9
+    assert float(probs.min()) >= -1e-12
+    assert tv_to_uniform(probs) <= 1e-9
 
 
 def test_tv_examples():
-    assert tv_to_uniform(uniform(7)) == 0.0
+    assert tv_to_uniform(np.full(7, 1.0 / 7)) == 0.0
     # point mass on Z_4: exact dyadic arithmetic gives exactly 3/4
     assert tv_to_uniform(point_mass(4)) == 0.75
     assert tv_to_uniform(point_mass(1)) == 0.0
@@ -179,7 +182,7 @@ def test_convolution_bit_identical_to_roll_reference():
     for name in PRESETS:
         for n in range(1, 11):
             step = step_distribution(generate(PRESETS[name], n))
-            probs = np.random.default_rng(n).random(step.N)
+            probs = np.random.default_rng(n).random(len(step))
             assert np.array_equal(
                 _convolve_once(probs, step), _roll_convolve(probs, step)
             ), (name, n)
@@ -194,16 +197,24 @@ def test_mixing_curve_bit_identical_to_roll_reference():
                 assert res.tv_curve == _roll_scan(window, eps), (name, n, eps)
 
 
-def test_convolution_with_distinct_weights_bit_identical():
-    # three distinct weights interleaved in x order, so every output entry
-    # mixes products taken from different per-weight buffers
-    step = Distribution(N=7, probs=np.array([0.1, 0.3, 0.0, 0.2, 0.1, 0.3, 0.0]))
-    expected = point_mass(7).probs
-    for t in range(1, 25):
+def _assert_convolver_matches_roll(step, steps):
+    """Ping-pong _Convolver over `steps` steps from the point mass, each
+    step exactly equal to the np.roll reference."""
+    convolve = _Convolver(step)
+    probs, spare = point_mass(len(step)), np.empty(len(step))
+    expected = point_mass(len(step))
+    for t in range(1, steps + 1):
         expected = _roll_convolve(expected, step)
-        assert np.array_equal(evolve(step, t, method="direct").probs, expected), t
+        probs, spare = convolve(probs, spare), probs
+        assert np.array_equal(probs, expected), t
+
+
+def test_convolution_with_distinct_weights_bit_identical():
+    _assert_convolver_matches_roll(THREE_WEIGHTS, 24)
     probs = np.random.default_rng(7).random(7)
-    assert np.array_equal(_convolve_once(probs, step), _roll_convolve(probs, step))
+    assert np.array_equal(
+        _convolve_once(probs, THREE_WEIGHTS), _roll_convolve(probs, THREE_WEIGHTS)
+    )
 
 
 @pytest.mark.parametrize(
@@ -228,15 +239,50 @@ def test_small_tiles_bit_identical_to_roll_reference(monkeypatch):
         for n in range(1, 11):
             window = generate(PRESETS[name], n)
             step = step_distribution(window)
-            probs = np.random.default_rng(n).random(step.N)
+            probs = np.random.default_rng(n).random(len(step))
             assert np.array_equal(
                 _convolve_once(probs, step), _roll_convolve(probs, step)
             ), (name, n)
             curve = mixing_time(window, 0.25).tv_curve
             assert curve == _roll_scan(window, 0.25), (name, n)
     monkeypatch.setattr(walk, "_TILE", 3)
-    step = Distribution(N=7, probs=np.array([0.1, 0.3, 0.0, 0.2, 0.1, 0.3, 0.0]))
-    expected = point_mass(7).probs
-    for t in range(1, 25):
-        expected = _roll_convolve(expected, step)
-        assert np.array_equal(evolve(step, t, method="direct").probs, expected), t
+    _assert_convolver_matches_roll(THREE_WEIGHTS, 24)
+
+
+@st.composite
+def small_windows(draw):
+    """Windows of random order <= 3 specs, cut to the longest prefix with
+    N <= 2^12; specs that generate rejects are skipped."""
+    d = draw(st.integers(1, 3))
+    coeffs = draw(st.lists(st.integers(-3, 4), min_size=d, max_size=d))
+    init = [1] + draw(st.lists(st.integers(1, 40), min_size=d - 1, max_size=d - 1))
+    n = draw(st.integers(1, 14))
+    try:
+        spec = RecurrenceSpec(tuple(coeffs), tuple(init))
+        window = generate(spec, n)
+    except RecwalkError:
+        reject()
+    return generate(spec, sum(1 for g in window.values if g <= 2**12))
+
+
+PROPERTY_SETTINGS = settings(
+    derandomize=True,
+    database=None,
+    max_examples=100,
+    deadline=None,
+)
+
+
+@PROPERTY_SETTINGS
+@given(window=small_windows(), t=st.integers(0, 32))
+def test_spectral_evolution_matches_direct_property(window, t):
+    spectral = evolve(window, t, method="spectral")
+    direct = evolve(window, t, method="direct")
+    assert float(np.max(np.abs(spectral - direct))) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(window=small_windows())
+def test_spectrum_matches_per_term_exp_oracle_property(window):
+    got = compute_spectrum(window).eigenvalues
+    assert float(np.max(np.abs(got - per_term_exp_eigenvalues(window)))) <= 1e-15
