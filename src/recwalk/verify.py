@@ -200,7 +200,6 @@ def run_suites(
     n_max: int = 8,
     epsilon: float = 0.25,
     n_max_states: int = DEFAULT_N_MAX,
-    cap: int = 10**5,
 ) -> list[SuiteResult]:
     """Run one named suite, or all of them."""
     if specs is None:
@@ -208,8 +207,8 @@ def run_suites(
     runners = {
         "eigmod-bound": lambda: eigmod_bound_suite(specs, n_max=n_max),
         "angle-cover": lambda: angle_cover_suite(specs, n_max=n_max),
-        "lifting": lambda: lifting_suite(cap=cap),
-        "multiset-domination": lambda: multiset_domination_suite(cap=cap),
+        "lifting": lifting_suite,
+        "multiset-domination": multiset_domination_suite,
         "ubl-consistency": lambda: ubl_consistency_suite(
             specs, n_max=n_max, epsilon=epsilon, n_max_states=n_max_states
         ),

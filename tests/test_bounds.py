@@ -78,6 +78,8 @@ def test_gamma_general_values():
         gamma_general(1.0)
     with pytest.raises(DomainError):
         gamma_general(1.0 + 1e-10)
+    with pytest.raises(DomainError):
+        gamma_general(math.nan)
 
 
 def test_lower_general_anchor():

@@ -123,6 +123,16 @@ def test_bad_epsilon_rejected(capsys):
     capsys.readouterr()
 
 
+def test_nan_eta1_rejected(capsys):
+    # NaN would reach the JSON as a bare NaN token, which is not JSON
+    code, out, err = run_cli(
+        capsys, "bounds", "--seq", "pow2", "--n", "4", "--eta1", "nan"
+    )
+    assert code == 2
+    assert out == ""
+    assert "eta_1 must exceed" in err
+
+
 def test_state_space_cap_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "mix", "--seq", "pow2", "--n", "12", "--nmax-states", "1024"

@@ -14,32 +14,41 @@ from recwalk import (
     unnormalized_values,
 )
 
-from recwalk.spectrum import _INT64_SAFE_N, _phase_tables, iter_k_blocks
+from recwalk import spectrum
+from recwalk.spectrum import _INT64_SAFE_N, _ROW_MAX, _roots, iter_k_blocks
 from recwalk.verify import lifting_suite
 
 from expected_values import SLEMS
 
-# np.exp and the table lookup each round an angle below 2*pi (half an ulp
-# of 2*pi apiece), then the exp and the lookup's product add a few ulps of 1.
+# The reference exp rounds an angle below 2*pi (half an ulp of 2*pi), each
+# root an angle in (-pi, pi], then the exps and the roots' product add a
+# few ulps of 1.
 PHASE_TOL = 2 * float(np.spacing(2 * np.pi))
 
 
 def _phase_error(N, r):
-    s, hi, lo = _phase_tables(N)
-    looked_up = hi[r >> s] * lo[r & ((1 << s) - 1)]
-    return float(np.max(np.abs(looked_up - np.exp((2j * np.pi / N) * r))))
+    return float(np.max(np.abs(_roots(N, r) - np.exp((2j * np.pi / N) * r))))
+
+
+def _factored_term_error(N, k, g):
+    """Gap between the engine's term xi^(q*(B*g mod N)) * xi^(j*g mod N),
+    k = q*B + j, and one exp of the reduced exponent k*g mod N."""
+    q, j = np.divmod(k, _ROW_MAX)
+    term = _roots(N, q * (_ROW_MAX * g % N) % N) * _roots(N, j * g % N)
+    return float(np.max(np.abs(term - np.exp((2j * np.pi / N) * (k * g % N)))))
 
 
 def spectrum_for(name, n):
     return compute_spectrum(generate(PRESETS[name], n))
 
 
-def per_term_exp_eigenvalues(window):
-    """lambda_1..lambda_N with one np.exp per step and k, from the exact
-    reduction k * G_i mod N: the formula the phase tables replace."""
+def per_term_exp_eigenvalues(window, ks=None):
+    """lambda_k (default k = 1..N) with one np.exp per step and k, from the
+    exact reduction k * G_i mod N: the formula the phase tables replace."""
     N = window.modulus
-    ks = np.arange(1, N + 1, dtype=np.int64)
-    lam = np.zeros(N, dtype=np.complex128)
+    if ks is None:
+        ks = np.arange(1, N + 1, dtype=np.int64)
+    lam = np.zeros(len(ks), dtype=np.complex128)
     for g in window.values:
         lam += np.exp((2j * np.pi / N) * ((ks * (g % N)) % N))
     return lam / window.n
@@ -132,6 +141,19 @@ def test_phase_tables_match_exp_near_int64_limit():
     for N in (_INT64_SAFE_N, _INT64_SAFE_N - 1, 2**31 + 1):
         r = np.concatenate(([0, 1, N - 1], rng.integers(0, N, 10**5)))
         assert _phase_error(N, r) <= PHASE_TOL, N
+        k = rng.integers(1, N // 2 + 1, 10**5)
+        g = rng.integers(0, N, 10**5)
+        assert _factored_term_error(N, k, g) <= PHASE_TOL, N
+
+
+def test_roots_take_signed_angles():
+    # an angle in (-pi, pi] makes xi^(N-r) the exact conjugate of xi^r,
+    # r != N/2; xi^0 is exactly 1
+    for N in (3, 7, 2**10, 2**11 + 1, 2178309, _INT64_SAFE_N):
+        r = np.unique(np.linspace(1, N - 1, 4099).astype(np.int64))
+        r = r[2 * r != N]
+        assert np.array_equal(_roots(N, N - r), np.conj(_roots(N, r))), N
+        assert _roots(N, np.zeros(1, dtype=np.int64))[0] == 1.0
 
 
 def test_k_blocks_cover_one_to_n_minus_one():
@@ -286,3 +308,43 @@ def test_streaming_slem_exact_for_uneven_chunks():
         dense = compute_spectrum(window).slem
         for chunk in (1, 3, 7, 100):
             assert slem_streaming(window, chunk=chunk) == dense, (window.n, chunk)
+
+
+def test_narrow_rows_match_oracle_and_stream_exactly(monkeypatch):
+    # B = 4 puts k = 1..N//2 on many rows of the factored engine, the
+    # first starting at k = 0 and the last one often short
+    monkeypatch.setattr(spectrum, "_ROW_MAX", 4)
+    short_last_row = many_rows = False
+    for window in _windows_up_to(10):
+        N = window.modulus
+        short_last_row |= (N // 2 + 1) % 4 != 0 and N > 8
+        many_rows |= N // 2 >= 4 * 100
+        spec = compute_spectrum(window)
+        eig = spec.eigenvalues
+        gap = float(np.max(np.abs(eig - per_term_exp_eigenvalues(window))))
+        assert gap <= 1e-15, (window.n, N)
+        k = np.arange(1, N)
+        off_middle = 2 * k != N
+        assert np.array_equal(
+            eig[N - 1 - k][off_middle], np.conj(eig[k - 1])[off_middle]
+        ), N
+        if N < 2:
+            continue
+        for chunk in (1, 3, 7, 100):
+            assert slem_streaming(window, chunk=chunk) == spec.slem, (window.n, chunk)
+    assert short_last_row and many_rows
+
+
+def test_wide_rows_match_oracle_at_large_n():
+    # N//2 >= 2^17 takes rows of _ROW_MAX; check k around every row start
+    for name, n in [("pow2", 19), ("fib-odd", 14)]:
+        window = generate(PRESETS[name], n)
+        N = window.modulus
+        assert N // 2 >= spectrum._WIDE_FROM
+        starts = np.arange(0, N // 2 + 1, _ROW_MAX, dtype=np.int64)
+        ks = np.concatenate((starts - 1, starts, starts + 1))
+        ks = np.unique(np.concatenate((ks, N - ks)))  # and the upper half
+        ks = ks[(ks >= 1) & (ks <= N)]
+        got = compute_spectrum(window).eigenvalues[ks - 1]
+        gap = float(np.max(np.abs(got - per_term_exp_eigenvalues(window, ks))))
+        assert gap <= 1e-15, (name, n)
