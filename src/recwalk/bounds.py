@@ -69,8 +69,8 @@ def upper_general(n: int, G_n: int, s: int, epsilon: float) -> float:
 
 def gamma_general(eta1_lower: float) -> float:
     """gamma = 2/log(eta_1) + pi^2/log(2) for the exponential lower bound."""
-    if not eta1_lower >= _ETA1_MIN:  # NaN fails this test too
-        raise DomainError(f"eta_1 must exceed 1 + 1e-9, got {eta1_lower}")
+    if not _ETA1_MIN <= eta1_lower < math.inf:  # NaN fails this test too
+        raise DomainError(f"eta_1 must exceed 1 + 1e-9 and be finite, got {eta1_lower}")
     return 2.0 / math.log(eta1_lower) + math.pi**2 / math.log(2.0)
 
 

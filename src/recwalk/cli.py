@@ -14,7 +14,6 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -29,17 +28,10 @@ from .montecarlo import SimConfig, simulate_tv
 from .verify import SUITE_NAMES, run_suites
 from . import walk
 
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    parameters: dict
-    version: str
-    timestamp: str
-    spec_hash: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+# Most rows a spectrum listing may hold.  A JSON row costs about 1.5 KiB of
+# objects and text (385 MiB peak at 2^18 rows), near the memory budget of
+# simulate's trajectory cap.
+_LIST_MAX = 1 << 18
 
 
 def _parse_epsilon(text: str) -> Fraction:
@@ -94,38 +86,35 @@ def _single_sequence(args) -> tuple[str, RecurrenceSpec]:
     return seqs[0]
 
 
-def _manifest(args, sequences: list[tuple[str, RecurrenceSpec]]) -> RunManifest:
+def _manifest(args, sequences: list[tuple[str, RecurrenceSpec]]) -> dict:
+    """The run's record: the sequences and every other option the command
+    declares, as parsed; the output path is not a setting."""
     resolved = [
         {"name": name, "coeffs": list(s.coeffs), "init": list(s.init)}
         for name, s in sequences
     ]
-    params = {
-        "sequences": resolved,
-        "epsilon": str(args.epsilon),
-        "nmax_states": args.nmax_states,
-        "format": args.format,
-        "seed": args.seed,
-    }
-    for extra in ("n", "nmax", "tmax", "trajectories", "suite", "top", "eta1"):
-        if hasattr(args, extra):
-            params[extra] = getattr(args, extra)
+    params = {"sequences": resolved}
+    params.update(
+        (key, value) for key, value in vars(args).items()
+        if key not in ("command", "func", "seq", "out")
+    )
+    if "epsilon" in params:
+        params["epsilon"] = str(params["epsilon"])  # kept rational, e.g. "1/4"
     digest = hashlib.sha256(
         json.dumps(resolved, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
-    return RunManifest(
-        command=args.command,
-        parameters=params,
-        version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        spec_hash=digest,
-    )
+    return {
+        "command": args.command,
+        "parameters": params,
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "spec_hash": digest,
+    }
 
 
-def _emit(args, manifest: RunManifest, payload: dict, csv_text: str) -> None:
+def _emit(args, manifest: dict, payload: dict, csv_text: str) -> None:
     if args.format == "json":
-        doc = json.dumps(
-            {"manifest": manifest.to_dict(), **payload}, indent=2, default=str
-        )
+        doc = json.dumps({"manifest": manifest, **payload}, indent=2, default=str)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(doc + "\n")
@@ -136,7 +125,7 @@ def _emit(args, manifest: RunManifest, payload: dict, csv_text: str) -> None:
         with open(args.out, "w") as fh:
             fh.write(csv_text)
         with open(args.out + ".manifest.json", "w") as fh:
-            json.dump(manifest.to_dict(), fh, indent=2)
+            json.dump(manifest, fh, indent=2)
             fh.write("\n")
     else:
         sys.stdout.write(csv_text)
@@ -187,30 +176,35 @@ def cmd_spectrum(args) -> int:
     if args.top is not None and args.top < 1:
         raise DomainError(f"--top must be at least 1, got {args.top}")
     window = generate(spec, args.n)
+    listed = window.modulus if args.top is None else min(args.top, window.modulus)
+    if listed > _LIST_MAX:
+        raise DomainError(f"N = {window.modulus}: a listing holds at most {_LIST_MAX} "
+                          f"rows; pass --top {_LIST_MAX} or less")
     spectrum = compute_spectrum(window, n_max_states=args.nmax_states)
-    mods = abs(spectrum.eigenvalues)
+    eig = spectrum.eigenvalues
+    mods = abs(eig)
     if args.top is not None:
         # stable on -mods: ties keep increasing k, as sorted(reverse=True) does
         order = (np.argsort(-mods, kind="stable")[: args.top] + 1).tolist()
     else:
         order = range(1, spectrum.modulus + 1)
-    rows = [["k", "re", "im", "modulus"]]
-    entries = []
-    for k in order:
-        lam = spectrum.eigenvalues[k - 1]
-        rows.append([k, float(lam.real), float(lam.imag), float(mods[k - 1])])
-        entries.append(
-            {"k": k, "re": float(lam.real), "im": float(lam.imag),
-             "modulus": float(mods[k - 1])}
-        )
+    rows = (
+        (k, float(eig[k - 1].real), float(eig[k - 1].imag), float(mods[k - 1]))
+        for k in order
+    )
+    fields = ("k", "re", "im", "modulus")
     payload = {
         "sequence": name,
         "n": window.n,
         "N": spectrum.modulus,
         "slem": spectrum.slem,
-        "eigenvalues": entries,
     }
-    _emit(args, _manifest(args, [(name, spec)]), payload, _csv(rows))
+    csv_text = ""  # only the requested format is built
+    if args.format == "json":
+        payload["eigenvalues"] = [dict(zip(fields, row)) for row in rows]
+    else:
+        csv_text = _csv([fields, *rows])
+    _emit(args, _manifest(args, [(name, spec)]), payload, csv_text)
     return 0
 
 
@@ -289,33 +283,37 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+def _output_options(default_format: str) -> argparse.ArgumentParser:
+    """--seq, --out and --format, which every command reads."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(
         "--seq",
         action="append",
         metavar="PRESET|JSON",
         help="sequence preset (pow2, pow3, fib-odd) or JSON spec; repeatable",
     )
-    common.add_argument(
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+    p.add_argument("--format", choices=("csv", "json"), default=default_format,
+                   help=f"output format (default {default_format})")
+    return p
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    csv_out, json_out = _output_options("csv"), _output_options("json")
+    dense = argparse.ArgumentParser(add_help=False)
+    dense.add_argument(
+        "--nmax-states",
+        type=_parse_nmax_states,
+        default=DEFAULT_N_MAX,
+        help=f"dense state-space cap, 1..{DEFAULT_N_MAX} (default {DEFAULT_N_MAX})",
+    )
+    threshold = argparse.ArgumentParser(add_help=False)
+    threshold.add_argument(
         "--epsilon",
         type=_parse_epsilon,
         default=Fraction(1, 4),
         help="TV threshold as a rational string, e.g. 1/4 (default)",
     )
-    common.add_argument(
-        "--nmax-states",
-        dest="nmax_states",
-        type=_parse_nmax_states,
-        default=DEFAULT_N_MAX,
-        help=f"dense state-space cap, 1..{DEFAULT_N_MAX} (default {DEFAULT_N_MAX})",
-    )
-    common.add_argument("--eta1", type=float, default=None,
-                        help="override lower growth base for the general lower bound")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default=None)
-    common.add_argument("--seed", type=int, default=0,
-                        help="RNG seed for simulation commands")
 
     parser = argparse.ArgumentParser(
         prog="recwalk",
@@ -324,50 +322,51 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("table", parents=[common],
+    p = sub.add_parser("table", parents=[csv_out, threshold, dense],
                        help="mixing-time table over n = 1..nmax")
     p.add_argument("--nmax", type=int, default=9)
-    p.set_defaults(func=cmd_table, default_format="csv")
+    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("spectrum", parents=[common], help="eigenvalue table")
+    p = sub.add_parser("spectrum", parents=[csv_out, dense], help="eigenvalue table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--top", type=int, default=None,
-                   help="keep only the top-m eigenvalues by modulus")
-    p.set_defaults(func=cmd_spectrum, default_format="csv")
+                   help=f"keep only the top-m eigenvalues by modulus "
+                   f"(needed when N > {_LIST_MAX})")
+    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("mix", parents=[common], help="mixing time and TV curve")
+    p = sub.add_parser("mix", parents=[csv_out, threshold, dense],
+                       help="mixing time and TV curve")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_mix, default_format="csv")
+    p.set_defaults(func=cmd_mix)
 
-    p = sub.add_parser("bounds", parents=[common], help="bound report for one n")
+    p = sub.add_parser("bounds", parents=[json_out, threshold, dense],
+                       help="bound report for one n")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_bounds, default_format="json")
+    p.add_argument("--eta1", type=float, default=None,
+                   help="override lower growth base for the general lower bound")
+    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("verify", parents=[common], help="inequality verification suites")
+    p = sub.add_parser("verify", parents=[json_out, threshold, dense],
+                       help="inequality verification suites")
     p.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
     p.add_argument("--nmax", type=int, default=8)
-    p.set_defaults(func=cmd_verify, default_format="json")
+    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("simulate", parents=[common], help="seeded empirical TV curve")
+    p = sub.add_parser("simulate", parents=[csv_out], help="seeded empirical TV curve")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tmax", type=int, default=20)
     p.add_argument("--trajectories", type=int, default=100_000)
-    p.set_defaults(func=cmd_simulate, default_format="csv")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.set_defaults(func=cmd_simulate)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = args.default_format
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RecwalkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (RecwalkError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

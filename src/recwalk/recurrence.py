@@ -10,6 +10,7 @@ the step set of the walk on Z_{G_n}.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,8 +33,9 @@ class RecurrenceSpec:
     init: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(a) for a in self.coeffs))
-        object.__setattr__(self, "init", tuple(int(g) for g in self.init))
+        # operator.index refuses 2.5 and "3", which int() would accept
+        object.__setattr__(self, "coeffs", tuple(map(operator.index, self.coeffs)))
+        object.__setattr__(self, "init", tuple(map(operator.index, self.init)))
         if len(self.coeffs) < 1:
             raise ValueError("recurrence order must be at least 1")
         if len(self.init) != len(self.coeffs):

@@ -102,23 +102,21 @@ def _require_int64_safe(N: int) -> None:
         raise StateSpaceTooLarge(f"N = {N} exceeds the exact int64 reduction range")
 
 
-def iter_k_blocks(N: int, chunk: int = _CHUNK) -> Iterator[np.ndarray]:
-    """k = 1..N-1 as int64 blocks of at most chunk entries.
+def iter_k_blocks(N: int) -> Iterator[np.ndarray]:
+    """k = 1..N-1 as int64 blocks of at most _CHUNK entries.
 
     (k * g) mod N for 0 <= g < N is exact in int64 up to N = _INT64_SAFE_N;
     past it this raises StateSpaceTooLarge at the call, before any block.
     """
     _require_int64_safe(N)
     return (
-        np.arange(start, min(start + chunk, N), dtype=np.int64)
-        for start in range(1, N, chunk)
+        np.arange(start, min(start + _CHUNK, N), dtype=np.int64)
+        for start in range(1, N, _CHUNK)
     )
 
 
-def iter_eigenvalue_chunks(
-    window: SequenceWindow, chunk: int = _CHUNK
-) -> Iterator[np.ndarray]:
-    """Yield lambda_1..lambda_{N//2} in k order, max(1, chunk // B) rows a block.
+def iter_eigenvalue_chunks(window: SequenceWindow) -> Iterator[np.ndarray]:
+    """Yield lambda_1..lambda_{N//2} in k order, max(1, _CHUNK // B) rows a block.
 
     The step law is real, so lambda_{N-k} = conj(lambda_k) and these
     determine every nontrivial eigenvalue; k = N/2 (N even) is its own
@@ -141,7 +139,7 @@ def iter_eigenvalue_chunks(
         None if g == 0 else (_roots(N, js * g % N), B * g % N)
         for g in (g % N for g in window.values)
     ]
-    rows = max(1, chunk // B)
+    rows = max(1, _CHUNK // B)
     q_end = last // B + 1
     for q0 in range(0, q_end, rows):
         qs = np.arange(q0, min(q0 + rows, q_end), dtype=np.int64)
@@ -175,12 +173,12 @@ def compute_spectrum(
     return Spectrum(n=window.n, modulus=N, eigenvalues=eig, slem=worst)
 
 
-def slem_streaming(window: SequenceWindow, chunk: int = _CHUNK) -> float:
+def slem_streaming(window: SequenceWindow) -> float:
     """SLEM in one pass over k <= N/2 without storing the spectrum (any N)."""
     if window.modulus < 2:
         raise DegenerateStateSpace("N = 1 has no nontrivial eigenvalue")
     worst = 0.0
-    for block in iter_eigenvalue_chunks(window, chunk):
+    for block in iter_eigenvalue_chunks(window):
         m = float(np.max(np.abs(block)))
         if m > worst:
             worst = m

@@ -39,6 +39,11 @@ LIFT_TOL = 1e-9
 DOMINATION_TOL = 1e-9
 UBL_TOL = 1e-9
 
+# Bases c of the lifting and domination sweeps, and their size cap on c^n.
+_LIFT_BASES = (2, 3)
+_DOMINATION_BASES = (2, 3, 4)
+_CAP = 10**5
+
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -52,23 +57,20 @@ class SuiteResult:
         return asdict(self)
 
 
-def _preset_windows(specs: dict[str, RecurrenceSpec], n_min: int, n_max: int):
-    if n_min < 2:
-        raise DomainError(f"the windowed suites need n >= 2, got n_min = {n_min}")
-    if n_max < n_min:
-        raise DomainError(f"no windows: n_max = {n_max} is below n_min = {n_min}")
+def _preset_windows(specs: dict[str, RecurrenceSpec], n_max: int):
+    """Every window n = 2..n_max of every spec (n = 1 has N = 1)."""
+    if n_max < 2:
+        raise DomainError(f"no windows: n_max = {n_max} is below 2")
     for name, spec in specs.items():
-        for n in range(n_min, n_max + 1):
+        for n in range(2, n_max + 1):
             yield name, generate(spec, n)
 
 
-def eigmod_bound_suite(
-    specs: dict[str, RecurrenceSpec], n_min: int = 2, n_max: int = 8
-) -> SuiteResult:
+def eigmod_bound_suite(specs: dict[str, RecurrenceSpec], n_max: int = 8) -> SuiteResult:
     """|lambda_k| <= 1 - (2/n)(1 - |cos(pi/(s+1))|) for every nontrivial k."""
     cases = []
     worst = math.inf
-    for name, window in _preset_windows(specs, n_min, n_max):
+    for name, window in _preset_windows(specs, n_max):
         s = s_value(window.spec)
         bound = 1.0 - (2.0 / window.n) * (1.0 - abs(math.cos(math.pi / (s + 1))))
         slack = bound - slem_streaming(window)
@@ -80,9 +82,7 @@ def eigmod_bound_suite(
     return SuiteResult("eigmod-bound", passed, "min_margin", worst, cases)
 
 
-def angle_cover_suite(
-    specs: dict[str, RecurrenceSpec], n_min: int = 2, n_max: int = 8
-) -> SuiteResult:
+def angle_cover_suite(specs: dict[str, RecurrenceSpec], n_max: int = 8) -> SuiteResult:
     """Every k in 1..N-1 has some j < n with frac(k G_j / N) in the
     closed interval [1/(s+1), s/(s+1)].
 
@@ -91,7 +91,7 @@ def angle_cover_suite(
     """
     cases = []
     worst = math.inf
-    for name, window in _preset_windows(specs, n_min, n_max):
+    for name, window in _preset_windows(specs, n_max):
         N = window.modulus
         s = s_value(window.spec)
         lo_frac, hi_frac = 1.0 / (s + 1), s / (s + 1)
@@ -116,15 +116,15 @@ def angle_cover_suite(
     return SuiteResult("angle-cover", passed, "min_margin", worst, cases)
 
 
-def lifting_suite(bases: tuple[int, ...] = (2, 3), cap: int = 10**5) -> SuiteResult:
+def lifting_suite() -> SuiteResult:
     """Residual of the lifting identity
     lam~_{n+1, k + j c^(n-1)} = lam~_{n,k} + xi_{c^n}^(k + j c^(n-1))
-    over all (c, n, k, j) with c^n <= cap."""
+    over all (c, n, k, j) with c in _LIFT_BASES and c^n <= _CAP."""
     cases = []
     worst = 0.0
-    for c in bases:
+    for c in _LIFT_BASES:
         n = 1
-        while c**n <= cap:
+        while c**n <= _CAP:
             base = c ** (n - 1)
             parents = np.concatenate(([1.0 + 0j], unnormalized_values(c, n)))
             children = unnormalized_values(c, n + 1)  # k = 1..c^n
@@ -139,16 +139,15 @@ def lifting_suite(bases: tuple[int, ...] = (2, 3), cap: int = 10**5) -> SuiteRes
     return SuiteResult("lifting", passed, "max_error", worst, cases)
 
 
-def multiset_domination_suite(
-    bases: tuple[int, ...] = (2, 3, 4), cap: int = 10**5
-) -> SuiteResult:
+def multiset_domination_suite() -> SuiteResult:
     """Sorted |lam~_{n,k}| dominated pairwise by the sorted bound multiset
-    with multiplicities C(n-1, m)(c-1)^m; totals must equal c^(n-1)."""
+    with multiplicities C(n-1, m)(c-1)^m; totals must equal c^(n-1).
+    Bases c come from _DOMINATION_BASES, with c^(n-1) <= _CAP."""
     cases = []
     worst = math.inf
-    for c in bases:
+    for c in _DOMINATION_BASES:
         n = 2
-        while c ** (n - 1) <= cap:
+        while c ** (n - 1) <= _CAP:
             mods = np.sort(np.abs(unnormalized_values(c, n)))[::-1]
             pairs = seq2bound_multiset(c, n)
             total = sum(mult for _, mult in pairs)
@@ -174,7 +173,6 @@ def multiset_domination_suite(
 
 def ubl_consistency_suite(
     specs: dict[str, RecurrenceSpec],
-    n_min: int = 2,
     n_max: int = 8,
     epsilon: float = 0.25,
     n_max_states: int = DEFAULT_N_MAX,
@@ -182,7 +180,7 @@ def ubl_consistency_suite(
     """TV(t)^2 <= (1/4) sum_{k<N} |lambda_k|^(2t) at every scanned t."""
     cases = []
     worst = math.inf
-    for name, window in _preset_windows(specs, n_min, n_max):
+    for name, window in _preset_windows(specs, n_max):
         spectrum = compute_spectrum(window, n_max_states=n_max_states)
         result = walk.mixing_time(window, epsilon, n_max_states=n_max_states)
         margin = math.inf

@@ -108,7 +108,7 @@ def test_acceptance_evolution_oracle(capsys):
 def test_acceptance_ubl_consistency(capsys):
     """TV(t)^2 <= (1/4) sum |lambda_k|^(2t) + 1e-9 at every scanned t,
     all presets, n <= 8."""
-    result = ubl_consistency_suite(dict(PRESETS), n_min=2, n_max=8)
+    result = ubl_consistency_suite(dict(PRESETS), n_max=8)
     ok = result.passed and result.worst_slack >= -1e-9
     with capsys.disabled():
         _report(
@@ -120,8 +120,8 @@ def test_acceptance_ubl_consistency(capsys):
 def test_acceptance_eigmod_bound_and_angle_cover(capsys):
     """|lambda_k| <= 1 - (2/n)(1 - |cos(pi/(s+1))|) + 1e-12 for every k,
     2 <= n <= 8, and every k has an angle-cover witness j."""
-    eig = eigmod_bound_suite(dict(PRESETS), n_min=2, n_max=8)
-    cover = angle_cover_suite(dict(PRESETS), n_min=2, n_max=8)
+    eig = eigmod_bound_suite(dict(PRESETS), n_max=8)
+    cover = angle_cover_suite(dict(PRESETS), n_max=8)
     uncovered = sum(case["uncovered"] for case in cover.cases)
     ok = eig.passed and eig.worst_slack >= -1e-12 and cover.passed and uncovered == 0
     with capsys.disabled():
@@ -170,9 +170,12 @@ def test_acceptance_multiset_domination(capsys):
     """Sorted unnormalized moduli dominated by the bound multiset for
     c in {2,3,4}, c^(n-1) <= 1e5; slack >= -1e-9 and exact multiplicity
     totals."""
-    result = multiset_domination_suite(bases=(2, 3, 4), cap=10**5)
+    result = multiset_domination_suite()
     totals_ok = all(case["multiplicity_total_ok"] for case in result.cases)
-    ok = result.passed and result.worst_slack >= -1e-9 and totals_ok
+    bases_ok = {case["c"] for case in result.cases} == {2, 3, 4} and all(
+        case["c"] ** (case["n"] - 1) <= 10**5 for case in result.cases
+    )
+    ok = result.passed and result.worst_slack >= -1e-9 and totals_ok and bases_ok
     with capsys.disabled():
         _report(
             "multiset-domination",
@@ -185,8 +188,11 @@ def test_acceptance_multiset_domination(capsys):
 def test_acceptance_lifting_identity(capsys):
     """Level-(n+1) eigenvalues equal parent + root-of-unity term to
     1e-9 for c in {2,3}, c^n <= 1e5."""
-    result = lifting_suite(bases=(2, 3), cap=10**5)
-    ok = result.passed and result.worst_slack < 1e-9
+    result = lifting_suite()
+    bases_ok = {case["c"] for case in result.cases} == {2, 3} and all(
+        case["c"] ** case["n"] <= 10**5 for case in result.cases
+    )
+    ok = result.passed and result.worst_slack < 1e-9 and bases_ok
     with capsys.disabled():
         _report(
             "lifting-identity",

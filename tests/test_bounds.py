@@ -78,8 +78,9 @@ def test_gamma_general_values():
         gamma_general(1.0)
     with pytest.raises(DomainError):
         gamma_general(1.0 + 1e-10)
-    with pytest.raises(DomainError):
-        gamma_general(math.nan)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            gamma_general(bad)
 
 
 def test_lower_general_anchor():

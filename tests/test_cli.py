@@ -124,13 +124,15 @@ def test_bad_epsilon_rejected(capsys):
 
 
 def test_nan_eta1_rejected(capsys):
-    # NaN would reach the JSON as a bare NaN token, which is not JSON
-    code, out, err = run_cli(
-        capsys, "bounds", "--seq", "pow2", "--n", "4", "--eta1", "nan"
-    )
-    assert code == 2
-    assert out == ""
-    assert "eta_1 must exceed" in err
+    # NaN or infinity would reach the JSON as a bare NaN/Infinity token,
+    # which is not JSON
+    for eta1 in ("nan", "inf"):
+        code, out, err = run_cli(
+            capsys, "bounds", "--seq", "pow2", "--n", "4", "--eta1", eta1
+        )
+        assert code == 2
+        assert out == ""
+        assert "eta_1 must exceed" in err
 
 
 def test_state_space_cap_exit_code(capsys):
@@ -251,16 +253,12 @@ def test_simulate_seed_changes_output(capsys):
 
 
 def test_generation_failure_maps_to_exit_2(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "table",
-        "--seq",
-        '{"coeffs": [1], "init": [1]}',
-        "--nmax",
-        "4",
-    )
-    assert code == 2
-    assert "error" in err
+    # a sequence that stops increasing, and a coefficient that is no integer
+    for spec in ('{"coeffs": [1], "init": [1]}', '{"coeffs": [2.5], "init": [1]}'):
+        code, out, err = run_cli(capsys, "table", "--seq", spec, "--nmax", "4")
+        assert code == 2
+        assert out == ""
+        assert "error" in err
 
 
 def test_simulate_trajectories_past_cap_is_usage_error(capsys):
@@ -293,3 +291,93 @@ def test_nmax_states_outside_dense_cap_is_usage_error(capsys, monkeypatch, cap):
     assert out == ""
     assert "--nmax-states must be in 1..16777216" in err
     assert peak < 2**20
+
+
+# The options each command declares, by argparse destination: 39 in all,
+# where every command once took seven shared options (52).
+DECLARED = {
+    "table": {"seq", "out", "format", "epsilon", "nmax_states", "nmax"},
+    "spectrum": {"seq", "out", "format", "nmax_states", "n", "top"},
+    "mix": {"seq", "out", "format", "epsilon", "nmax_states", "n"},
+    "bounds": {"seq", "out", "format", "epsilon", "nmax_states", "n", "eta1"},
+    "verify": {"seq", "out", "format", "epsilon", "nmax_states", "suite", "nmax"},
+    "simulate": {"seq", "out", "format", "n", "tmax", "trajectories", "seed"},
+}
+
+# One cheap run of each command, printing JSON.
+CHEAP_JSON_RUNS = {
+    "table": ["--nmax", "2", "--format", "json"],
+    "spectrum": ["--seq", "pow2", "--n", "3", "--format", "json"],
+    "mix": ["--seq", "pow2", "--n", "3", "--format", "json"],
+    "bounds": ["--seq", "pow2", "--n", "3"],
+    "verify": ["--suite", "eigmod-bound", "--nmax", "2"],
+    "simulate": ["--seq", "pow3", "--n", "2", "--tmax", "2",
+                 "--trajectories", "100", "--format", "json"],
+}
+
+
+def _declared_destinations(command):
+    (subparsers,) = [
+        a for a in cli._build_parser()._actions if a.dest == "command"
+    ]
+    return {a.dest for a in subparsers.choices[command]._actions} - {"help"}
+
+
+@pytest.mark.parametrize("command", sorted(DECLARED))
+def test_each_command_declares_only_what_it_reads(command):
+    assert _declared_destinations(command) == DECLARED[command]
+
+
+@pytest.mark.parametrize("command", sorted(DECLARED))
+def test_manifest_parameters_are_the_declared_options(capsys, command):
+    code, out, _ = run_cli(capsys, command, *CHEAP_JSON_RUNS[command])
+    assert code == 0
+    params = json.loads(out)["manifest"]["parameters"]
+    assert set(params) == {"sequences"} | DECLARED[command] - {"seq", "out"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--eta1", "3"],
+        ["table", "--seed", "1"],
+        ["spectrum", "--seq", "pow2", "--n", "3", "--epsilon", "1/8"],
+        ["spectrum", "--seq", "pow2", "--n", "3", "--eta1", "3"],
+        ["spectrum", "--seq", "pow2", "--n", "3", "--seed", "1"],
+        ["mix", "--seq", "pow2", "--n", "3", "--eta1", "3"],
+        ["mix", "--seq", "pow2", "--n", "3", "--seed", "1"],
+        ["bounds", "--seq", "pow2", "--n", "3", "--seed", "1"],
+        ["verify", "--eta1", "3"],
+        ["verify", "--seed", "1"],
+        ["simulate", "--seq", "pow3", "--n", "2", "--epsilon", "1/8"],
+        ["simulate", "--seq", "pow3", "--n", "2", "--eta1", "3"],
+        ["simulate", "--seq", "pow3", "--n", "2", "--nmax-states", "5"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_option_the_command_does_not_read_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {argv[-2]}" in err
+
+
+def test_spectrum_listing_past_row_limit_needs_top(capsys, monkeypatch):
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("the spectrum was computed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "compute_spectrum", no_spectrum)
+        # N = 2^19 rows, and a --top above 2^18 asks for as many
+        for extra in ([], ["--top", str(2**18 + 1)]):
+            code, out, err = run_cli(
+                capsys, "spectrum", "--seq", "pow2", "--n", "20", *extra
+            )
+            assert code == 2
+            assert out == ""
+            assert "--top" in err
+    code, out, _ = run_cli(capsys, "spectrum", "--seq", "pow2", "--n", "20", "--top", "5")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 6

@@ -54,6 +54,10 @@ def test_spec_validation_rejects_bad_shapes():
         RecurrenceSpec(coeffs=(2,), init=(3,))
     with pytest.raises(NonPositiveTerm):
         RecurrenceSpec(coeffs=(1, 1), init=(1, 0))
+    # non-integers are refused, not truncated or parsed into another walk
+    for coeffs, init in [((2.5,), (1,)), ((2,), (1.9,)), (("3",), (1,))]:
+        with pytest.raises(TypeError):
+            RecurrenceSpec(coeffs=coeffs, init=init)
 
 
 def test_generate_rejects_nonpositive_terms():

@@ -15,7 +15,8 @@ from recwalk import (
 )
 
 from recwalk import spectrum
-from recwalk.spectrum import _INT64_SAFE_N, _ROW_MAX, _roots, iter_k_blocks
+from recwalk import verify
+from recwalk.spectrum import _CHUNK, _INT64_SAFE_N, _ROW_MAX, _roots, iter_k_blocks
 from recwalk.verify import lifting_suite
 
 from expected_values import SLEMS
@@ -116,19 +117,20 @@ def test_slem_requires_nontrivial_state_space():
         slem_streaming(generate(PRESETS["pow2"], 1))
 
 
-def test_streaming_slem_agrees_with_dense():
-    for name in PRESETS:
-        window = generate(PRESETS[name], 7)
-        dense = compute_spectrum(window).slem
-        assert slem_streaming(window, chunk=64) == pytest.approx(dense, abs=1e-14)
+def test_streaming_slem_agrees_with_dense(monkeypatch):
+    windows = [generate(PRESETS[name], 7) for name in PRESETS]
+    dense = [compute_spectrum(window).slem for window in windows]
+    monkeypatch.setattr(spectrum, "_CHUNK", 64)
+    for window, slem in zip(windows, dense):
+        assert slem_streaming(window) == pytest.approx(slem, abs=1e-14)
 
 
-def test_streaming_slem_is_exactly_dense():
+def test_streaming_slem_is_exactly_dense(monkeypatch):
     # each lambda_k is computed elementwise, so chunking cannot change it
-    for name in PRESETS:
-        for n in range(2, 10):
-            window = generate(PRESETS[name], n)
-            assert slem_streaming(window, chunk=64) == compute_spectrum(window).slem
+    windows = [generate(PRESETS[name], n) for name in PRESETS for n in range(2, 10)]
+    dense = [compute_spectrum(window).slem for window in windows]
+    monkeypatch.setattr(spectrum, "_CHUNK", 64)
+    assert [slem_streaming(window) for window in windows] == dense
 
 
 def test_phase_tables_match_exp():
@@ -156,18 +158,20 @@ def test_roots_take_signed_angles():
         assert _roots(N, np.zeros(1, dtype=np.int64))[0] == 1.0
 
 
-def test_k_blocks_cover_one_to_n_minus_one():
+def test_k_blocks_cover_one_to_n_minus_one(monkeypatch):
+    monkeypatch.setattr(spectrum, "_CHUNK", 64)
     for N in (1, 2, 3, 64, 65, 129):
-        blocks = list(iter_k_blocks(N, chunk=64))
+        blocks = list(iter_k_blocks(N))
         assert all(b.dtype == np.int64 and 1 <= len(b) <= 64 for b in blocks), N
         got = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
         assert np.array_equal(got, np.arange(1, N)), N
 
 
-def test_k_blocks_refuse_past_int64_range():
+def test_k_blocks_refuse_past_int64_range(monkeypatch):
     with pytest.raises(StateSpaceTooLarge):
         next(iter_k_blocks(_INT64_SAFE_N + 1))
-    assert next(iter_k_blocks(_INT64_SAFE_N, chunk=4)).tolist() == [1, 2, 3, 4]
+    monkeypatch.setattr(spectrum, "_CHUNK", 4)
+    assert next(iter_k_blocks(_INT64_SAFE_N)).tolist() == [1, 2, 3, 4]
     with pytest.raises(StateSpaceTooLarge):
         slem_streaming(generate(PRESETS["pow2"], 33))  # N = 2^32
 
@@ -257,9 +261,11 @@ def test_lift_satisfies_additive_identity():
                     assert children[idx - 1] == pytest.approx(predicted, abs=1e-9)
 
 
-def test_lift_rejects_bad_arguments():
+def test_lift_rejects_bad_arguments(monkeypatch):
+    monkeypatch.setattr(verify, "_LIFT_BASES", (1,))
+    monkeypatch.setattr(verify, "_CAP", 10)
     with pytest.raises(NotFirstOrder):
-        lifting_suite(bases=(1,), cap=10)
+        lifting_suite()
     with pytest.raises(NotFirstOrder):
         unnormalized_values(0, 3)
 
@@ -300,14 +306,13 @@ def test_eigenvalues_match_per_term_exp_oracle():
         assert gap <= 1e-15, (window.n, N)
 
 
-def test_streaming_slem_exact_for_uneven_chunks():
+def test_streaming_slem_exact_for_uneven_chunks(monkeypatch):
     # chunks that split k = 1..N//2 with a short last block, or one short one
-    for window in _windows_up_to(7):
-        if window.modulus < 2:
-            continue
-        dense = compute_spectrum(window).slem
-        for chunk in (1, 3, 7, 100):
-            assert slem_streaming(window, chunk=chunk) == dense, (window.n, chunk)
+    windows = [window for window in _windows_up_to(7) if window.modulus >= 2]
+    dense = [compute_spectrum(window).slem for window in windows]
+    for chunk in (1, 3, 7, 100):
+        monkeypatch.setattr(spectrum, "_CHUNK", chunk)
+        assert [slem_streaming(window) for window in windows] == dense, chunk
 
 
 def test_narrow_rows_match_oracle_and_stream_exactly(monkeypatch):
@@ -331,7 +336,9 @@ def test_narrow_rows_match_oracle_and_stream_exactly(monkeypatch):
         if N < 2:
             continue
         for chunk in (1, 3, 7, 100):
-            assert slem_streaming(window, chunk=chunk) == spec.slem, (window.n, chunk)
+            monkeypatch.setattr(spectrum, "_CHUNK", chunk)
+            assert slem_streaming(window) == spec.slem, (window.n, chunk)
+        monkeypatch.setattr(spectrum, "_CHUNK", _CHUNK)
     assert short_last_row and many_rows
 
 

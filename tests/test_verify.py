@@ -16,6 +16,7 @@ from recwalk import (
     run_suites,
     s_value,
 )
+from recwalk import verify
 from recwalk.spectrum import iter_eigenvalue_chunks
 from recwalk.verify import (
     angle_cover_suite,
@@ -56,15 +57,10 @@ def test_unknown_suite_rejected():
 
 def test_eigmod_bound_slack_for_two_state_walk():
     # pow2 n=2: slem ~ 0, bound = 1 - (2/2)(1 - cos(pi/3)) = 1/2
-    result = eigmod_bound_suite({"pow2": PRESETS["pow2"]}, n_min=2, n_max=2)
+    result = eigmod_bound_suite({"pow2": PRESETS["pow2"]}, n_max=2)
     assert result.metric == "min_margin"
     assert result.worst_slack == pytest.approx(0.5, abs=1e-12)
     assert result.passed
-
-
-def test_eigmod_bound_requires_n_at_least_2():
-    with pytest.raises(DomainError):
-        eigmod_bound_suite(dict(PRESETS), n_min=1, n_max=4)
 
 
 @pytest.mark.parametrize(
@@ -72,34 +68,36 @@ def test_eigmod_bound_requires_n_at_least_2():
 )
 def test_windowed_suites_refuse_empty_range(suite):
     with pytest.raises(DomainError):
-        suite(dict(PRESETS), n_min=2, n_max=1)
+        suite(dict(PRESETS), n_max=1)
 
 
 def test_angle_cover_all_covered():
-    result = angle_cover_suite(dict(PRESETS), n_min=2, n_max=7)
+    result = angle_cover_suite(dict(PRESETS), n_max=7)
     assert result.passed
     assert all(case["uncovered"] == 0 for case in result.cases)
     # the pow2 interval endpoint is hit exactly, so zero margin is legal
     assert result.worst_slack >= -1e-15
 
 
-def test_lifting_residuals_tiny():
-    result = lifting_suite(bases=(2, 3), cap=10**4)
+def test_lifting_residuals_tiny(monkeypatch):
+    monkeypatch.setattr(verify, "_CAP", 10**4)
+    result = lifting_suite()
     assert result.metric == "max_error"
     assert result.passed
     assert result.worst_slack < 1e-9
     assert {case["c"] for case in result.cases} == {2, 3}
 
 
-def test_multiset_domination_margins():
-    result = multiset_domination_suite(bases=(2, 3, 4), cap=10**4)
+def test_multiset_domination_margins(monkeypatch):
+    monkeypatch.setattr(verify, "_CAP", 10**4)
+    result = multiset_domination_suite()
     assert result.passed
     assert result.worst_slack >= -1e-9
     assert all(case["multiplicity_total_ok"] for case in result.cases)
 
 
 def test_ubl_consistency_margins():
-    result = ubl_consistency_suite(dict(PRESETS), n_min=2, n_max=6)
+    result = ubl_consistency_suite(dict(PRESETS), n_max=6)
     assert result.passed
     assert result.worst_slack >= -1e-9
 
@@ -113,9 +111,10 @@ def test_suite_result_serializes():
 
 
 def test_angle_cover_refuses_past_int64_range():
-    # N = 3^21: (k * G_j) mod N would wrap in int64, so no scan may start
+    # the n = 2 window already has N = 3^21: (k * G_j) mod N would wrap
+    # in int64, so no scan may start
     with pytest.raises(StateSpaceTooLarge):
-        angle_cover_suite({"pow3": PRESETS["pow3"]}, n_min=22, n_max=22)
+        angle_cover_suite({"big": RecurrenceSpec((3**21,), (1,))}, n_max=2)
 
 
 # Standalone loops for the three windowed suites, kept here as oracles
@@ -167,7 +166,7 @@ def test_windowed_suites_match_standalone_loops_exactly():
         (ubl_consistency_suite, "margin", _ubl_margin_oracle),
     )
     for suite, key, oracle in checks:
-        result = suite(specs, n_min=2, n_max=10)
+        result = suite(specs, n_max=10)
         assert [(c["sequence"], c["n"]) for c in result.cases] == order
         expected = [oracle(generate(specs[name], n)) for name, n in order]
         assert [c[key] for c in result.cases] == expected, result.suite
