@@ -65,6 +65,8 @@ def _resolve_sequences(seq_args: list[str] | None) -> list[tuple[str, Recurrence
     out = []
     for text in seq_args:
         if text in PRESETS:
+            if any(name == text for name, _ in out):
+                raise RecwalkError(f"--seq {text} is given twice")
             out.append((text, PRESETS[text]))
             continue
         try:
@@ -145,6 +147,8 @@ def _csv(rows: list[list]) -> str:
 
 
 def cmd_table(args) -> int:
+    if args.nmax < 1:
+        raise DomainError(f"no rows: --nmax = {args.nmax} is below 1")
     sequences = _resolve_sequences(args.seq)
     eps = float(args.epsilon)
     per_seq = {}

@@ -69,7 +69,7 @@ def simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
     rng = np.random.Generator(np.random.Philox(config.seed))
 
     dtype = np.int64 if N < _INT64_SAFE_N else object
-    steps = np.array([g % N for g in window.values], dtype=dtype)
+    steps = np.array(window.steps, dtype=dtype)
     pos = np.zeros(T, dtype=dtype)
     out = []
     for t in range(config.t_max + 1):

@@ -5,7 +5,7 @@ A sequence spec is the pair (coefficients, initial terms) of
     G_i = a_1 G_{i-1} + a_2 G_{i-2} + ... + a_d G_{i-d},   G_1 = 1,
 
 generated in exact integer arithmetic.  The window G_1..G_n doubles as
-the step set of the walk on Z_{G_n}.
+the step set of the walk on Z_{G_n}; SequenceWindow.steps states it mod N.
 """
 
 from __future__ import annotations
@@ -62,6 +62,12 @@ class SequenceWindow:
     def modulus(self) -> int:
         """State-space size N = G_n."""
         return self.values[-1]
+
+    @property
+    def steps(self) -> tuple[int, ...]:
+        """The walk's n distinct steps mod N: G_1..G_{n-1} < N, then the
+        hold G_n = 0 mod N.  Each is taken with probability 1/n."""
+        return self.values[:-1] + (0,)
 
 
 @dataclass(frozen=True)

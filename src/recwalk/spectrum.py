@@ -5,8 +5,9 @@ matrix is circulant and its eigenvalues are
 
     lambda_k = (1/n) * sum_i xi_N^(k*G_i),   xi_N = exp(2*pi*i/N),
 
-indexed k = 1..N with lambda_N = 1.  The step law is real, so
-lambda_{N-k} = conj(lambda_k), and only k = 1..N//2 are evaluated.
+indexed k = 1..N with lambda_N = 1.  The hold G_n = 0 mod N adds 1.
+The step law is real, so lambda_{N-k} = conj(lambda_k), and only
+k = 1..N//2 are evaluated.
 Exponents are reduced mod N in exact integer arithmetic before any
 float conversion; naive floating angles lose all precision once k*G_i
 approaches 2^53.  The index splits as k = q*B + j with 0 <= j < B, as
@@ -72,29 +73,31 @@ def _roots(N: int, r: np.ndarray) -> np.ndarray:
 
 
 def _eigenvalue_block(
-    qs: np.ndarray, B: int, factors: list[tuple[np.ndarray, int] | None], N: int
+    qs: np.ndarray, B: int, factors: list[tuple[np.ndarray, int]], N: int
 ) -> np.ndarray:
     """lambda_k for k = q*B + j, one row per q in qs, j = 0..B-1.
 
-    A step g contributes xi_N^(q*(B*g mod N)) * xi_N^(j*g mod N): one root
-    per row times the window's table row for g, added in the fixed step
-    order.  Every operation is elementwise over k, so lambda_k comes out
-    the same whatever block it falls in.  A step g = 0 mod N (always G_n)
-    has factors None and adds exactly 1.
+    A step g in G_1..G_{n-1} contributes xi_N^(q*(B*g mod N)) * xi_N^(j*g mod N):
+    one root per row times its (table, B*g mod N) pair in factors, added
+    in window order, and the hold adds exactly 1 last.  Every operation is
+    elementwise over k, so lambda_k is the same whatever block it is in.
     """
     acc = np.empty((len(qs), B), dtype=np.complex128)
     term = np.empty_like(acc)
-    for i, f in enumerate(factors):
+    for i, (table, bg) in enumerate(factors):
         out = acc if i == 0 else term  # the sum starts at step 1's term, not 0
-        if f is None:
-            out.fill(1.0)
-        else:
-            table, bg = f
-            np.multiply(_roots(N, qs * bg % N)[:, None], table, out=out)
+        np.multiply(_roots(N, qs * bg % N)[:, None], table, out=out)
         if i:
             acc += term
-    acc *= 1.0 / len(factors)  # numpy's acc /= n scales by 1/n too, 3x slower
+    acc += 1.0
+    acc *= 1.0 / (len(factors) + 1)  # numpy's acc /= n scales by 1/n too, 3x slower
     return acc.ravel()
+
+
+def require_dense(N: int, n_max_states: int) -> None:
+    """Refuse a dense N-entry array past the cap n_max_states."""
+    if N > n_max_states:
+        raise StateSpaceTooLarge(f"N = {N} exceeds the dense cap {n_max_states}")
 
 
 def _require_int64_safe(N: int) -> None:
@@ -135,10 +138,8 @@ def iter_eigenvalue_chunks(window: SequenceWindow) -> Iterator[np.ndarray]:
     if last < _WIDE_FROM:
         B = min(B, 1 << (last.bit_length() + 1) // 2)  # >= sqrt(last + 1)
     js = np.arange(B, dtype=np.int64)
-    factors = [
-        None if g == 0 else (_roots(N, js * g % N), B * g % N)
-        for g in (g % N for g in window.values)
-    ]
+    # N > 1 means n > 1, so G_1 = 1 gives at least one table
+    factors = [(_roots(N, js * g % N), B * g % N) for g in window.steps[:-1]]
     rows = max(1, _CHUNK // B)
     q_end = last // B + 1
     for q0 in range(0, q_end, rows):
@@ -157,8 +158,7 @@ def compute_spectrum(
     filled in place with their conjugates, lambda_{N-k} = conj(lambda_k).
     """
     N = window.modulus
-    if N > n_max_states:
-        raise StateSpaceTooLarge(f"N = {N} exceeds the dense cap {n_max_states}")
+    require_dense(N, n_max_states)
     eig = np.ones(N, dtype=np.complex128)  # slot N-1 is lambda_N = 1 exactly
     worst = 0.0
     pos = 0

@@ -95,7 +95,7 @@ def angle_cover_suite(specs: dict[str, RecurrenceSpec], n_max: int = 8) -> Suite
         N = window.modulus
         s = s_value(window.spec)
         lo_frac, hi_frac = 1.0 / (s + 1), s / (s + 1)
-        gs = [g % N for g in window.values[:-1]]  # j = 1..n-1
+        gs = window.steps[:-1]  # j = 1..n-1
         miss = 0
         margin = math.inf
         for ks in iter_k_blocks(N):

@@ -1,9 +1,9 @@
 """Exact distribution evolution, TV distance, and mixing times.
 
-The walk is X_{t+1} = X_t + z_t mod N with z_t uniform on the step
-multiset {G_1 mod N, ..., G_n mod N}, started from the point mass at 0.
-Laws are dense float64 arrays over Z_N: entry x is the mass at x, and
-N is the array's length.
+The walk is X_{t+1} = X_t + z_t mod N with z_t uniform on the n
+distinct steps window.steps = (G_1, ..., G_{n-1}, 0), started from the
+point mass at 0.  Laws are dense float64 arrays over Z_N: entry x is
+the mass at x, and N is the array's length.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoMixing, StateSpaceTooLarge
+from .errors import NoMixing
 from .recurrence import SequenceWindow
-from .spectrum import DEFAULT_N_MAX, compute_spectrum
+from .spectrum import DEFAULT_N_MAX, compute_spectrum, require_dense
 
 # Hard stop for the mixing scan.  slem < 1 drives the exact TV to zero
 # geometrically, but the float TV stalls at a floor of rounding dust, so
@@ -41,17 +41,11 @@ def point_mass(N: int) -> np.ndarray:
 def step_distribution(
     window: SequenceWindow, n_max_states: int = DEFAULT_N_MAX
 ) -> np.ndarray:
-    """Step law: p[x] = #{i : G_i = x mod N} / n.
-
-    Multiplicities matter; in particular G_n contributes to x = 0.
-    """
+    """Step law: p[x] = 1/n for each x in window.steps, 0 elsewhere."""
     N = window.modulus
-    if N > n_max_states:
-        raise StateSpaceTooLarge(f"N = {N} exceeds the dense cap {n_max_states}")
+    require_dense(N, n_max_states)
     p = np.zeros(N)
-    for g in window.values:
-        p[g % N] += 1.0
-    p /= window.n
+    p[list(window.steps)] = 1.0 / window.n
     return p
 
 
@@ -63,26 +57,23 @@ _TILE = 1 << 16
 
 
 class _Convolver:
-    """Cyclic convolution with one step law, in the time domain.
+    """Cyclic convolution with the window's step law, in the time domain.
 
-    The step law has at most n + 1 nonzero entries, so a shift-and-add
-    over its support is O(N * n) and free of FFT rounding.  Each call
-    forms fl(w * probs) once per distinct weight w, into buffers owned
-    here, and adds the shifted copies into the caller's out buffer with
-    slices, one _TILE-entry tile of out at a time, support points in
-    increasing x within each tile.  Every output entry thus receives the
-    same products in the same order as the sum over x of
-    w_x * np.roll(probs, x), so results are bit-identical to that sum,
-    without allocating per call.  Steps from generate() all carry the
-    weight 1/n, as G_1 < ... < G_{n-1} < N and G_n = 0 mod N.
+    The law puts the weight w = fl(1/n) on each of the n distinct steps,
+    so a shift-and-add over them is O(N * n) and free of FFT rounding.
+    Each call forms fl(w * probs) once, into a buffer owned here, and adds
+    its shifted copies into the caller's out buffer with slices, one
+    _TILE-entry tile of out at a time, shifts in increasing x within each
+    tile.  Every output entry thus receives the same products in the same
+    order as the sum over x of w * np.roll(probs, x), so results are
+    bit-identical to that sum, without allocating per call.
     """
 
-    def __init__(self, step: np.ndarray):
-        N = len(step)
-        support = np.flatnonzero(step)
-        self.weights, slots = np.unique(step[support], return_inverse=True)
-        self.products = np.empty((len(self.weights), N))
-        shifts = [(x, self.products[slot]) for x, slot in zip(support.tolist(), slots)]
+    def __init__(self, window: SequenceWindow):
+        N = window.modulus
+        self.weight = 1.0 / window.n
+        self.product = product = np.empty(N)
+        shifts = sorted(window.steps)
         # Per tile [lo, hi): the adds out[a:b] += source, where out[j] takes
         # product[(j - x) mod N]; a shift x inside the tile splits it at
         # j = x, where the source index wraps.
@@ -90,7 +81,7 @@ class _Convolver:
         for lo in range(0, N, _TILE):
             hi = min(lo + _TILE, N)
             adds = []
-            for x, product in shifts:
+            for x in shifts:
                 if x <= lo:
                     adds.append((lo, hi, product[lo - x : hi - x]))
                 elif x >= hi:
@@ -101,18 +92,12 @@ class _Convolver:
             self.plan.append((lo, hi, adds))
 
     def __call__(self, probs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        for w, product in zip(self.weights, self.products):
-            np.multiply(probs, w, out=product)
+        np.multiply(probs, self.weight, out=self.product)
         for lo, hi, adds in self.plan:
             out[lo:hi] = 0.0
             for a, b, source in adds:
                 out[a:b] += source
         return out
-
-
-def _convolve_once(probs: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """probs convolved once with the step law, into a new array."""
-    return _Convolver(step)(probs, np.empty_like(probs))
 
 
 def _powers_clamped(lam: np.ndarray, t: int) -> np.ndarray:
@@ -157,7 +142,8 @@ def evolve(window: SequenceWindow, t: int, method: str = "spectral") -> np.ndarr
     if t == 0:
         return point_mass(N)
     if method == "direct":
-        convolve = _Convolver(step_distribution(window))
+        require_dense(N, DEFAULT_N_MAX)
+        convolve = _Convolver(window)
         probs, spare = point_mass(N), np.empty(N)
         for _ in range(t):
             probs, spare = convolve(probs, spare), probs
@@ -196,9 +182,9 @@ def mixing_time(
     if not 0.0 < float(epsilon) < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     eps = float(epsilon)
-    step = step_distribution(window, n_max_states=n_max_states)
-    N = len(step)
-    convolve = _Convolver(step)
+    N = window.modulus
+    require_dense(N, n_max_states)
+    convolve = _Convolver(window)
     probs, spare = point_mass(N), np.empty(N)
     curve: list[tuple[int, float]] = []
     for t in range(_SCAN_CAP + 1):

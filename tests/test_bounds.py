@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -318,6 +319,19 @@ def test_build_report_streaming_fallback():
     assert report.ubl_implied_t is None
     assert report.exact_t_mix is None
     assert report.relaxation_lower > 0.0
+
+
+def test_build_report_frees_spectrum_before_scan():
+    # the 16 N-byte spectrum is gone before the scan takes its 24 N bytes;
+    # held through the scan, the peak was 48 N
+    window = generate(PRESETS["pow2"], 17)  # N = 2^16
+    tracemalloc.start()
+    try:
+        build_report("pow2", window, 0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 44 * window.modulus
 
 
 def test_build_report_requires_n_at_least_2():

@@ -227,6 +227,25 @@ def test_verify_without_windows_is_usage_error(capsys):
     assert "no windows" in err
 
 
+@pytest.mark.parametrize("nmax", ["0", "-3"])
+def test_table_without_rows_is_usage_error(capsys, nmax):
+    assert main(["table", "--nmax", nmax]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "no rows" in err
+
+
+@pytest.mark.parametrize("command", ["table", "verify"])
+def test_preset_given_twice_is_usage_error(capsys, command):
+    code, out, err = run_cli(
+        capsys, command, "--seq", "pow2", "--seq", "pow3", "--seq", "pow2",
+        "--nmax", "2", "--format", "json",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--seq pow2 is given twice" in err
+
+
 def test_simulate_deterministic_output(capsys):
     argv = (
         "simulate", "--seq", "pow3", "--n", "2",

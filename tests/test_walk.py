@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,14 +20,20 @@ from recwalk import (
 )
 
 from recwalk import walk
-from recwalk.walk import _Convolver, _convolve_once
+from recwalk.walk import _Convolver
 
 from expected_values import EXACT_TMIX
 from test_spectrum import per_term_exp_eigenvalues
 
-# Three distinct weights interleaved in x order, so every output entry
-# mixes products taken from different per-weight buffers.
-THREE_WEIGHTS = np.array([0.1, 0.3, 0.0, 0.2, 0.1, 0.3, 0.0])
+
+def _counting_step_law(window):
+    """Reference: p[x] = #{i : G_i = x mod N} / n, counting multiplicities."""
+    N = window.modulus
+    p = np.zeros(N)
+    for g in window.values:
+        p[g % N] += 1.0
+    p /= window.n
+    return p
 
 
 def _roll_convolve(probs, step):
@@ -171,6 +179,19 @@ def test_mixing_single_state():
     assert res.N == 1
 
 
+def test_mixing_scan_holds_no_step_law():
+    # live arrays: the law, the spare and the convolver's product buffer,
+    # 24 N bytes; a dense step law on top made it 32 N
+    window = generate(PRESETS["pow2"], 17)  # N = 2^16
+    tracemalloc.start()
+    try:
+        mixing_time(window, 0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * window.modulus
+
+
 def test_mixing_epsilon_monotonicity():
     window = generate(PRESETS["fib-odd"], 6)
     loose = mixing_time(window, 0.4).t_mix
@@ -181,11 +202,11 @@ def test_mixing_epsilon_monotonicity():
 def test_convolution_bit_identical_to_roll_reference():
     for name in PRESETS:
         for n in range(1, 11):
-            step = step_distribution(generate(PRESETS[name], n))
+            window = generate(PRESETS[name], n)
+            step = step_distribution(window)
             probs = np.random.default_rng(n).random(len(step))
-            assert np.array_equal(
-                _convolve_once(probs, step), _roll_convolve(probs, step)
-            ), (name, n)
+            got = _Convolver(window)(probs, np.empty_like(probs))
+            assert np.array_equal(got, _roll_convolve(probs, step)), (name, n)
 
 
 def test_mixing_curve_bit_identical_to_roll_reference():
@@ -197,24 +218,18 @@ def test_mixing_curve_bit_identical_to_roll_reference():
                 assert res.tv_curve == _roll_scan(window, eps), (name, n, eps)
 
 
-def _assert_convolver_matches_roll(step, steps):
+def _assert_convolver_matches_roll(window, steps):
     """Ping-pong _Convolver over `steps` steps from the point mass, each
-    step exactly equal to the np.roll reference."""
-    convolve = _Convolver(step)
+    step exactly equal to the np.roll reference; returns the last law."""
+    step = step_distribution(window)
+    convolve = _Convolver(window)
     probs, spare = point_mass(len(step)), np.empty(len(step))
     expected = point_mass(len(step))
     for t in range(1, steps + 1):
         expected = _roll_convolve(expected, step)
         probs, spare = convolve(probs, spare), probs
         assert np.array_equal(probs, expected), t
-
-
-def test_convolution_with_distinct_weights_bit_identical():
-    _assert_convolver_matches_roll(THREE_WEIGHTS, 24)
-    probs = np.random.default_rng(7).random(7)
-    assert np.array_equal(
-        _convolve_once(probs, THREE_WEIGHTS), _roll_convolve(probs, THREE_WEIGHTS)
-    )
+    return expected
 
 
 @pytest.mark.parametrize(
@@ -240,13 +255,16 @@ def test_small_tiles_bit_identical_to_roll_reference(monkeypatch):
             window = generate(PRESETS[name], n)
             step = step_distribution(window)
             probs = np.random.default_rng(n).random(len(step))
-            assert np.array_equal(
-                _convolve_once(probs, step), _roll_convolve(probs, step)
-            ), (name, n)
+            got = _Convolver(window)(probs, np.empty_like(probs))
+            assert np.array_equal(got, _roll_convolve(probs, step)), (name, n)
             curve = mixing_time(window, 0.25).tv_curve
             assert curve == _roll_scan(window, 0.25), (name, n)
+    # tiles of 3 entries put shifts on both tile edges, inside tiles and
+    # past a partial last tile
     monkeypatch.setattr(walk, "_TILE", 3)
-    _assert_convolver_matches_roll(THREE_WEIGHTS, 24)
+    for name in PRESETS:
+        for n in range(1, 7):
+            _assert_convolver_matches_roll(generate(PRESETS[name], n), 24)
 
 
 @st.composite
@@ -286,3 +304,16 @@ def test_spectral_evolution_matches_direct_property(window, t):
 def test_spectrum_matches_per_term_exp_oracle_property(window):
     got = compute_spectrum(window).eigenvalues
     assert float(np.max(np.abs(got - per_term_exp_eigenvalues(window)))) <= 1e-15
+
+
+@PROPERTY_SETTINGS
+@given(window=small_windows())
+def test_step_set_and_evolution_match_roll_oracle_property(window):
+    steps = window.steps
+    assert len(set(steps)) == len(steps) == window.n
+    assert all(0 <= x < window.modulus for x in steps)
+    assert steps[-1] == 0
+    assert np.array_equal(step_distribution(window), _counting_step_law(window))
+    assert mixing_time(window, 0.25).tv_curve == _roll_scan(window, 0.25)
+    last = _assert_convolver_matches_roll(window, 24)
+    assert np.array_equal(evolve(window, 24, method="direct"), last)
