@@ -18,6 +18,7 @@ from .errors import (
     DomainError,
     UnknownSuite,
     NoMixing,
+    InsideErrorBand,
 )
 from .recurrence import (
     PRESETS,
@@ -33,6 +34,7 @@ from .spectrum import (
     Spectrum,
     compute_spectrum,
     slem_streaming,
+    squared_moduli,
     unnormalized_values,
 )
 from .walk import (
@@ -57,6 +59,7 @@ from .bounds import (
     relaxation_lower,
     seq2bound_multiset,
     ubl_implied_t,
+    ubl_sums,
     upper_first_order,
     upper_general,
 )

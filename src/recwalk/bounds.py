@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
 from .errors import DegenerateStateSpace, DomainError
 from .recurrence import RecurrenceSpec, SequenceWindow, estimate_growth, s_value
-from .spectrum import DEFAULT_N_MAX, Spectrum, compute_spectrum, slem_streaming
+from .spectrum import DEFAULT_N_MAX, slem_streaming, squared_moduli
 from . import walk
 
 _ETA1_MIN = 1.0 + 1e-9
@@ -148,29 +149,38 @@ def relaxation_lower(slem: float, epsilon: float) -> float:
     return (1.0 / (1.0 - slem) - 1.0) * math.log(1.0 / (2.0 * epsilon))
 
 
-def ubl_sums(spectrum: Spectrum) -> Iterator[float]:
+def ubl_sums(sq: np.ndarray, N: int) -> Iterator[float]:
     """Yield the upper-bound-lemma sum (1/4) sum_{k<N} |lambda_k|^(2t)
-    for t = 0, 1, 2, ... without end; it bounds TV(t)^2 from above."""
-    sq = np.abs(spectrum.eigenvalues[:-1]) ** 2
+    for t = 0, 1, 2, ... without end; it bounds TV(t)^2 from above.
+
+    sq[k-1] = |lambda_k|^2 for k = 1..N//2 (squared_moduli).  Since
+    |lambda_{N-k}| = |lambda_k|, the sum is twice the sum over k < N/2,
+    plus |lambda_{N/2}|^(2t) once when N is even.
+    """
+    mirrored = (N - 1) // 2  # the k < N/2
     powered = np.ones_like(sq)
     while True:
-        yield 0.25 * float(powered.sum())
+        total = 2.0 * float(powered[:mirrored].sum())
+        if mirrored < len(powered):
+            total += float(powered[mirrored])
+        yield 0.25 * total
         powered *= sq
 
 
-def ubl_implied_t(spectrum: Spectrum, epsilon: float) -> int:
+def ubl_implied_t(sq: np.ndarray, N: int, epsilon: float) -> int:
     """Smallest t with (1/4) sum_{k<N} |lambda_k|^(2t) <= epsilon^2.
 
-    Scans forward; the sum is strictly decreasing in t whenever slem < 1.
+    sq is as in ubl_sums.  Scans forward; the sum is strictly decreasing
+    in t whenever slem < 1.
     """
-    if spectrum.modulus < 2:
+    if N < 2:
         raise DegenerateStateSpace("N = 1 has no nontrivial eigenvalue")
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must be in (0, 1), got {epsilon}")
-    if spectrum.slem >= 1.0:
+    if float(sq.max()) >= 1.0:
         raise DomainError("slem >= 1: the scan would not terminate")
     target = float(epsilon) ** 2
-    for t, total in enumerate(ubl_sums(spectrum)):
+    for t, total in enumerate(ubl_sums(sq, N)):
         if total <= target:
             return t
 
@@ -202,7 +212,7 @@ def first_order_base(spec: RecurrenceSpec) -> int | None:
 def build_report(
     sequence_id: str,
     window: SequenceWindow,
-    epsilon: float,
+    epsilon: Fraction | float,
     eta1_override: float | None = None,
     n_max_states: int = DEFAULT_N_MAX,
 ) -> BoundReport:
@@ -240,11 +250,12 @@ def build_report(
     ubl_t: int | None = None
     exact: int | None = None
     if N <= n_max_states:
-        spectrum = compute_spectrum(window, n_max_states=n_max_states)
-        lam_star = spectrum.slem
-        ubl_t = ubl_implied_t(spectrum, eps)
-        del spectrum  # its 16 N bytes are freed before the scan takes 24 N
-        exact = walk.mixing_time(window, eps, n_max_states=n_max_states).t_mix
+        sq, lam_star = squared_moduli(window, n_max_states=n_max_states)
+        ubl_t = ubl_implied_t(sq, N, eps)
+        del sq  # its 4 N bytes are freed before the scan takes 16 N
+        exact = walk.mixing_time(
+            window, epsilon, n_max_states=n_max_states, slem=lam_star
+        ).t_mix
     else:
         lam_star = slem_streaming(window)
 

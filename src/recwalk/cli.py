@@ -150,13 +150,12 @@ def cmd_table(args) -> int:
     if args.nmax < 1:
         raise DomainError(f"no rows: --nmax = {args.nmax} is below 1")
     sequences = _resolve_sequences(args.seq)
-    eps = float(args.epsilon)
     per_seq = {}
     for name, spec in sequences:
         rows = []
         for n in range(1, args.nmax + 1):
             window = generate(spec, n)
-            result = walk.mixing_time(window, eps, n_max_states=args.nmax_states)
+            result = walk.mixing_time(window, args.epsilon, n_max_states=args.nmax_states)
             rows.append({"n": n, "G_n": window.modulus, "t_mix": result.t_mix})
         per_seq[name] = rows
 
@@ -215,7 +214,7 @@ def cmd_spectrum(args) -> int:
 def cmd_mix(args) -> int:
     name, spec = _single_sequence(args)
     window = generate(spec, args.n)
-    result = walk.mixing_time(window, float(args.epsilon), n_max_states=args.nmax_states)
+    result = walk.mixing_time(window, args.epsilon, n_max_states=args.nmax_states)
     rows = [["t", "tv"]] + [[t, tv] for t, tv in result.tv_curve]
     payload = {
         "sequence": name,
@@ -235,7 +234,7 @@ def cmd_bounds(args) -> int:
     report = build_report(
         name,
         window,
-        float(args.epsilon),
+        args.epsilon,
         eta1_override=args.eta1,
         n_max_states=args.nmax_states,
     )
@@ -251,7 +250,7 @@ def cmd_verify(args) -> int:
         args.suite,
         specs=dict(sequences),
         n_max=args.nmax,
-        epsilon=float(args.epsilon),
+        epsilon=args.epsilon,
         n_max_states=args.nmax_states,
     )
     ok = all(r.passed for r in results)

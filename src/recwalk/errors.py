@@ -42,8 +42,15 @@ class UnknownSuite(RecwalkError):
 
 
 class NoMixing(RecwalkError):
-    """Mixing-time scan ran all _SCAN_CAP steps without TV <= epsilon.
+    """The mixing scan knows no t with TV <= epsilon.
 
-    Reachable: an epsilon below the float TV's rounding floor is never
-    met (see ROADMAP item 1).
+    Raised when the SLEM is 1 within the eigenvalue engine's error, so the
+    upper-bound lemma bounds no t, or when the float scan passes the t
+    that lemma implies, which only an engine error beyond that margin
+    could cause.
     """
+
+
+class InsideErrorBand(RecwalkError):
+    """Past the int64 range of path counts, the float TV lies within its
+    a-priori error band of epsilon, so TV <= epsilon cannot be decided."""

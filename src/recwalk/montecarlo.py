@@ -13,7 +13,6 @@ debiasing is applied.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +22,8 @@ from .recurrence import SequenceWindow
 # (pos + step) stays below 2^63 whenever N is below this.
 _INT64_SAFE_N = 1 << 62
 
-# Largest T accepted.  Positions, drawn step indices and np.unique's sort
-# copy are live at once: `simulate --seq pow3 --n 14` peaked at 420 MiB
+# Largest T accepted.  Positions, drawn step indices and a sorted copy of
+# the positions are live at once: `simulate --seq pow3 --n 14` peaked at 420 MiB
 # with this many trajectories.
 _MAX_TRAJECTORIES = 1 << 24
 
@@ -48,7 +47,7 @@ class SimConfig:
 
 
 def _empirical_tv(nonzero_counts: np.ndarray, total: int, N: int) -> float:
-    """TV between the histogram counts/total and uniform on N states."""
+    """TV between the histogram counts/total and uniform on N states, N <= total."""
     occupied = nonzero_counts / total - 1.0 / N
     missing = (N - len(nonzero_counts)) / N
     return 0.5 * (float(np.abs(occupied).sum()) + missing)
@@ -59,9 +58,11 @@ def simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
 
     Deterministic for a given config: t = 1..t_max each draw T step
     indices from one Philox stream.  Positions are int64 while N < 2^62
-    and Python ints (an object array, exact at any N) past that.  Each
-    t's counts come from np.bincount when N <= T and from np.unique
-    otherwise; both list the occupied states' counts in state order.
+    and Python ints (an object array, exact at any N) past that.  When
+    N <= T, each t's counts come from np.bincount.  When N > T, every
+    occupied state holds at least 1/T > 1/N of the mass, so the TV is
+    exactly 1 - occupied/N: only the distinct positions are counted, and
+    (N - occupied) / N in integers rounds that fraction correctly.
     """
     window = config.window
     N = window.modulus
@@ -76,14 +77,14 @@ def simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
         if t:
             pos += steps[rng.integers(0, window.n, size=T)]
             pos %= N
-        if dtype is object:
-            # np.unique would sort Python ints, about 3x slower than Counter
-            counts = np.fromiter(Counter(pos.tolist()).values(), dtype=np.int64)
-        elif N <= T:
-            # same nonzero counts in the same state order as np.unique, no sort
+        if N <= T:
             counts = np.bincount(pos)
-            counts = counts[counts > 0]
+            out.append((t, _empirical_tv(counts[counts > 0], T, N)))
+            continue
+        if dtype is object:
+            occupied = len(set(pos.tolist()))
         else:
-            counts = np.unique(pos, return_counts=True)[1]
-        out.append((t, _empirical_tv(counts, T, N)))
+            ordered = np.sort(pos)
+            occupied = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+        out.append((t, (N - occupied) / N))
     return out

@@ -73,17 +73,21 @@ def _roots(N: int, r: np.ndarray) -> np.ndarray:
 
 
 def _eigenvalue_block(
-    qs: np.ndarray, B: int, factors: list[tuple[np.ndarray, int]], N: int
-) -> np.ndarray:
-    """lambda_k for k = q*B + j, one row per q in qs, j = 0..B-1.
+    qs: np.ndarray,
+    B: int,
+    factors: list[tuple[np.ndarray, int]],
+    N: int,
+    acc: np.ndarray,
+    term: np.ndarray,
+) -> None:
+    """Write lambda_k for k = q*B + j into acc, one row per q in qs, j = 0..B-1.
 
     A step g in G_1..G_{n-1} contributes xi_N^(q*(B*g mod N)) * xi_N^(j*g mod N):
     one root per row times its (table, B*g mod N) pair in factors, added
     in window order, and the hold adds exactly 1 last.  Every operation is
     elementwise over k, so lambda_k is the same whatever block it is in.
+    acc and term are (len(qs), B) complex arrays; term is scratch.
     """
-    acc = np.empty((len(qs), B), dtype=np.complex128)
-    term = np.empty_like(acc)
     for i, (table, bg) in enumerate(factors):
         out = acc if i == 0 else term  # the sum starts at step 1's term, not 0
         np.multiply(_roots(N, qs * bg % N)[:, None], table, out=out)
@@ -91,7 +95,6 @@ def _eigenvalue_block(
             acc += term
     acc += 1.0
     acc *= 1.0 / (len(factors) + 1)  # numpy's acc /= n scales by 1/n too, 3x slower
-    return acc.ravel()
 
 
 def require_dense(N: int, n_max_states: int) -> None:
@@ -105,48 +108,74 @@ def _require_int64_safe(N: int) -> None:
         raise StateSpaceTooLarge(f"N = {N} exceeds the exact int64 reduction range")
 
 
-def iter_k_blocks(N: int) -> Iterator[np.ndarray]:
-    """k = 1..N-1 as int64 blocks of at most _CHUNK entries.
+def row_width(N: int) -> int:
+    """Row width B of the factored index k = q*B + j, 0 <= j < B, that
+    covers k = 1..N//2: a power of two at least sqrt(N//2 + 1) below
+    N//2 = _WIDE_FROM, and _ROW_MAX from there on."""
+    last = N // 2
+    if last < _WIDE_FROM:
+        return min(_ROW_MAX, 1 << (last.bit_length() + 1) // 2)
+    return _ROW_MAX
 
-    (k * g) mod N for 0 <= g < N is exact in int64 up to N = _INT64_SAFE_N;
-    past it this raises StateSpaceTooLarge at the call, before any block.
+
+def iter_k_rows(N: int, B: int) -> Iterator[tuple[np.ndarray, slice]]:
+    """Rows q = 0..(N//2)//B of k = q*B + j, max(1, _CHUNK // B) rows a block.
+
+    Yields (qs, keep): qs holds a block's q as int64, its k run row by
+    row, and keep slices the flattened block to the k in 1..N//2.
+    (q * (B*g mod N)) mod N and (j * g) mod N for 0 <= g < N are exact in
+    int64 up to N = _INT64_SAFE_N; past it this raises StateSpaceTooLarge
+    at the call, before any block.
     """
     _require_int64_safe(N)
+    last = N // 2
+    rows = max(1, _CHUNK // B)
+    q_end = last // B + 1 if last else 0
     return (
-        np.arange(start, min(start + _CHUNK, N), dtype=np.int64)
-        for start in range(1, N, _CHUNK)
+        (
+            np.arange(q0, min(q0 + rows, q_end), dtype=np.int64),
+            slice(max(1 - q0 * B, 0), last + 1 - q0 * B),
+        )
+        for q0 in range(0, q_end, rows)
     )
 
 
-def iter_eigenvalue_chunks(window: SequenceWindow) -> Iterator[np.ndarray]:
+def iter_eigenvalue_chunks(
+    window: SequenceWindow, out: np.ndarray | None = None
+) -> Iterator[np.ndarray]:
     """Yield lambda_1..lambda_{N//2} in k order, max(1, _CHUNK // B) rows a block.
 
     The step law is real, so lambda_{N-k} = conj(lambda_k) and these
     determine every nontrivial eigenvalue; k = N/2 (N even) is its own
     mirror and is computed directly.  k = q*B + j splits each root as
-    xi_N^(k*g) = xi_N^(q*B*g) * xi_N^(j*g), with B from N (see _ROW_MAX).
+    xi_N^(k*g) = xi_N^(q*B*g) * xi_N^(j*g), with B = row_width(N).
     Storage-free except for one block at a time and one B-entry table per
     step, so it works beyond the dense cap; the dense spectrum, SLEM and
     one-pass bound sums are all built on this.
+
+    out, when given, is an (N + 1)-entry complex array indexed by k: each
+    block's rows are computed in place in out[q*B : (q + rows)*B], which
+    the last row never passes (B <= N - N//2 + 1), and the yielded block
+    is a view of out.  Rows past k = N//2 leave values there that the
+    caller overwrites.
     """
     N = window.modulus
-    _require_int64_safe(N)  # on N itself: every int64 product stays below N^2
-    last = N // 2
-    if last == 0:
-        return
-    B = _ROW_MAX
-    if last < _WIDE_FROM:
-        B = min(B, 1 << (last.bit_length() + 1) // 2)  # >= sqrt(last + 1)
+    B = row_width(N)
+    blocks = iter_k_rows(N, B)  # the int64 guard on N: products stay below N^2
     js = np.arange(B, dtype=np.int64)
     # N > 1 means n > 1, so G_1 = 1 gives at least one table
     factors = [(_roots(N, js * g % N), B * g % N) for g in window.steps[:-1]]
-    rows = max(1, _CHUNK // B)
-    q_end = last // B + 1
-    for q0 in range(0, q_end, rows):
-        qs = np.arange(q0, min(q0 + rows, q_end), dtype=np.int64)
-        block = _eigenvalue_block(qs, B, factors, N)
-        k0 = q0 * B  # trim k = 0 and k > N//2
-        yield block[max(1 - k0, 0) : last + 1 - k0]
+    term = None  # scratch, as large as the first block, the largest
+    for qs, keep in blocks:
+        if term is None:
+            term = np.empty((len(qs), B), dtype=np.complex128)
+        k0 = int(qs[0]) * B
+        if out is None:
+            acc = np.empty((len(qs), B), dtype=np.complex128)
+        else:
+            acc = out[k0 : k0 + len(qs) * B].reshape(len(qs), B)
+        _eigenvalue_block(qs, B, factors, N, acc, term[: len(qs)])
+        yield acc.ravel()[keep]
 
 
 def compute_spectrum(
@@ -154,23 +183,47 @@ def compute_spectrum(
 ) -> Spectrum:
     """Materialize the full spectrum for N = G_n <= n_max_states.
 
-    lambda_1..lambda_{N//2} come from the engine; the upper half is
-    filled in place with their conjugates, lambda_{N-k} = conj(lambda_k).
+    The engine writes lambda_1..lambda_{N//2} straight into their slots;
+    the upper half is filled in place with their conjugates,
+    lambda_{N-k} = conj(lambda_k), and lambda_N = 1 exactly.
     """
     N = window.modulus
     require_dense(N, n_max_states)
-    eig = np.ones(N, dtype=np.complex128)  # slot N-1 is lambda_N = 1 exactly
+    by_k = np.empty(N + 1, dtype=np.complex128)  # index k holds lambda_k
     worst = 0.0
-    pos = 0
-    for block in iter_eigenvalue_chunks(window):
-        eig[pos : pos + len(block)] = block
+    for block in iter_eigenvalue_chunks(window, out=by_k):
         m = float(np.max(np.abs(block)))
         if m > worst:
             worst = m
-        pos += len(block)
-    mirrored = N - 1 - pos  # k = pos+1..N-1 take conj(lambda_{N-k})
-    np.conjugate(eig[:mirrored][::-1], out=eig[pos : N - 1])
+    eig = by_k[1:]  # index k-1 holds lambda_k
+    half = N // 2
+    np.conjugate(eig[: N - 1 - half][::-1], out=eig[half : N - 1])
+    eig[N - 1] = 1.0
     return Spectrum(n=window.n, modulus=N, eigenvalues=eig, slem=worst)
+
+
+def squared_moduli(
+    window: SequenceWindow, n_max_states: int = DEFAULT_N_MAX
+) -> tuple[np.ndarray, float]:
+    """|lambda_k|^2 for k = 1..N//2, and the SLEM, from one engine pass.
+
+    |lambda_{N-k}| = |lambda_k|, so these are every nontrivial modulus.
+    Each square is fl(|lambda_k|)^2, and the SLEM is the largest
+    fl(|lambda_k|), bit for bit as compute_spectrum gives it.
+    """
+    N = window.modulus
+    require_dense(N, n_max_states)
+    if N < 2:
+        raise DegenerateStateSpace("N = 1 has no nontrivial eigenvalue")
+    sq = np.empty(N // 2)
+    worst = 0.0
+    pos = 0
+    for block in iter_eigenvalue_chunks(window):
+        m = np.abs(block)
+        worst = max(worst, float(m.max()))
+        np.multiply(m, m, out=sq[pos : pos + len(m)])
+        pos += len(m)
+    return sq, worst
 
 
 def slem_streaming(window: SequenceWindow) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
+from fractions import Fraction
 
 import numpy as np
 
@@ -18,9 +19,10 @@ from .errors import DomainError, UnknownSuite
 from .recurrence import PRESETS, RecurrenceSpec, generate, s_value
 from .spectrum import (
     DEFAULT_N_MAX,
-    compute_spectrum,
-    iter_k_blocks,
+    iter_k_rows,
+    row_width,
     slem_streaming,
+    squared_moduli,
     unnormalized_values,
 )
 from .bounds import seq2bound_multiset, ubl_sums
@@ -87,7 +89,13 @@ def angle_cover_suite(specs: dict[str, RecurrenceSpec], n_max: int = 8) -> Suite
     closed interval [1/(s+1), s/(s+1)].
 
     Containment is decided in exact integers: N <= (s+1) r <= s N with
-    r = (k G_j) mod N; the reported margin is the float fraction.
+    r = (k G_j) mod N; the reported margin is the float fraction.  The
+    scan takes k = q*B + j over k <= N/2, as the eigenvalue engine does:
+    r = a + b - N [a + b >= N] with a = q (B G_j mod N) mod N per row and
+    b = j G_j mod N per table, so no remainder is taken per (k, step).
+    k' = N - k has r' = N - r (0 when r = 0), which is covered exactly
+    when r is, so each k < N/2 counts twice; its margin is computed from
+    r' as the k' scan would, so the worst margin is the same float.
     """
     cases = []
     worst = math.inf
@@ -95,19 +103,36 @@ def angle_cover_suite(specs: dict[str, RecurrenceSpec], n_max: int = 8) -> Suite
         N = window.modulus
         s = s_value(window.spec)
         lo_frac, hi_frac = 1.0 / (s + 1), s / (s + 1)
-        gs = window.steps[:-1]  # j = 1..n-1
+        B = row_width(N)
+        blocks = iter_k_rows(N, B)
+        js = np.arange(B, dtype=np.int64)
+        tables = [(js * g % N, B * g % N) for g in window.steps[:-1]]  # j = 1..n-1
         miss = 0
         margin = math.inf
-        for ks in iter_k_blocks(N):
-            covered = np.zeros(len(ks), dtype=bool)
-            best = np.full(len(ks), -math.inf)
-            for g in gs:
-                r = (ks * g) % N
+        middle_missed = False  # k = N/2, its own mirror, counts once
+        for qs, keep in blocks:
+            covered = np.zeros((len(qs), B), dtype=bool)
+            best = np.full((len(qs), B), -math.inf)
+            best_mirror = best.copy()
+            for table, bg in tables:
+                r = (qs * bg % N)[:, None] + table
+                r -= N * (r >= N)
                 covered |= (N <= (s + 1) * r) & ((s + 1) * r <= s * N)
-                frac = r / N
-                best = np.maximum(best, np.minimum(frac - lo_frac, hi_frac - frac))
-            miss += int(np.count_nonzero(~covered))
-            margin = min(margin, float(best.min()))
+                mirror = N - r  # r' for k' = N - k
+                mirror[r == 0] = 0
+                for rr, top in ((r, best), (mirror, best_mirror)):
+                    frac = rr / N
+                    np.maximum(top, np.minimum(frac - lo_frac, hi_frac - frac), out=top)
+            missed = ~covered.ravel()[keep]
+            miss += 2 * int(np.count_nonzero(missed))
+            middle_missed = bool(missed[-1])
+            margin = min(
+                margin,
+                float(best.ravel()[keep].min()),
+                float(best_mirror.ravel()[keep].min()),
+            )
+        if N % 2 == 0 and middle_missed:
+            miss -= 1
         worst = min(worst, margin)
         cases.append(
             {"sequence": name, "n": window.n, "uncovered": miss, "margin": margin}
@@ -174,17 +199,17 @@ def multiset_domination_suite() -> SuiteResult:
 def ubl_consistency_suite(
     specs: dict[str, RecurrenceSpec],
     n_max: int = 8,
-    epsilon: float = 0.25,
+    epsilon: Fraction | float = 0.25,
     n_max_states: int = DEFAULT_N_MAX,
 ) -> SuiteResult:
     """TV(t)^2 <= (1/4) sum_{k<N} |lambda_k|^(2t) at every scanned t."""
     cases = []
     worst = math.inf
     for name, window in _preset_windows(specs, n_max):
-        spectrum = compute_spectrum(window, n_max_states=n_max_states)
-        result = walk.mixing_time(window, epsilon, n_max_states=n_max_states)
+        sq, slem = squared_moduli(window, n_max_states=n_max_states)
+        result = walk.mixing_time(window, epsilon, n_max_states=n_max_states, slem=slem)
         margin = math.inf
-        for (_, tv), rhs in zip(result.tv_curve, ubl_sums(spectrum)):
+        for (_, tv), rhs in zip(result.tv_curve, ubl_sums(sq, window.modulus)):
             margin = min(margin, rhs - tv * tv)
         worst = min(worst, margin)
         cases.append({"sequence": name, "n": window.n, "margin": margin})
@@ -196,7 +221,7 @@ def run_suites(
     suite: str,
     specs: dict[str, RecurrenceSpec] | None = None,
     n_max: int = 8,
-    epsilon: float = 0.25,
+    epsilon: Fraction | float = 0.25,
     n_max_states: int = DEFAULT_N_MAX,
 ) -> list[SuiteResult]:
     """Run one named suite, or all of them."""

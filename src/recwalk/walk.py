@@ -3,25 +3,41 @@
 The walk is X_{t+1} = X_t + z_t mod N with z_t uniform on the n
 distinct steps window.steps = (G_1, ..., G_{n-1}, 0), started from the
 point mass at 0.  Laws are dense float64 arrays over Z_N: entry x is
-the mass at x, and N is the array's length.
+the mass at x, and N is the array's length.  The mixing scan works on
+path counts instead: P^t(x) = c_x / n^t, where the integer c_x counts
+the step sequences of length t that end at x.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import NoMixing
+from .errors import InsideErrorBand, NoMixing
 from .recurrence import SequenceWindow
-from .spectrum import DEFAULT_N_MAX, compute_spectrum, require_dense
+from .spectrum import DEFAULT_N_MAX, compute_spectrum, require_dense, slem_streaming
 
-# Hard stop for the mixing scan.  slem < 1 drives the exact TV to zero
-# geometrically, but the float TV stalls at a floor of rounding dust, so
-# an epsilon below that floor is never met and the scan runs to this cap:
-# fib-odd n = 9 at epsilon = 1e-16 scans all 10^6 steps before NoMixing
-# (60 s in ROADMAP item 1), and larger N take longer.
-_SCAN_CAP = 1_000_000
+# Path counts, and sums of up to two totals of them, stay exact in int64
+# (read as uint64 for those sums) while the total n^t is below this.
+_INT64_PATHS = 1 << 63
+
+# Margin on the engine's SLEM when it bounds the scan: ten times the 1e-15
+# the tests allow between the engine and one exp per term.
+_SLEM_ERROR = 1e-14
+
+# Unit roundoff of float64.
+_U = 2.0**-53
+
+# The float scan rescales its counts by 2^-_RESCALE_BITS once their total
+# passes 2^_RESCALE_BITS, an exact operation that keeps them in range.
+_RESCALE_BITS = 512
+
+# The float scan sums its TV terms in rows of this many, whatever order
+# numpy adds a row in, and adds the row sums with math.fsum.
+_SUM_ROW = 256
 
 
 @dataclass(frozen=True)
@@ -56,47 +72,66 @@ def step_distribution(
 _TILE = 1 << 16
 
 
+def _tile_plan(window: SequenceWindow) -> list[tuple[int, int, list[tuple[int, int, int]]]]:
+    """Per tile [lo, hi) of an N-entry output, the adds of the nonzero steps.
+
+    Each add (a, b, s) is out[a:b] += src[s : s + b - a], so that out[j]
+    takes src[(j - x) mod N] for the step x; a step inside the tile splits
+    it at j = x, where the source index wraps.  Adds run in increasing x.
+    The hold, step 0, is the smallest step and becomes the tile's copy of
+    src[lo:hi], so it is not listed.
+    """
+    N = window.modulus
+    shifts = sorted(window.steps)[1:]
+    plan = []
+    for lo in range(0, N, _TILE):
+        hi = min(lo + _TILE, N)
+        adds = []
+        for x in shifts:
+            if x <= lo:
+                adds.append((lo, hi, lo - x))
+            elif x >= hi:
+                adds.append((lo, hi, lo - x + N))
+            else:
+                adds.append((lo, x, lo - x + N))
+                adds.append((x, hi, 0))
+        plan.append((lo, hi, adds))
+    return plan
+
+
+def _convolve_tiles(src: np.ndarray, out: np.ndarray, plan):
+    """Fill out with the sum over the steps x of src shifted by x, a tile
+    at a time, and yield each tile as soon as it is complete, while it is
+    still in cache."""
+    for lo, hi, adds in plan:
+        tile = out[lo:hi]
+        np.copyto(tile, src[lo:hi])
+        for a, b, s in adds:
+            out[a:b] += src[s : s + b - a]
+        yield tile
+
+
 class _Convolver:
-    """Cyclic convolution with the window's step law, in the time domain.
+    """Cyclic convolution of a float law with the window's step law.
 
     The law puts the weight w = fl(1/n) on each of the n distinct steps,
     so a shift-and-add over them is O(N * n) and free of FFT rounding.
     Each call forms fl(w * probs) once, into a buffer owned here, and adds
-    its shifted copies into the caller's out buffer with slices, one
-    _TILE-entry tile of out at a time, shifts in increasing x within each
-    tile.  Every output entry thus receives the same products in the same
-    order as the sum over x of w * np.roll(probs, x), so results are
+    its shifted copies into the caller's out buffer by _convolve_tiles.
+    Every output entry thus receives the same products in the same order
+    as the sum over x of w * np.roll(probs, x), so results are
     bit-identical to that sum, without allocating per call.
     """
 
     def __init__(self, window: SequenceWindow):
-        N = window.modulus
         self.weight = 1.0 / window.n
-        self.product = product = np.empty(N)
-        shifts = sorted(window.steps)
-        # Per tile [lo, hi): the adds out[a:b] += source, where out[j] takes
-        # product[(j - x) mod N]; a shift x inside the tile splits it at
-        # j = x, where the source index wraps.
-        self.plan = []
-        for lo in range(0, N, _TILE):
-            hi = min(lo + _TILE, N)
-            adds = []
-            for x in shifts:
-                if x <= lo:
-                    adds.append((lo, hi, product[lo - x : hi - x]))
-                elif x >= hi:
-                    adds.append((lo, hi, product[lo - x + N : hi - x + N]))
-                else:
-                    adds.append((lo, x, product[lo - x + N :]))
-                    adds.append((x, hi, product[: hi - x]))
-            self.plan.append((lo, hi, adds))
+        self.product = np.empty(window.modulus)
+        self.plan = _tile_plan(window)
 
     def __call__(self, probs: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(probs, self.weight, out=self.product)
-        for lo, hi, adds in self.plan:
-            out[lo:hi] = 0.0
-            for a, b, source in adds:
-                out[a:b] += source
+        for _ in _convolve_tiles(self.product, out, self.plan):
+            pass
         return out
 
 
@@ -154,43 +189,210 @@ def evolve(window: SequenceWindow, t: int, method: str = "spectral") -> np.ndarr
     return np.fft.fft(_powers_clamped(lam, t)).real / N
 
 
-def tv_to_uniform(probs: np.ndarray, work: np.ndarray | None = None) -> float:
-    """(1/2) sum_x |probs[x] - 1/N|, N = len(probs).
-
-    work, when given, is an N-entry float64 buffer that is overwritten
-    instead of allocating one.
-    """
-    dev = np.subtract(probs, 1.0 / len(probs), out=work)
+def tv_to_uniform(probs: np.ndarray) -> float:
+    """(1/2) sum_x |probs[x] - 1/N|, N = len(probs)."""
+    dev = probs - 1.0 / len(probs)
     return 0.5 * float(np.abs(dev, out=dev).sum())
+
+
+def _sparse_step(pos: np.ndarray, cnt: np.ndarray, steps: np.ndarray, N: int):
+    """One step of the path counts held on the occupied residues only.
+
+    pos is sorted; each step's shifted copy of it is sorted but for one
+    wrap, so a stable sort merges n * 2 runs.  Equal positions are then
+    summed with np.add.reduceat, and the result is sorted again.
+    """
+    nxt = (steps[:, None] + pos).ravel()
+    nxt[nxt >= N] -= N
+    order = np.argsort(nxt, kind="stable")
+    nxt = nxt[order]
+    counts = np.tile(cnt, len(steps))[order]
+    starts = np.flatnonzero(np.concatenate(([True], nxt[1:] != nxt[:-1])))
+    return nxt[starts], np.add.reduceat(counts, starts)
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), Higham's bound on k float64 roundings."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _band(n: int, float_steps: int) -> float:
+    """Error band of the float TV after float_steps float shift-adds; see
+    mixing_time."""
+    m = (n - 1) * float_steps + 1
+    rows = _gamma(_SUM_ROW + 2)
+    return (_gamma(m + 3) + rows) * (1.0 + rows)
+
+
+def _ubl_last_step(N: int, slem: float, eps: Fraction) -> int:
+    """A t with TV(t) <= eps, from 4 TV(t)^2 <= (N - 1) slem^(2t).
+
+    That is the upper-bound lemma (Diaconis, Group Representations in
+    Probability and Statistics, 1988, Ch. 3) with every nontrivial
+    |lambda_k| at most the SLEM, raised by _SLEM_ERROR; one step is added
+    for the rounding of the logarithms.
+    """
+    lam = slem + _SLEM_ERROR
+    if lam >= 1.0:
+        raise NoMixing(
+            f"SLEM {slem!r} is 1 within the engine's error {_SLEM_ERROR}: "
+            "no t is known to bring TV below epsilon"
+        )
+    log_eps2 = math.log(2 * eps.numerator) - math.log(eps.denominator)
+    t = (log_eps2 - 0.5 * math.log(N - 1)) / math.log(lam)
+    return max(math.ceil(t), 0) + 1
 
 
 def mixing_time(
     window: SequenceWindow,
-    epsilon: float,
+    epsilon: Fraction | float,
     n_max_states: int = DEFAULT_N_MAX,
+    slem: float | None = None,
 ) -> MixingResult:
     """Smallest t with TV(P^t, uniform) <= epsilon, by forward scan from 0.
 
-    The scan advances one time-domain convolution per step, so TV(t) is
-    free of FFT rounding.  It allocates nothing per step: the buffer the
-    next convolution overwrites doubles as the TV work buffer.  The
-    threshold test is a float comparison: when TV(t) equals epsilon as
-    a rational, the rounded TV can land just above float(epsilon) and
-    the scan returns t + 1 (pow2 n = 5 at epsilon = 5/16 gives 3, where
-    the exact answer is 2).
+    epsilon is taken exactly, as a Fraction (a float by its binary
+    value).  The scan advances the path counts c_x, whose total is
+    M = n^t, in three phases:
+
+    - Sparse start.  After t steps at most C(n+t-1, t) residues are
+      occupied, so while s occupied residues give s * n <= N/4 candidates
+      the counts live on those residues only (_sparse_step).
+    - Dense, exact.  The counts are scattered once into an int64 array
+      and advanced by _convolve_tiles, with no weights, while M < 2^63.
+      With k = M // N the residues above uniform are A = {x : c_x > k},
+      and TV(t) = (N * sum_A c_x - |A| * M) / (N * M).  Each tile
+      contributes sum max(c - k, 0) and its count above k while it is in
+      cache, so TV(t) <= p/q is one comparison of Python integers, and
+      the curve holds the correctly rounded TV(t).
+    - Past the int64 range the counts are converted to float64 once, at
+      t0, and advanced unweighted, rescaled by exact powers of two.  The
+      scan then decides only outside an a-priori band delta around the
+      float TV, and raises InsideErrorBand when epsilon is inside it.
+      The last t it may need comes from the SLEM (taken from the engine
+      unless given): 4 TV(t)^2 <= (N - 1) slem^(2t).  When epsilon is
+      below the band at that t, InsideErrorBand is raised before any
+      float step; when the SLEM is 1 within the engine's error, NoMixing.
+
+    The band (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., Sec. 4.2; u = 2^-53 and gamma_k = k u / (1 - k u)).  Every
+    count is a sum of nonnegative terms: the conversion rounds once and
+    each float step adds n terms, so after t - t0 float steps each
+    count f_x is within gamma_m of its exact value y_x = c_x 2^-e, with
+    m = (n - 1)(t - t0) + 1.  The float TV is sum max(f_x - h, 0) / a,
+    where a = M 2^-e = sum y_x and h = a/N are each correctly rounded.
+    The errors of f_x move the clamped terms by sum |f_x - y_x| <=
+    gamma_m a in all, h by u a, and the subtractions by u sum |f_x - h|
+    <= 2u a to first order, so the clamped terms sum to TV a within
+    gamma_{m+3} a.  Their sum, in rows of _SUM_ROW added in any order and
+    then by math.fsum, and the division by a round that sum by a factor
+    within gamma_{_SUM_ROW+2}.  Since TV <= 1,
+
+        |TV^ - TV| <= delta = (gamma_{m+3} + g) (1 + g),
+        g = gamma_{_SUM_ROW+2}.
+
+    Residues whose share falls below 2^-1022 of the total may flush to
+    zero; their mass is far inside delta.
     """
-    if not 0.0 < float(epsilon) < 1.0:
+    eps = Fraction(epsilon)
+    if not 0 < eps < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    eps = float(epsilon)
-    N = window.modulus
+    p, q = eps.numerator, eps.denominator
+    N, n = window.modulus, window.n
     require_dense(N, n_max_states)
-    convolve = _Convolver(window)
-    probs, spare = point_mass(N), np.empty(N)
     curve: list[tuple[int, float]] = []
-    for t in range(_SCAN_CAP + 1):
-        tv = tv_to_uniform(probs, work=spare)
+
+    def mixed(t: int, M: int, above: int, count: int) -> bool:
+        """Record the exact TV(t) from above = sum max(c - M//N, 0) and
+        count = #{c > M//N}; True when TV(t) <= eps."""
+        excess = N * above - count * (M % N)  # N sum_A c - |A| M
+        curve.append((t, excess / (N * M)))  # int division rounds correctly
+        return q * excess <= p * N * M
+
+    def result(t: int) -> MixingResult:
+        return MixingResult(n=n, N=N, t_mix=t, tv_curve=tuple(curve))
+
+    steps = np.array(window.steps, dtype=np.int64)
+    pos = np.zeros(1, dtype=np.int64)
+    cnt = np.ones(1, dtype=np.int64)
+    t, M = 0, 1
+    while True:
+        over = np.maximum(cnt - M // N, 0)
+        if mixed(t, M, int(over.sum()), int(np.count_nonzero(over))):
+            return result(t)
+        if len(pos) * n > N // 4 or M * n >= _INT64_PATHS:
+            break
+        pos, cnt = _sparse_step(pos, cnt, steps, N)
+        t, M = t + 1, M * n
+
+    cur = np.zeros(N, dtype=np.int64)
+    cur[pos] = cnt
+    spare = np.empty(N, dtype=np.int64)
+    del pos, cnt, over
+    plan = _tile_plan(window)
+    width = min(N, _TILE)
+    scratch = np.empty(width, dtype=np.int64)
+    mask = np.empty(width, dtype=bool)
+    while M * n < _INT64_PATHS:
+        t, M = t + 1, M * n
+        k = M // N
+        above = count = 0
+        for tile in _convolve_tiles(cur, spare, plan):
+            w = len(tile)
+            # sum max(c, k) <= M + N k <= 2M < 2^64: exact as uint64
+            top = np.maximum(tile, k, out=scratch[:w]).view(np.uint64)
+            above += int(top.sum()) - w * k
+            count += int(np.count_nonzero(np.greater(tile, k, out=mask[:w])))
+        cur, spare = spare, cur
+        if mixed(t, M, above, count):
+            return result(t)
+
+    t0 = t
+    if slem is None:
+        slem = slem_streaming(window)
+    t_last = _ubl_last_step(N, slem, eps)
+    floor = _band(n, max(t_last - t0, 0))
+    if eps <= floor:
+        raise InsideErrorBand(
+            f"epsilon = {eps} is below the float64 error band {floor:.2e} of "
+            f"TV at t = {t_last}, the step the SLEM bound needs, so TV <= "
+            f"epsilon cannot be decided; path counts leave int64 after t = {t0}"
+        )
+    counts = spare.view(np.float64)
+    np.copyto(counts, cur)
+    fspare, fscratch = cur.view(np.float64), scratch.view(np.float64)
+    e = 0  # counts hold c_x 2^-e
+    while t < t_last:
+        t, M = t + 1, M * n
+        scale = 1.0
+        if M >> e > 1 << _RESCALE_BITS:
+            scale, e = 2.0**-_RESCALE_BITS, e + _RESCALE_BITS
+        h = M / (N << e)
+        sums: list[float] = []
+        for tile in _convolve_tiles(counts, fspare, plan):
+            if scale != 1.0:
+                tile *= scale
+            d = np.subtract(tile, h, out=fscratch[: len(tile)])
+            np.maximum(d, 0.0, out=d)
+            cut = len(d) - len(d) % _SUM_ROW
+            sums += d[:cut].reshape(-1, _SUM_ROW).sum(axis=1).tolist()
+            sums.append(float(d[cut:].sum()))
+        counts, fspare = fspare, counts
+        # TV(t) <= TV(t-1), and the band only widens with t, so the cap
+        # keeps the curve nonincreasing and within the band
+        tv = min(math.fsum(sums) / (M / (1 << e)), curve[-1][1])
         curve.append((t, tv))
-        if tv <= eps:
-            return MixingResult(n=window.n, N=N, t_mix=t, tv_curve=tuple(curve))
-        probs, spare = convolve(probs, spare), probs
-    raise NoMixing(f"TV never reached {eps} within {_SCAN_CAP} steps")
+        delta = _band(n, t - t0)
+        gap = Fraction(tv) - eps
+        if abs(gap) <= delta:
+            raise InsideErrorBand(
+                f"TV({t}) = {tv!r} within {delta:.2e} of epsilon = {eps}: "
+                f"float64 cannot decide TV <= epsilon past t = {t0}, "
+                "where path counts leave int64"
+            )
+        if gap < 0:
+            return result(t)
+    raise NoMixing(
+        f"TV({t}) is still above epsilon = {eps}, past the t = {t_last} "
+        f"the SLEM {slem!r} bounds it by"
+    )

@@ -10,7 +10,6 @@ from recwalk import (
     DegenerateStateSpace,
     DomainError,
     PRESETS,
-    Spectrum,
     build_report,
     compute_spectrum,
     estimate_growth,
@@ -25,7 +24,9 @@ from recwalk import (
     m_of_n,
     relaxation_lower,
     seq2bound_multiset,
+    squared_moduli,
     ubl_implied_t,
+    ubl_sums,
     unnormalized_values,
     upper_first_order,
     upper_general,
@@ -178,8 +179,9 @@ def test_relaxation_lower_values():
 def test_ubl_implied_t_matches_frozen_scan():
     for name, expected in UBL_IMPLIED_T.items():
         for n in range(2, 10):
-            spectrum = compute_spectrum(generate(PRESETS[name], n))
-            assert ubl_implied_t(spectrum, 0.25) == expected[n - 2], (name, n)
+            window = generate(PRESETS[name], n)
+            sq, _ = squared_moduli(window)
+            assert ubl_implied_t(sq, window.modulus, 0.25) == expected[n - 2], (name, n)
 
 
 def test_ubl_upper_bounds_exact_mixing():
@@ -189,21 +191,29 @@ def test_ubl_upper_bounds_exact_mixing():
 
 
 def test_ubl_trivial_spectrum():
-    spectrum = Spectrum(
-        n=2, modulus=2, eigenvalues=np.array([0.0 + 0j, 1.0 + 0j]), slem=0.0
-    )
-    assert ubl_implied_t(spectrum, 0.25) == 1
+    # N = 2 with lambda_1 = 0: the sum is 1/4 at t = 0 and 0 after
+    assert ubl_implied_t(np.array([0.0]), 2, 0.25) == 1
 
 
 def test_ubl_rejects_degenerate_inputs():
-    one = Spectrum(n=1, modulus=1, eigenvalues=np.ones(1, dtype=complex), slem=0.0)
     with pytest.raises(DegenerateStateSpace):
-        ubl_implied_t(one, 0.25)
-    bad = Spectrum(
-        n=2, modulus=2, eigenvalues=np.ones(2, dtype=complex), slem=1.0
-    )
+        ubl_implied_t(np.empty(0), 1, 0.25)
     with pytest.raises(DomainError):
-        ubl_implied_t(bad, 0.25)
+        ubl_implied_t(np.array([1.0]), 2, 0.25)
+
+
+def test_ubl_sums_count_mirrors_once_each():
+    # the half-spectrum sum equals the full one over k = 1..N-1
+    for name in PRESETS:
+        for n in (2, 5, 8):
+            window = generate(PRESETS[name], n)
+            N = window.modulus
+            sq, slem = squared_moduli(window)
+            spectrum = compute_spectrum(window)
+            assert slem == spectrum.slem
+            full = np.abs(spectrum.eigenvalues[:-1]) ** 2
+            for t, total in zip(range(6), ubl_sums(sq, N)):
+                assert total == pytest.approx(0.25 * float((full**t).sum()), rel=1e-13)
 
 
 def test_seq2bound_multiset_small_cases():
@@ -322,8 +332,10 @@ def test_build_report_streaming_fallback():
 
 
 def test_build_report_frees_spectrum_before_scan():
-    # the 16 N-byte spectrum is gone before the scan takes its 24 N bytes;
-    # held through the scan, the peak was 48 N
+    # no dense spectrum: the 4 N bytes of squared moduli are gone before
+    # the scan takes its 16 N (25 N here, with one tile of scratch and the
+    # engine's blocks); the spectrum held through the scan made it 48 N,
+    # and freed before it 37 N
     window = generate(PRESETS["pow2"], 17)  # N = 2^16
     tracemalloc.start()
     try:
@@ -331,7 +343,7 @@ def test_build_report_frees_spectrum_before_scan():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 44 * window.modulus
+    assert peak < 32 * window.modulus
 
 
 def test_build_report_requires_n_at_least_2():

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -114,6 +115,25 @@ def test_mix_epsilon_flag(capsys):
     doc = json.loads(out)
     assert doc["t_mix"] == 5
     assert doc["epsilon"] == "1/20"
+
+
+def test_mix_rational_tie_is_exact(capsys):
+    # TV(2) = 5/16 exactly; the float scan compared 0.3125000000000001
+    # with float(5/16) and answered 3
+    code, out, _ = run_cli(capsys, "mix", "--seq", "pow2", "--n", "5", "--epsilon", "5/16")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "2,0.3125"
+
+
+def test_mix_epsilon_below_float_band_exits_fast(capsys):
+    # fib-odd n = 9 leaves the int64 range after t = 19, where 1e-16 is
+    # below the float band; the float scan once ran 10^6 steps here (60 s)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "mix", "--seq", "fib-odd", "--n", "9", "--epsilon", "1e-16")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "error band" in err
 
 
 def test_bad_epsilon_rejected(capsys):

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,6 +87,8 @@ def _blocked_simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
     Trajectories ran in blocks of 2^20, each block drawing all of its
     steps before the next; one Counter per t gathered the histograms.
     Below N = 2^62 positions were int64, past it a list of Python ints.
+    With N > T the TV is taken as the exact 1 - occupied/N, correctly
+    rounded, as simulate_tv now reports it.
     """
     block = 1 << 20
     window = config.window
@@ -116,6 +119,9 @@ def _blocked_simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
                 counters[t].update(pos_big)
     out = []
     for t in range(config.t_max + 1):
+        if N > T:  # every occupied state is above uniform: TV = 1 - occupied/N
+            out.append((t, float(Fraction(N - len(counters[t]), N))))
+            continue
         occupied = np.fromiter(counters[t].values(), dtype=np.float64) / T - 1.0 / N
         missing = (N - len(counters[t])) / N
         out.append((t, 0.5 * (float(np.abs(occupied).sum()) + missing)))
@@ -212,3 +218,11 @@ def test_trajectory_count_capped():
         SimConfig(
             window=window, t_max=5, num_trajectories=_MAX_TRAJECTORIES + 1, seed=1
         )
+
+
+def test_sparse_tv_never_exceeds_one():
+    # N = 2^69 > T: the float sum of the histogram terms once gave
+    # 1.0000000000000002; 1 - occupied/N, correctly rounded, is 1.0 here
+    window = generate(PRESETS["pow2"], 70)
+    config = SimConfig(window=window, t_max=3, num_trajectories=1000, seed=0)
+    assert simulate_tv(config) == [(t, 1.0) for t in range(4)]

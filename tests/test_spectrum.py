@@ -16,7 +16,7 @@ from recwalk import (
 
 from recwalk import spectrum
 from recwalk import verify
-from recwalk.spectrum import _CHUNK, _INT64_SAFE_N, _ROW_MAX, _roots, iter_k_blocks
+from recwalk.spectrum import _CHUNK, _INT64_SAFE_N, _ROW_MAX, _roots, iter_k_rows, row_width
 from recwalk.verify import lifting_suite
 
 from expected_values import SLEMS
@@ -158,20 +158,24 @@ def test_roots_take_signed_angles():
         assert _roots(N, np.zeros(1, dtype=np.int64))[0] == 1.0
 
 
-def test_k_blocks_cover_one_to_n_minus_one(monkeypatch):
+def test_k_rows_cover_one_to_half_n(monkeypatch):
     monkeypatch.setattr(spectrum, "_CHUNK", 64)
-    for N in (1, 2, 3, 64, 65, 129):
-        blocks = list(iter_k_blocks(N))
-        assert all(b.dtype == np.int64 and 1 <= len(b) <= 64 for b in blocks), N
-        got = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
-        assert np.array_equal(got, np.arange(1, N)), N
+    for N in (1, 2, 3, 64, 65, 129, 2**12 + 7):
+        B = row_width(N)
+        assert B * B >= N // 2 + 1, N
+        blocks = list(iter_k_rows(N, B))
+        assert all(qs.dtype == np.int64 and 1 <= len(qs) <= max(1, 64 // B)
+                   for qs, _ in blocks), N
+        ks = [(qs[:, None] * B + np.arange(B)).ravel()[keep] for qs, keep in blocks]
+        got = np.concatenate(ks) if ks else np.empty(0, dtype=np.int64)
+        assert np.array_equal(got, np.arange(1, N // 2 + 1)), N
 
 
-def test_k_blocks_refuse_past_int64_range(monkeypatch):
+def test_k_rows_refuse_past_int64_range():
     with pytest.raises(StateSpaceTooLarge):
-        next(iter_k_blocks(_INT64_SAFE_N + 1))
-    monkeypatch.setattr(spectrum, "_CHUNK", 4)
-    assert next(iter_k_blocks(_INT64_SAFE_N)).tolist() == [1, 2, 3, 4]
+        iter_k_rows(_INT64_SAFE_N + 1, _ROW_MAX)
+    qs, keep = next(iter_k_rows(_INT64_SAFE_N, _ROW_MAX))
+    assert qs[0] == 0 and keep.start == 1
     with pytest.raises(StateSpaceTooLarge):
         slem_streaming(generate(PRESETS["pow2"], 33))  # N = 2^32
 

@@ -148,11 +148,17 @@ def _angle_margin_oracle(window):
 
 
 def _ubl_margin_oracle(window):
-    sq = np.abs(compute_spectrum(window).eigenvalues[:-1]) ** 2
+    # |lambda_{N-k}| = |lambda_k|: twice the k < N/2, and k = N/2 once
+    N = window.modulus
+    sq = np.abs(compute_spectrum(window).eigenvalues[: N // 2]) ** 2
+    mirrored = (N - 1) // 2
     powered = np.ones_like(sq)
     margin = math.inf
     for _, tv in mixing_time(window, 0.25).tv_curve:
-        margin = min(margin, 0.25 * float(powered.sum()) - tv * tv)
+        total = 2.0 * float(powered[:mirrored].sum())
+        if mirrored < len(sq):
+            total += float(powered[mirrored])
+        margin = min(margin, 0.25 * total - tv * tv)
         powered *= sq
     return margin
 

@@ -1,4 +1,7 @@
+import re
+import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +9,8 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from recwalk import (
+    InsideErrorBand,
+    NoMixing,
     PRESETS,
     RecurrenceSpec,
     RecwalkError,
@@ -22,6 +27,7 @@ from recwalk import (
 from recwalk import walk
 from recwalk.walk import _Convolver
 
+import path_counts
 from expected_values import EXACT_TMIX
 from test_spectrum import per_term_exp_eigenvalues
 
@@ -44,18 +50,25 @@ def _roll_convolve(probs, step):
     return out
 
 
-def _roll_scan(window, epsilon):
-    """Reference TV curve up to the first t with TV <= epsilon."""
-    step = step_distribution(window)
-    N = len(step)
-    probs = point_mass(N)
-    curve = []
-    while True:
-        tv = 0.5 * float(np.abs(probs - 1.0 / N).sum())
-        curve.append((len(curve), tv))
-        if tv <= epsilon:
-            return tuple(curve)
-        probs = _roll_convolve(probs, step)
+def _assert_curve_matches_oracle(window, epsilon):
+    """The scan's TV curve is float(TV(t)) of the integer oracle, exactly,
+    while n^t < 2^63, and within the float band past that; t_mix is the
+    oracle's."""
+    res = mixing_time(window, epsilon)
+    exact = path_counts.tv_curve(window, res.t_mix)
+    assert [t for t, _ in res.tv_curve] == list(range(res.t_mix + 1))
+    n, t0 = window.n, 0
+    while n > 1 and n ** (t0 + 1) < 2**63:
+        t0 += 1
+    for (t, tv), want in zip(res.tv_curve, exact):
+        if n**t < 2**63:
+            assert tv == float(want), (window.values, t)
+        else:
+            band = walk._band(n, t - t0)
+            assert abs(Fraction(tv) - want) <= band, (window.values, t)
+    eps = Fraction(epsilon)
+    assert exact[-1] <= eps and all(tv > eps for tv in exact[:-1])  # the oracle's t_mix
+    return res
 
 
 def test_step_distribution_counts_multiplicities():
@@ -180,8 +193,9 @@ def test_mixing_single_state():
 
 
 def test_mixing_scan_holds_no_step_law():
-    # live arrays: the law, the spare and the convolver's product buffer,
-    # 24 N bytes; a dense step law on top made it 32 N
+    # live arrays: the int64 counts and their spare, 16 N bytes, plus one
+    # tile of scratch and mask (9 N here, where N is one tile); the float
+    # scan's product buffer made it 24 N, and a dense step law on top 32 N
     window = generate(PRESETS["pow2"], 17)  # N = 2^16
     tracemalloc.start()
     try:
@@ -210,12 +224,13 @@ def test_convolution_bit_identical_to_roll_reference():
 
 
 def test_mixing_curve_bit_identical_to_roll_reference():
+    # now against the integer oracle; eps = 0.01 takes pow3 n = 8..10 and
+    # fib-odd n = 9, 10 past the int64 range of path counts
     for name in PRESETS:
         for n in range(1, 11):
             window = generate(PRESETS[name], n)
             for eps in (0.25, 0.01):
-                res = mixing_time(window, eps)
-                assert res.tv_curve == _roll_scan(window, eps), (name, n, eps)
+                _assert_curve_matches_oracle(window, eps)
 
 
 def _assert_convolver_matches_roll(window, steps):
@@ -243,7 +258,8 @@ def _assert_convolver_matches_roll(window, steps):
 def test_mixing_curve_bit_identical_past_one_tile(name, n):
     window = generate(PRESETS[name], n)
     assert window.modulus > walk._TILE
-    assert mixing_time(window, 0.25).tv_curve == _roll_scan(window, 0.25)
+    res = _assert_curve_matches_oracle(window, 0.25)
+    assert window.n**res.t_mix < 2**63  # exact all the way
 
 
 def test_small_tiles_bit_identical_to_roll_reference(monkeypatch):
@@ -257,8 +273,7 @@ def test_small_tiles_bit_identical_to_roll_reference(monkeypatch):
             probs = np.random.default_rng(n).random(len(step))
             got = _Convolver(window)(probs, np.empty_like(probs))
             assert np.array_equal(got, _roll_convolve(probs, step)), (name, n)
-            curve = mixing_time(window, 0.25).tv_curve
-            assert curve == _roll_scan(window, 0.25), (name, n)
+            _assert_curve_matches_oracle(window, 0.25)
     # tiles of 3 entries put shifts on both tile edges, inside tiles and
     # past a partial last tile
     monkeypatch.setattr(walk, "_TILE", 3)
@@ -314,6 +329,100 @@ def test_step_set_and_evolution_match_roll_oracle_property(window):
     assert all(0 <= x < window.modulus for x in steps)
     assert steps[-1] == 0
     assert np.array_equal(step_distribution(window), _counting_step_law(window))
-    assert mixing_time(window, 0.25).tv_curve == _roll_scan(window, 0.25)
+    _assert_curve_matches_oracle(window, 0.25)
     last = _assert_convolver_matches_roll(window, 24)
     assert np.array_equal(evolve(window, 24, method="direct"), last)
+
+
+def test_tie_probe_decided_exactly():
+    # epsilon = each exact TV(t) >= 1e-12 at t <= 24, every preset at
+    # n = 2..7: 426 cases, 155 of which the float scan got wrong.  Ties
+    # inside the int64 range are decided exactly; the 6 at n = 7, t = 23
+    # and 24 (7^23 >= 2^63) sit at the centre of the float band.
+    cases = refused = 0
+    for name in PRESETS:
+        for n in range(2, 8):
+            window = generate(PRESETS[name], n)
+            curve = path_counts.tv_curve(window, 24)
+            for t, tv in enumerate(curve):
+                if tv < Fraction(1, 10**12):
+                    continue
+                cases += 1
+                first = min(s for s, v in enumerate(curve) if v <= tv)
+                if n**first >= 2**63:
+                    with pytest.raises(InsideErrorBand):
+                        mixing_time(window, tv)
+                    refused += 1
+                else:
+                    assert mixing_time(window, tv).t_mix == first, (name, n, t)
+    assert (cases, refused) == (426, 6)
+
+
+def test_five_sixteenths_tie():
+    # TV(2) = 5/16 exactly at pow2 n = 5; its float is 0.3125000000000001
+    res = mixing_time(generate(PRESETS["pow2"], 5), Fraction(5, 16))
+    assert res.t_mix == 2
+    assert res.tv_curve == ((0, 0.9375), (1, 0.6875), (2, 0.3125))
+
+
+def test_float_scan_rescales_exactly(monkeypatch):
+    # a 4-bit rescale threshold makes the float phase rescale every step
+    monkeypatch.setattr(walk, "_RESCALE_BITS", 4)
+    for name, n in (("pow3", 8), ("fib-odd", 9)):
+        window = generate(PRESETS[name], n)
+        res = _assert_curve_matches_oracle(window, 0.01)
+        assert window.n**res.t_mix >= 2**63  # decided in float
+
+
+def test_slem_at_one_raises_no_mixing():
+    # the int64 range ends at t = 19 for n = 9, long before TV(t) <= 1e-6
+    window = generate(PRESETS["fib-odd"], 9)
+    with pytest.raises(NoMixing):
+        mixing_time(window, 1e-6, slem=1.0 - 1e-15)
+
+
+def test_epsilon_below_band_refused_before_float_scan():
+    window = generate(PRESETS["fib-odd"], 9)
+    start = time.perf_counter()
+    with pytest.raises(InsideErrorBand, match="error band"):
+        mixing_time(window, Fraction(1, 10**16))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sparse_start_runs_into_float_scan():
+    # steps {1, 0} on Z_4000 occupy t + 1 residues, so the counts stay
+    # sparse until n^t leaves int64 at t = 62 and go straight to float
+    window = generate(RecurrenceSpec((1, 1), (1, 4000)), 2)
+    res = _assert_curve_matches_oracle(window, 0.98)
+    assert res.t_mix > 62
+
+
+@PROPERTY_SETTINGS
+@given(
+    window=small_windows(),
+    epsilon=st.one_of(
+        st.fractions(Fraction(1, 10**9), Fraction(999, 1000), max_denominator=10**12),
+        st.floats(1e-9, 0.999),
+    ),
+)
+def test_mixing_time_matches_integer_oracle_property(window, epsilon):
+    # The oracle's big-integer work is about n N t additions; past 2^22 (a
+    # second or more) only the scan's own claims are checked.  A refusal
+    # is allowed only at a near-tie, where the exact TV at some t past the
+    # int64 range is within twice the band of epsilon.  Slow walks reach
+    # one at epsilon >= 1e-9: steps {1, 0} on Z_27 has
+    # |TV(2988) - 1e-9| = 1.5e-13, inside the band 3.5e-13 there.
+    n, N, eps = window.n, window.modulus, Fraction(epsilon)
+    try:
+        res = mixing_time(window, epsilon)
+    except InsideErrorBand as exc:
+        t = int(re.match(r"TV\((\d+)\)", str(exc)).group(1))
+        if n * N * t <= 2**22:
+            t0 = max(s for s in range(t) if n**s < 2**63)
+            curve = path_counts.tv_curve(window, t)
+            assert abs(curve[t] - eps) <= 2 * walk._band(n, t - t0)
+        return
+    tvs = [tv for _, tv in res.tv_curve]
+    assert all(b <= a for a, b in zip(tvs, tvs[1:]))
+    if n * N * res.t_mix <= 2**22:
+        assert res.t_mix == path_counts.t_mix(window, eps)
