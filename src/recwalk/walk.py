@@ -330,9 +330,10 @@ def mixing_time(
     spare = np.empty(N, dtype=np.int64)
     del pos, cnt, over
     plan = _tile_plan(window)
-    width = min(N, _TILE)
-    scratch = np.empty(width, dtype=np.int64)
-    mask = np.empty(width, dtype=bool)
+    # one tile of scratch; its first bytes double as the tile's mask once
+    # the tile's sum has been taken
+    scratch = np.empty(min(N, _TILE), dtype=np.int64)
+    mask = scratch.view(bool)
     while M * n < _INT64_PATHS:
         t, M = t + 1, M * n
         k = M // N

@@ -194,8 +194,9 @@ def test_mixing_single_state():
 
 def test_mixing_scan_holds_no_step_law():
     # live arrays: the int64 counts and their spare, 16 N bytes, plus one
-    # tile of scratch and mask (9 N here, where N is one tile); the float
-    # scan's product buffer made it 24 N, and a dense step law on top 32 N
+    # tile of scratch (8 N here, where N is one tile); the float scan held
+    # the law, its spare and a product buffer, 24 N, and a dense step law
+    # on top made it 32 N
     window = generate(PRESETS["pow2"], 17)  # N = 2^16
     tracemalloc.start()
     try:
