@@ -55,7 +55,6 @@ from .bounds import (
     kappa_general,
     lower_first_order,
     lower_general,
-    m_of_n,
     relaxation_lower,
     seq2bound_multiset,
     ubl_implied_t,

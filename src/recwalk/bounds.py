@@ -90,19 +90,6 @@ def lower_general(n: int, gamma: float, epsilon: float) -> float:
     return (n - g) / g * math.log(1.0 / (2.0 * epsilon))
 
 
-def m_of_n(window: SequenceWindow) -> int:
-    """Largest j with G_{n-j}/G_n > 1/n (0 if none), decided in exact ints."""
-    if window.n < 2:
-        raise DomainError(f"n must be at least 2, got {window.n}")
-    v = window.values
-    n, N = window.n, window.modulus
-    best = 0
-    for j in range(1, n):
-        if n * v[n - j - 1] > N:
-            best = j
-    return best
-
-
 def kappa_first_order(c: int) -> float:
     """kappa = 1/(1 - cos(pi/c)) for the sequence c^(n-1)."""
     if c < 2:

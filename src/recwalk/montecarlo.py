@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .recurrence import SequenceWindow
+from .walk import _tv_excess
 
 # (pos + step) stays below 2^63 whenever N is below this.
 _INT64_SAFE_N = 1 << 62
@@ -46,23 +47,18 @@ class SimConfig:
             raise ValueError("t_max must be nonnegative")
 
 
-def _empirical_tv(nonzero_counts: np.ndarray, total: int, N: int) -> float:
-    """TV between the histogram counts/total and uniform on N states, N <= total."""
-    occupied = nonzero_counts / total - 1.0 / N
-    missing = (N - len(nonzero_counts)) / N
-    return 0.5 * (float(np.abs(occupied).sum()) + missing)
-
-
 def simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
     """Empirical TV to uniform at every t = 0..t_max.
 
     Deterministic for a given config: t = 1..t_max each draw T step
     indices from one Philox stream.  Positions are int64 while N < 2^62
     and Python ints (an object array, exact at any N) past that.  When
-    N <= T, each t's counts come from np.bincount.  When N > T, every
-    occupied state holds at least 1/T > 1/N of the mass, so the TV is
-    exactly 1 - occupied/N: only the distinct positions are counted, and
-    (N - occupied) / N in integers rounds that fraction correctly.
+    N <= T, each t's counts come from np.bincount, and the mixing scan's
+    integer N T TV (walk._tv_excess) over N T rounds the TV correctly.
+    When N > T, every occupied state holds at least 1/T > 1/N of the
+    mass, so the TV is exactly 1 - occupied/N: only the distinct
+    positions are counted, and (N - occupied) / N in integers rounds that
+    fraction correctly.
     """
     window = config.window
     N = window.modulus
@@ -78,8 +74,9 @@ def simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
             pos += steps[rng.integers(0, window.n, size=T)]
             pos %= N
         if N <= T:
-            counts = np.bincount(pos)
-            out.append((t, _empirical_tv(counts[counts > 0], T, N)))
+            over = np.maximum(np.bincount(pos) - T // N, 0)
+            excess = _tv_excess(N, T, int(over.sum()), int(np.count_nonzero(over)))
+            out.append((t, excess / (N * T)))
             continue
         if dtype is object:
             occupied = len(set(pos.tolist()))

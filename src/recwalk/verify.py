@@ -88,51 +88,49 @@ def angle_cover_suite(specs: dict[str, RecurrenceSpec], n_max: int = 8) -> Suite
     """Every k in 1..N-1 has some j < n with frac(k G_j / N) in the
     closed interval [1/(s+1), s/(s+1)].
 
-    Containment is decided in exact integers: N <= (s+1) r <= s N with
-    r = (k G_j) mod N; the reported margin is the float fraction.  The
-    scan takes k = q*B + j over k <= N/2, as the eigenvalue engine does:
-    r = a + b - N [a + b >= N] with a = q (B G_j mod N) mod N per row and
-    b = j G_j mod N per table, so no remainder is taken per (k, step).
-    k' = N - k has r' = N - r (0 when r = 0), which is covered exactly
-    when r is, so each k < N/2 counts twice; its margin is computed from
-    r' as the k' scan would, so the worst margin is the same float.
+    With r = (k G_j) mod N that is N <= (s+1) r <= s N, so k is covered
+    exactly when best_k = max_j min((s+1) r - N, s N - (s+1) r) >= 0, in
+    int64 while (s+1) N < 2^63 (DomainError past it); the margin
+    min_k best_k / ((s+1) N), a quotient of Python ints, is correctly
+    rounded.  The scan takes k = q*B + j over k <= N/2, as the eigenvalue
+    engine does: r = a + b - N [a + b >= N] with a = q (B G_j mod N) mod N
+    per row and b = j G_j mod N per table, so no remainder is taken per
+    (k, step).
+    k' = N - k has r' = N - r (0 when r = 0), which leaves best_k as it
+    is, so each k < N/2 counts twice and k = N/2 once.
     """
     cases = []
     worst = math.inf
     for name, window in _preset_windows(specs, n_max):
         N = window.modulus
         s = s_value(window.spec)
-        lo_frac, hi_frac = 1.0 / (s + 1), s / (s + 1)
         B = row_width(N)
-        blocks = iter_k_rows(N, B)
+        blocks = iter_k_rows(N, B)  # refuses N past the int64 range first
+        if (s + 1) * N >= 1 << 63:
+            raise DomainError(
+                f"{name} n = {window.n}: (s + 1) N = {(s + 1) * N} is past the "
+                "int64 range of the exact angle-cover test"
+            )
         js = np.arange(B, dtype=np.int64)
         tables = [(js * g % N, B * g % N) for g in window.steps[:-1]]  # j = 1..n-1
         miss = 0
-        margin = math.inf
+        lowest = math.inf  # min_k best_k
         middle_missed = False  # k = N/2, its own mirror, counts once
         for qs, keep in blocks:
-            covered = np.zeros((len(qs), B), dtype=bool)
-            best = np.full((len(qs), B), -math.inf)
-            best_mirror = best.copy()
+            best = np.full((len(qs), B), -N, dtype=np.int64)  # every best_k >= -N
             for table, bg in tables:
                 r = (qs * bg % N)[:, None] + table
                 r -= N * (r >= N)
-                covered |= (N <= (s + 1) * r) & ((s + 1) * r <= s * N)
-                mirror = N - r  # r' for k' = N - k
-                mirror[r == 0] = 0
-                for rr, top in ((r, best), (mirror, best_mirror)):
-                    frac = rr / N
-                    np.maximum(top, np.minimum(frac - lo_frac, hi_frac - frac), out=top)
-            missed = ~covered.ravel()[keep]
+                r *= s + 1
+                np.maximum(best, np.minimum(r - N, s * N - r, out=r), out=best)
+            best = best.ravel()[keep]
+            missed = best < 0
             miss += 2 * int(np.count_nonzero(missed))
             middle_missed = bool(missed[-1])
-            margin = min(
-                margin,
-                float(best.ravel()[keep].min()),
-                float(best_mirror.ravel()[keep].min()),
-            )
+            lowest = min(lowest, int(best.min()))
         if N % 2 == 0 and middle_missed:
             miss -= 1
+        margin = lowest / ((s + 1) * N)
         worst = min(worst, margin)
         cases.append(
             {"sequence": name, "n": window.n, "uncovered": miss, "margin": margin}

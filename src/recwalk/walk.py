@@ -135,37 +135,11 @@ class _Convolver:
         return out
 
 
-def _powers_clamped(lam: np.ndarray, t: int) -> np.ndarray:
-    """lam**t by repeated squaring, clamping moduli at 1 after each multiply.
-
-    Without the clamp, rounding can push |lam^t| above 1 and the drift
-    compounds over large t.
-    """
-
-    def _clamp(z: np.ndarray) -> np.ndarray:
-        m = np.abs(z)
-        over = m > 1.0
-        if np.any(over):
-            z = z.copy()
-            z[over] /= m[over]
-        return z
-
-    result = np.ones_like(lam)
-    base = _clamp(lam.astype(np.complex128))
-    e = t
-    while e:
-        if e & 1:
-            result = _clamp(result * base)
-        base = _clamp(base * base)
-        e >>= 1
-    return result
-
-
 def evolve(window: SequenceWindow, t: int, method: str = "spectral") -> np.ndarray:
     """Law of X_t: the step law convolved t times with the point mass at 0.
 
-    method "spectral" (the default) powers the eigenvalues from
-    compute_spectrum and inverts with one FFT; "direct" repeats
+    method "spectral" (the default) powers the eigenvalues k <= N/2 from
+    compute_spectrum and inverts with one irfft; "direct" repeats
     time-domain convolution and serves as the independent oracle for
     the spectral path.
     """
@@ -183,10 +157,19 @@ def evolve(window: SequenceWindow, t: int, method: str = "spectral") -> np.ndarr
         for _ in range(t):
             probs, spare = convolve(probs, spare), probs
         return probs
-    # Index m holds lambda_m, and lambda_0 = lambda_N = 1 exactly.  Then
-    # fft gives sum_m lambda_m^t xi_N^(-m x) = N * P(X_t = x).
-    lam = np.roll(compute_spectrum(window).eigenvalues, 1)
-    return np.fft.fft(_powers_clamped(lam, t)).real / N
+    # lam[m] = lambda_m for m <= N//2 and lambda_{N-m} = conj(lambda_m), so
+    # irfft of conj(lam)^t is (1/N) sum_m lambda_m^t xi_N^(-m x) = P(X_t = x).
+    # Clamping the moduli at 1 keeps rounding from growing |lambda^t| with t.
+    eig = compute_spectrum(window).eigenvalues
+    lam = np.concatenate(([1.0], eig[: N // 2]))
+    lam /= np.maximum(np.abs(lam), 1.0)
+    return np.fft.irfft(np.conj(lam) ** t, N)
+
+
+def _tv_excess(N: int, M: int, above: int, count: int) -> int:
+    """N M TV = N sum_A c_x - |A| M for integer counts c_x on Z_N totalling
+    M, A = {x : c_x > M//N}, from above = sum max(c_x - M//N, 0), count = |A|."""
+    return N * above - count * (M % N)
 
 
 def tv_to_uniform(probs: np.ndarray) -> float:
@@ -305,7 +288,7 @@ def mixing_time(
     def mixed(t: int, M: int, above: int, count: int) -> bool:
         """Record the exact TV(t) from above = sum max(c - M//N, 0) and
         count = #{c > M//N}; True when TV(t) <= eps."""
-        excess = N * above - count * (M % N)  # N sum_A c - |A| M
+        excess = _tv_excess(N, M, above, count)
         curve.append((t, excess / (N * M)))  # int division rounds correctly
         return q * excess <= p * N * M
 

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from recwalk import (
     kappa_general,
     lower_first_order,
     lower_general,
-    m_of_n,
     relaxation_lower,
     seq2bound_multiset,
     squared_moduli,
@@ -101,29 +99,6 @@ def test_lower_general_edge_cases():
         lower_general(10, 0.0, 0.25)
     with pytest.raises(DomainError):
         lower_general(10, 10.0, 0.6)
-
-
-def test_m_of_n_examples():
-    assert m_of_n(generate(PRESETS["pow2"], 2)) == 0
-    assert m_of_n(generate(PRESETS["pow2"], 4)) == 1
-    assert m_of_n(generate(PRESETS["pow2"], 10)) == 3
-    assert m_of_n(generate(PRESETS["pow3"], 5)) == 1
-    assert m_of_n(generate(PRESETS["fib-odd"], 9)) == 2
-    with pytest.raises(DomainError):
-        m_of_n(generate(PRESETS["pow2"], 1))
-
-
-def test_m_of_n_against_rational_scan():
-    for spec in PRESETS.values():
-        for n in range(2, 13):
-            window = generate(spec, n)
-            v = window.values
-            js = [
-                j
-                for j in range(1, n)
-                if Fraction(v[n - j - 1], v[n - 1]) > Fraction(1, n)
-            ]
-            assert m_of_n(window) == (max(js) if js else 0)
 
 
 def test_kappa_first_order_values():

@@ -247,6 +247,23 @@ def test_verify_without_windows_is_usage_error(capsys):
     assert "no windows" in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # s = 10^20: (s + 1) r overflowed int64 with a traceback
+        '{"coeffs":[100000000000000000000,-199999999999999999000],"init":[1,2]}',
+        # s = 10^16, N = 1000: (s + 1) r wrapped silently for r >= 923
+        '{"coeffs":[10000000000000000,-19999999999999000],"init":[1,2]}',
+    ],
+)
+def test_angle_cover_past_int64_range_is_usage_error(capsys, spec):
+    argv = ["verify", "--seq", spec, "--suite", "angle-cover", "--nmax", "3"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "(s + 1) N" in err
+
+
 @pytest.mark.parametrize("nmax", ["0", "-3"])
 def test_table_without_rows_is_usage_error(capsys, nmax):
     assert main(["table", "--nmax", nmax]) == 2

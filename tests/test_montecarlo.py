@@ -87,8 +87,8 @@ def _blocked_simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
     Trajectories ran in blocks of 2^20, each block drawing all of its
     steps before the next; one Counter per t gathered the histograms.
     Below N = 2^62 positions were int64, past it a list of Python ints.
-    With N > T the TV is taken as the exact 1 - occupied/N, correctly
-    rounded, as simulate_tv now reports it.
+    The TV is taken exactly from the histogram and correctly rounded, as
+    simulate_tv now reports it.
     """
     block = 1 << 20
     window = config.window
@@ -117,15 +117,14 @@ def _blocked_simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
                     (p + steps_big[i]) % N for p, i in zip(pos_big, idx.tolist())
                 ]
                 counters[t].update(pos_big)
-    out = []
-    for t in range(config.t_max + 1):
-        if N > T:  # every occupied state is above uniform: TV = 1 - occupied/N
-            out.append((t, float(Fraction(N - len(counters[t]), N))))
-            continue
-        occupied = np.fromiter(counters[t].values(), dtype=np.float64) / T - 1.0 / N
-        missing = (N - len(counters[t])) / N
-        out.append((t, 0.5 * (float(np.abs(occupied).sum()) + missing)))
-    return out
+    return [(t, _exact_tv(list(c.values()), T, N)) for t, c in enumerate(counters)]
+
+
+def _exact_tv(counts, T, N):
+    """(1/2) sum_x |c_x/T - 1/N| over Z_N, from the nonzero counts c_x,
+    as an exact Fraction correctly rounded to float."""
+    missing = (N - len(counts)) * T  # |N c - T| = T at each empty state
+    return float(Fraction(sum(abs(N * c - T) for c in counts) + missing, 2 * N * T))
 
 
 @pytest.mark.parametrize(
@@ -189,9 +188,7 @@ def _unique_simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
             pos += steps[rng.integers(0, window.n, size=T)]
             pos %= N
         counts = np.unique(pos, return_counts=True)[1]
-        occupied = counts / T - 1.0 / N
-        missing = (N - len(counts)) / N
-        out.append((t, 0.5 * (float(np.abs(occupied).sum()) + missing)))
+        out.append((t, _exact_tv(counts.tolist(), T, N)))
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -130,21 +131,21 @@ def _eigmod_slack_oracle(window):
     return bound - top
 
 
-def _angle_margin_oracle(window):
+def _angle_bests(window):
+    """For every k in 1..N-1, max_j min(f - 1/(s+1), s/(s+1) - f) with
+    f = frac(k G_j / N), as numerators over (s+1) N in Python ints."""
     N = window.modulus
     s = s_value(window.spec)
-    lo_frac, hi_frac = 1.0 / (s + 1), s / (s + 1)
-    gs = [g % N for g in window.values[:-1]]
-    margin = math.inf
-    chunk = 1 << 18
-    for klo in range(1, N, chunk):
-        ks = np.arange(klo, min(klo + chunk, N), dtype=np.int64)
-        best = np.full(len(ks), -math.inf)
-        for g in gs:
-            frac = ((ks * g) % N) / N
-            best = np.maximum(best, np.minimum(frac - lo_frac, hi_frac - frac))
-        margin = min(margin, float(best.min()))
-    return margin
+    bests = []
+    for k in range(1, N):
+        rs = [k * g % N for g in window.values[:-1]]
+        bests.append(max(min((s + 1) * r - N, s * N - (s + 1) * r) for r in rs))
+    return bests, (s + 1) * N
+
+
+def _angle_margin_oracle(window):
+    bests, denominator = _angle_bests(window)
+    return float(Fraction(min(bests), denominator))
 
 
 def _ubl_margin_oracle(window):
@@ -177,3 +178,19 @@ def test_windowed_suites_match_standalone_loops_exactly():
         expected = [oracle(generate(specs[name], n)) for name, n in order]
         assert [c[key] for c in result.cases] == expected, result.suite
         assert result.worst_slack == min(expected), result.suite
+
+
+def test_angle_cover_counts_every_uncovered_k():
+    # steps 1, 3, 4, 7, ... and 1, 4, 5, 9, ... leave k uncovered at most
+    # n; the half-range scan counts them through the mirror k -> N - k
+    specs = {
+        "lucas": RecurrenceSpec((1, 1), (1, 3)),
+        "one-four": RecurrenceSpec((1, 1), (1, 4)),
+    }
+    result = angle_cover_suite(specs, n_max=9)
+    assert not result.passed
+    for case in result.cases:
+        bests, denominator = _angle_bests(generate(specs[case["sequence"]], case["n"]))
+        assert case["uncovered"] == sum(b < 0 for b in bests), case
+        assert case["margin"] == float(Fraction(min(bests), denominator)), case
+    assert any(case["uncovered"] for case in result.cases)

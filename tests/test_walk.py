@@ -131,8 +131,8 @@ def test_direct_and_spectral_agree():
 
 
 def test_spectral_stays_normalized_at_huge_t():
-    # repeated squaring with modulus clamping: mass error stays tiny
-    # even at t = 10^6, and negative entries are only rounding dust
+    # eigenvalue moduli clamped at 1 before powering: mass error stays
+    # tiny even at t = 10^6, and negative entries are only rounding dust
     probs = evolve(generate(PRESETS["pow3"], 3), 10**6, method="spectral")
     assert abs(float(probs.sum()) - 1.0) <= 1e-9
     assert float(probs.min()) >= -1e-12
