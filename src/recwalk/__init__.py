@@ -31,10 +31,9 @@ from .recurrence import (
 )
 from .spectrum import (
     DEFAULT_N_MAX,
-    Spectrum,
-    compute_spectrum,
+    full_spectrum,
+    half_spectrum,
     slem_streaming,
-    squared_moduli,
     unnormalized_values,
 )
 from .walk import (

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateStateSpace, DomainError
 from .recurrence import RecurrenceSpec, SequenceWindow, estimate_growth, s_value
-from .spectrum import DEFAULT_N_MAX, slem_streaming, squared_moduli
+from .spectrum import DEFAULT_N_MAX, half_spectrum, slem_streaming
 from . import walk
 
 _ETA1_MIN = 1.0 + 1e-9
@@ -140,7 +140,7 @@ def ubl_sums(sq: np.ndarray, N: int) -> Iterator[float]:
     """Yield the upper-bound-lemma sum (1/4) sum_{k<N} |lambda_k|^(2t)
     for t = 0, 1, 2, ... without end; it bounds TV(t)^2 from above.
 
-    sq[k-1] = |lambda_k|^2 for k = 1..N//2 (squared_moduli).  Since
+    sq[k-1] = |lambda_k|^2 for k = 1..N//2, from half_spectrum.  Since
     |lambda_{N-k}| = |lambda_k|, the sum is twice the sum over k < N/2,
     plus |lambda_{N/2}|^(2t) once when N is even.
     """
@@ -237,9 +237,10 @@ def build_report(
     ubl_t: int | None = None
     exact: int | None = None
     if N <= n_max_states:
-        sq, lam_star = squared_moduli(window, n_max_states=n_max_states)
-        ubl_t = ubl_implied_t(sq, N, eps)
-        del sq  # its 4 N bytes are freed before the scan takes 16 N
+        mods = np.abs(half_spectrum(window, n_max_states)[1:])
+        lam_star = float(mods.max())
+        ubl_t = ubl_implied_t(np.square(mods, out=mods), N, eps)
+        del mods  # its 4 N bytes are freed before the scan takes 16 N
         exact = walk.mixing_time(
             window, epsilon, n_max_states=n_max_states, slem=lam_star
         ).t_mix

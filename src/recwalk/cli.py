@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, RecwalkError
 from .recurrence import PRESETS, RecurrenceSpec, generate
-from .spectrum import DEFAULT_N_MAX, compute_spectrum
+from .spectrum import DEFAULT_N_MAX, full_spectrum
 from .bounds import build_report
 from .montecarlo import SimConfig, simulate_tv
 from .verify import SUITE_NAMES, run_suites
@@ -183,14 +183,14 @@ def cmd_spectrum(args) -> int:
     if listed > _LIST_MAX:
         raise DomainError(f"N = {window.modulus}: a listing holds at most {_LIST_MAX} "
                           f"rows; pass --top {_LIST_MAX} or less")
-    spectrum = compute_spectrum(window, n_max_states=args.nmax_states)
-    eig = spectrum.eigenvalues
+    N = window.modulus
+    eig = full_spectrum(window, n_max_states=args.nmax_states)
     mods = abs(eig)
     if args.top is not None:
         # stable on -mods: ties keep increasing k, as sorted(reverse=True) does
         order = (np.argsort(-mods, kind="stable")[: args.top] + 1).tolist()
     else:
-        order = range(1, spectrum.modulus + 1)
+        order = range(1, N + 1)
     rows = (
         (k, float(eig[k - 1].real), float(eig[k - 1].imag), float(mods[k - 1]))
         for k in order
@@ -199,8 +199,8 @@ def cmd_spectrum(args) -> int:
     payload = {
         "sequence": name,
         "n": window.n,
-        "N": spectrum.modulus,
-        "slem": spectrum.slem,
+        "N": N,
+        "slem": float(mods[: N // 2].max(initial=0.0)),  # 0.0 when N = 1
     }
     csv_text = ""  # only the requested format is built
     if args.format == "json":

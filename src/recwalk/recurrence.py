@@ -74,12 +74,10 @@ class SequenceWindow:
 class GrowthEstimate:
     """Numerical growth summary of a window.
 
-    dominant_rate is the last available ratio G_n/G_{n-1}; the
-    exponential/polynomial call is made on an extrapolated limit of the
-    ratio sequence, and eta1_lower is a usable lower growth base.
+    The exponential/polynomial call is made on an extrapolated limit of
+    the ratio sequence, and eta1_lower is a usable lower growth base.
     """
 
-    dominant_rate: float
     is_exponential: bool
     eta1_lower: float | None
 
@@ -127,12 +125,12 @@ def s_value(spec: RecurrenceSpec) -> int:
 def estimate_growth(window: SequenceWindow) -> GrowthEstimate:
     """Estimate the limiting ratio G_{i+1}/G_i from a window.
 
-    The reported dominant_rate is the raw trailing ratio.  For the
-    exponential/polynomial decision that ratio is misleading at small n
-    (polynomial families still have ratio > 1), so the classifier uses a
-    two-point extrapolation of r_i = G_{i+1}/G_i: with r_i = L + c/i the
-    limit is L = i*r_i - (i-1)*r_{i-1}, exact for both geometric ratios
-    (constant r) and polynomial families (r_i = 1 + O(1/i)).
+    For the exponential/polynomial decision the raw trailing ratio
+    G_n/G_{n-1} is misleading at small n (polynomial families still have
+    ratio > 1), so the classifier uses a two-point extrapolation of
+    r_i = G_{i+1}/G_i: with r_i = L + c/i the limit is
+    L = i*r_i - (i-1)*r_{i-1}, exact for both geometric ratios (constant r)
+    and polynomial families (r_i = 1 + O(1/i)).
 
     eta1_lower is the minimum ratio over the trailing half of the window.
     """
@@ -140,13 +138,10 @@ def estimate_growth(window: SequenceWindow) -> GrowthEstimate:
         raise WindowTooShort("growth estimation needs at least 3 terms")
     v = window.values
     ratios = [Fraction(v[i + 1], v[i]) for i in range(window.n - 1)]
-    dominant = float(ratios[-1])
 
     i = len(ratios)  # 1-based position of the last ratio
     extrapolated = float(i * ratios[-1] - (i - 1) * ratios[-2])
     exponential = extrapolated >= 1.0 + GROWTH_DELTA
 
     eta1 = float(min(ratios[len(ratios) // 2 :]))
-    return GrowthEstimate(
-        dominant_rate=dominant, is_exponential=exponential, eta1_lower=eta1
-    )
+    return GrowthEstimate(is_exponential=exponential, eta1_lower=eta1)

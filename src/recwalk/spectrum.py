@@ -5,9 +5,10 @@ matrix is circulant and its eigenvalues are
 
     lambda_k = (1/n) * sum_i xi_N^(k*G_i),   xi_N = exp(2*pi*i/N),
 
-indexed k = 1..N with lambda_N = 1.  The hold G_n = 0 mod N adds 1.
-The step law is real, so lambda_{N-k} = conj(lambda_k), and only
-k = 1..N//2 are evaluated.
+indexed by k mod N, with lambda_0 = lambda_N = 1.  The hold G_n = 0 mod N
+adds 1.  The step law is real, so lambda_{N-k} = conj(lambda_k), and
+lambda_0..lambda_{N//2} (half_spectrum) are the whole spectrum; only
+k = 1..N//2 are evaluated, and full_spectrum mirrors them.
 Exponents are reduced mod N in exact integer arithmetic before any
 float conversion; naive floating angles lose all precision once k*G_i
 approaches 2^53.  The index splits as k = q*B + j with 0 <= j < B, as
@@ -25,7 +26,6 @@ is the worst), and the tests bound the gap by 1e-15.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -50,16 +50,6 @@ _CHUNK = 1 << 16
 # (those go through its buffered iterator), which outweighs the tables.
 _ROW_MAX = 1 << 12
 _WIDE_FROM = 1 << 17
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """All N eigenvalues of one walk, 1-based by k, plus the SLEM."""
-
-    n: int
-    modulus: int
-    eigenvalues: np.ndarray  # index k-1 holds lambda_k
-    slem: float  # max over k != N of |lambda_k|; 0.0 when N = 1
 
 
 def _roots(N: int, r: np.ndarray) -> np.ndarray:
@@ -150,14 +140,14 @@ def iter_eigenvalue_chunks(
     mirror and is computed directly.  k = q*B + j splits each root as
     xi_N^(k*g) = xi_N^(q*B*g) * xi_N^(j*g), with B = row_width(N).
     Storage-free except for one block at a time and one B-entry table per
-    step, so it works beyond the dense cap; the dense spectrum, SLEM and
-    one-pass bound sums are all built on this.
+    step, so it works beyond the dense cap; half_spectrum and the
+    streaming SLEM are both built on this.
 
-    out, when given, is an (N + 1)-entry complex array indexed by k: each
-    block's rows are computed in place in out[q*B : (q + rows)*B], which
-    the last row never passes (B <= N - N//2 + 1), and the yielded block
-    is a view of out.  Rows past k = N//2 leave values there that the
-    caller overwrites.
+    out, when given, is a complex array of N//2 + B entries indexed by k:
+    each block's rows are computed in place in out[q*B : (q + rows)*B],
+    which the last row, q = (N//2)//B, never passes, and the yielded block
+    is a view of out.  Row 0 also writes k = 0, and the last row k past
+    N//2; those entries are left as the engine computes them.
     """
     N = window.modulus
     B = row_width(N)
@@ -178,52 +168,36 @@ def iter_eigenvalue_chunks(
         yield acc.ravel()[keep]
 
 
-def compute_spectrum(
+def half_spectrum(
     window: SequenceWindow, n_max_states: int = DEFAULT_N_MAX
-) -> Spectrum:
-    """Materialize the full spectrum for N = G_n <= n_max_states.
+) -> np.ndarray:
+    """lambda_0..lambda_{N//2} for N = G_n <= n_max_states: index k holds
+    lambda_k, and lambda_0 = 1 exactly.
 
-    The engine writes lambda_1..lambda_{N//2} straight into their slots;
-    the upper half is filled in place with their conjugates,
-    lambda_{N-k} = conj(lambda_k), and lambda_N = 1 exactly.
+    With lambda_{N-k} = conj(lambda_k) these are the whole spectrum.  The
+    engine writes each block straight into its slots of one buffer of
+    N//2 + row_width(N) entries, and the result is a view of it.
     """
     N = window.modulus
     require_dense(N, n_max_states)
-    by_k = np.empty(N + 1, dtype=np.complex128)  # index k holds lambda_k
-    worst = 0.0
-    for block in iter_eigenvalue_chunks(window, out=by_k):
-        m = float(np.max(np.abs(block)))
-        if m > worst:
-            worst = m
-    eig = by_k[1:]  # index k-1 holds lambda_k
     half = N // 2
-    np.conjugate(eig[: N - 1 - half][::-1], out=eig[half : N - 1])
-    eig[N - 1] = 1.0
-    return Spectrum(n=window.n, modulus=N, eigenvalues=eig, slem=worst)
+    by_k = np.empty(half + row_width(N), dtype=np.complex128)
+    for _ in iter_eigenvalue_chunks(window, out=by_k):
+        pass
+    by_k[0] = 1.0
+    return by_k[: half + 1]
 
 
-def squared_moduli(
+def full_spectrum(
     window: SequenceWindow, n_max_states: int = DEFAULT_N_MAX
-) -> tuple[np.ndarray, float]:
-    """|lambda_k|^2 for k = 1..N//2, and the SLEM, from one engine pass.
-
-    |lambda_{N-k}| = |lambda_k|, so these are every nontrivial modulus.
-    Each square is fl(|lambda_k|)^2, and the SLEM is the largest
-    fl(|lambda_k|), bit for bit as compute_spectrum gives it.
-    """
+) -> np.ndarray:
+    """lambda_1..lambda_N for N = G_n <= n_max_states: index k-1 holds
+    lambda_k.  The upper half holds the exact conjugates
+    lambda_{N-k} = conj(lambda_k) of half_spectrum, and lambda_N = 1."""
+    lam = half_spectrum(window, n_max_states)
     N = window.modulus
-    require_dense(N, n_max_states)
-    if N < 2:
-        raise DegenerateStateSpace("N = 1 has no nontrivial eigenvalue")
-    sq = np.empty(N // 2)
-    worst = 0.0
-    pos = 0
-    for block in iter_eigenvalue_chunks(window):
-        m = np.abs(block)
-        worst = max(worst, float(m.max()))
-        np.multiply(m, m, out=sq[pos : pos + len(m)])
-        pos += len(m)
-    return sq, worst
+    upper = np.conj(lam[N - N // 2 - 1 : 0 : -1])  # lambda_{N//2+1}..lambda_{N-1}
+    return np.concatenate((lam[1:], upper, [1.0]))
 
 
 def slem_streaming(window: SequenceWindow) -> float:
@@ -243,5 +217,5 @@ def unnormalized_values(c: int, n: int) -> np.ndarray:
     if c < 2:
         raise NotFirstOrder(f"base must be an integer >= 2, got {c}")
     window = generate(RecurrenceSpec((c,), (1,)), n)
-    return n * compute_spectrum(window).eigenvalues
+    return n * full_spectrum(window)
 

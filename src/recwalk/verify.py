@@ -19,10 +19,10 @@ from .errors import DomainError, UnknownSuite
 from .recurrence import PRESETS, RecurrenceSpec, generate, s_value
 from .spectrum import (
     DEFAULT_N_MAX,
+    half_spectrum,
     iter_k_rows,
     row_width,
     slem_streaming,
-    squared_moduli,
     unnormalized_values,
 )
 from .bounds import seq2bound_multiset, ubl_sums
@@ -97,7 +97,9 @@ def angle_cover_suite(specs: dict[str, RecurrenceSpec], n_max: int = 8) -> Suite
     per row and b = j G_j mod N per table, so no remainder is taken per
     (k, step).
     k' = N - k has r' = N - r (0 when r = 0), which leaves best_k as it
-    is, so each k < N/2 counts twice and k = N/2 once.
+    is, so each k < N/2 counts twice.  k = N/2 (N even) is always covered:
+    G_1 = 1 gives r = N/2 there, where both sides of the test are
+    (s - 1) N/2 >= 0, so an uncovered k is never its own mirror.
     """
     cases = []
     worst = math.inf
@@ -115,7 +117,6 @@ def angle_cover_suite(specs: dict[str, RecurrenceSpec], n_max: int = 8) -> Suite
         tables = [(js * g % N, B * g % N) for g in window.steps[:-1]]  # j = 1..n-1
         miss = 0
         lowest = math.inf  # min_k best_k
-        middle_missed = False  # k = N/2, its own mirror, counts once
         for qs, keep in blocks:
             best = np.full((len(qs), B), -N, dtype=np.int64)  # every best_k >= -N
             for table, bg in tables:
@@ -124,12 +125,8 @@ def angle_cover_suite(specs: dict[str, RecurrenceSpec], n_max: int = 8) -> Suite
                 r *= s + 1
                 np.maximum(best, np.minimum(r - N, s * N - r, out=r), out=best)
             best = best.ravel()[keep]
-            missed = best < 0
-            miss += 2 * int(np.count_nonzero(missed))
-            middle_missed = bool(missed[-1])
+            miss += 2 * int(np.count_nonzero(best < 0))
             lowest = min(lowest, int(best.min()))
-        if N % 2 == 0 and middle_missed:
-            miss -= 1
         margin = lowest / ((s + 1) * N)
         worst = min(worst, margin)
         cases.append(
@@ -204,10 +201,12 @@ def ubl_consistency_suite(
     cases = []
     worst = math.inf
     for name, window in _preset_windows(specs, n_max):
-        sq, slem = squared_moduli(window, n_max_states=n_max_states)
+        mods = np.abs(half_spectrum(window, n_max_states)[1:])
+        slem = float(mods.max())
         result = walk.mixing_time(window, epsilon, n_max_states=n_max_states, slem=slem)
         margin = math.inf
-        for (_, tv), rhs in zip(result.tv_curve, ubl_sums(sq, window.modulus)):
+        sums = ubl_sums(np.square(mods, out=mods), window.modulus)
+        for (_, tv), rhs in zip(result.tv_curve, sums):
             margin = min(margin, rhs - tv * tv)
         worst = min(worst, margin)
         cases.append({"sequence": name, "n": window.n, "margin": margin})

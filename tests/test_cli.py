@@ -333,7 +333,7 @@ def test_nmax_states_outside_dense_cap_is_usage_error(capsys, monkeypatch, cap):
     def no_spectrum(*args, **kwargs):
         raise AssertionError("the spectrum was computed")
 
-    monkeypatch.setattr(cli, "compute_spectrum", no_spectrum)
+    monkeypatch.setattr(cli, "full_spectrum", no_spectrum)
     tracemalloc.start()
     try:
         with pytest.raises(SystemExit) as exc:
@@ -425,7 +425,7 @@ def test_spectrum_listing_past_row_limit_needs_top(capsys, monkeypatch):
         raise AssertionError("the spectrum was computed")
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "compute_spectrum", no_spectrum)
+        patch.setattr(cli, "full_spectrum", no_spectrum)
         # N = 2^19 rows, and a --top above 2^18 asks for as many
         for extra in ([], ["--top", str(2**18 + 1)]):
             code, out, err = run_cli(

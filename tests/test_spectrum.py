@@ -7,8 +7,9 @@ from recwalk import (
     PRESETS,
     RecurrenceSpec,
     StateSpaceTooLarge,
-    compute_spectrum,
+    full_spectrum,
     generate,
+    half_spectrum,
     slem_streaming,
     step_distribution,
     unnormalized_values,
@@ -40,7 +41,16 @@ def _factored_term_error(N, k, g):
 
 
 def spectrum_for(name, n):
-    return compute_spectrum(generate(PRESETS[name], n))
+    return full_spectrum(generate(PRESETS[name], n))
+
+
+def dense_slem(window):
+    """max |lambda_k| over k = 1..N//2 of the dense half spectrum."""
+    return float(np.abs(half_spectrum(window)[1:]).max())
+
+
+def slem_for(name, n):
+    return dense_slem(generate(PRESETS[name], n))
 
 
 def per_term_exp_eigenvalues(window, ks=None):
@@ -64,52 +74,50 @@ def tilde_oracle(c, n, k):
 def test_trivial_eigenvalue_is_exactly_one():
     for name in PRESETS:
         for n in range(1, 7):
-            spec = spectrum_for(name, n)
-            assert spec.eigenvalues[spec.modulus - 1] == 1.0 + 0.0j
+            eig = spectrum_for(name, n)
+            assert eig[-1] == 1.0 + 0.0j
 
 
 def test_pow2_n2_spectrum():
     # steps {1, 2} on Z_2: lambda_1 = (xi_2 + 1)/2 = 0
-    spec = spectrum_for("pow2", 2)
-    assert abs(spec.eigenvalues[0]) < 1e-15
-    assert spec.slem < 1e-15
+    eig = spectrum_for("pow2", 2)
+    assert abs(eig[0]) < 1e-15
+    assert slem_for("pow2", 2) < 1e-15
 
 
 def test_pow3_n2_spectrum():
     # steps {1, 3} on Z_3: |lambda_1| = |lambda_2| = 1/2
-    spec = spectrum_for("pow3", 2)
-    assert abs(spec.eigenvalues[0]) == pytest.approx(0.5, abs=1e-12)
-    assert abs(spec.eigenvalues[1]) == pytest.approx(0.5, abs=1e-12)
+    eig = spectrum_for("pow3", 2)
+    assert abs(eig[0]) == pytest.approx(0.5, abs=1e-12)
+    assert abs(eig[1]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_conjugate_symmetry():
     # real transition matrix: lambda_{N-k} is the conjugate of lambda_k
     for name in PRESETS:
-        spec = spectrum_for(name, 6)
-        eig = spec.eigenvalues
-        N = spec.modulus
+        eig = spectrum_for(name, 6)
+        N = len(eig)
         for k in range(1, N):
             assert eig[N - k - 1] == pytest.approx(np.conj(eig[k - 1]), abs=1e-12)
 
 
 def test_moduli_bounded_by_one():
     for name in PRESETS:
-        spec = spectrum_for(name, 8)
-        assert float(np.max(np.abs(spec.eigenvalues))) <= 1.0 + 1e-12
+        eig = spectrum_for(name, 8)
+        assert float(np.max(np.abs(eig))) <= 1.0 + 1e-12
 
 
 def test_slem_matches_frozen_values():
     for name, expected in SLEMS.items():
         for i, want in enumerate(expected):
-            spec = spectrum_for(name, i + 2)
-            assert spec.slem == pytest.approx(want, abs=1e-12), (name, i + 2)
+            slem = slem_for(name, i + 2)
+            assert slem == pytest.approx(want, abs=1e-12), (name, i + 2)
 
 
 def test_pow2_slem_closed_form():
     # k = N/2 maps every step but G_1 to +1, giving |(n-2)/n| exactly
     for n in range(3, 10):
-        spec = spectrum_for("pow2", n)
-        assert spec.slem == pytest.approx((n - 2) / n, abs=1e-12)
+        assert slem_for("pow2", n) == pytest.approx((n - 2) / n, abs=1e-12)
 
 
 def test_slem_requires_nontrivial_state_space():
@@ -119,7 +127,7 @@ def test_slem_requires_nontrivial_state_space():
 
 def test_streaming_slem_agrees_with_dense(monkeypatch):
     windows = [generate(PRESETS[name], 7) for name in PRESETS]
-    dense = [compute_spectrum(window).slem for window in windows]
+    dense = [dense_slem(window) for window in windows]
     monkeypatch.setattr(spectrum, "_CHUNK", 64)
     for window, slem in zip(windows, dense):
         assert slem_streaming(window) == pytest.approx(slem, abs=1e-14)
@@ -128,7 +136,7 @@ def test_streaming_slem_agrees_with_dense(monkeypatch):
 def test_streaming_slem_is_exactly_dense(monkeypatch):
     # each lambda_k is computed elementwise, so chunking cannot change it
     windows = [generate(PRESETS[name], n) for name in PRESETS for n in range(2, 10)]
-    dense = [compute_spectrum(window).slem for window in windows]
+    dense = [dense_slem(window) for window in windows]
     monkeypatch.setattr(spectrum, "_CHUNK", 64)
     assert [slem_streaming(window) for window in windows] == dense
 
@@ -183,7 +191,9 @@ def test_k_rows_refuse_past_int64_range():
 def test_dense_cap_enforced():
     window = generate(PRESETS["pow2"], 12)
     with pytest.raises(StateSpaceTooLarge):
-        compute_spectrum(window, n_max_states=1024)
+        half_spectrum(window, n_max_states=1024)
+    with pytest.raises(StateSpaceTooLarge):
+        full_spectrum(window, n_max_states=1024)
 
 
 def test_against_naive_angle_oracle():
@@ -195,13 +205,13 @@ def test_against_naive_angle_oracle():
     for name, n in [("pow2", 9), ("pow3", 7), ("fib-odd", 9)]:
         window = generate(PRESETS[name], n)
         N = window.modulus
-        spec = compute_spectrum(window)
+        eig = full_spectrum(window)
         ks = np.arange(1, N + 1, dtype=np.float64)
         naive = np.zeros(N, dtype=np.complex128)
         for g in window.values:
             naive += np.exp(2j * np.pi * ks * g / N)
         naive /= window.n
-        assert float(np.max(np.abs(spec.eigenvalues - naive))) < 1e-9
+        assert float(np.max(np.abs(eig - naive))) < 1e-9
 
 
 def test_against_dft_of_step_distribution():
@@ -209,10 +219,10 @@ def test_against_dft_of_step_distribution():
     for name in PRESETS:
         window = generate(PRESETS[name], 6)
         N = window.modulus
-        spec = compute_spectrum(window)
+        eig = full_spectrum(window)
         lam = N * np.fft.ifft(step_distribution(window))
         for k in range(1, N + 1):
-            assert spec.eigenvalues[k - 1] == pytest.approx(lam[k % N], abs=1e-9)
+            assert eig[k - 1] == pytest.approx(lam[k % N], abs=1e-9)
 
 
 def test_unnormalized_scalar_values():
@@ -231,9 +241,8 @@ def test_unnormalized_matches_scaled_spectrum():
     for c, n in [(2, 5), (3, 4)]:
         name = f"pow{c}"
         window = generate(PRESETS[name], n)
-        spec = compute_spectrum(window)
         tilde = unnormalized_values(c, n)
-        assert np.max(np.abs(tilde - n * spec.eigenvalues)) < 1e-9
+        assert np.max(np.abs(tilde - n * full_spectrum(window))) < 1e-9
 
 
 def test_unnormalized_moduli_bounded_by_n():
@@ -282,9 +291,12 @@ def _windows_up_to(n_max):
 def test_upper_half_is_exact_conjugate_of_lower_half():
     moduli = set()
     for window in _windows_up_to(10):
-        eig = compute_spectrum(window).eigenvalues
+        eig = full_spectrum(window)
+        half = half_spectrum(window)
         N = window.modulus
         moduli.add(N)
+        assert len(half) == N // 2 + 1 and half[0] == 1.0
+        assert eig[: N // 2].tobytes() == half[1:].tobytes(), N
         k = np.arange(1, N)
         off_middle = 2 * k != N
         mirrored = eig[N - 1 - k]  # lambda_{N-k}
@@ -305,7 +317,7 @@ def test_eigenvalues_match_per_term_exp_oracle():
         N = window.modulus
         if N > 2**16:
             continue
-        got = compute_spectrum(window).eigenvalues
+        got = full_spectrum(window)
         gap = float(np.max(np.abs(got - per_term_exp_eigenvalues(window))))
         assert gap <= 1e-15, (window.n, N)
 
@@ -313,7 +325,7 @@ def test_eigenvalues_match_per_term_exp_oracle():
 def test_streaming_slem_exact_for_uneven_chunks(monkeypatch):
     # chunks that split k = 1..N//2 with a short last block, or one short one
     windows = [window for window in _windows_up_to(7) if window.modulus >= 2]
-    dense = [compute_spectrum(window).slem for window in windows]
+    dense = [dense_slem(window) for window in windows]
     for chunk in (1, 3, 7, 100):
         monkeypatch.setattr(spectrum, "_CHUNK", chunk)
         assert [slem_streaming(window) for window in windows] == dense, chunk
@@ -328,8 +340,8 @@ def test_narrow_rows_match_oracle_and_stream_exactly(monkeypatch):
         N = window.modulus
         short_last_row |= (N // 2 + 1) % 4 != 0 and N > 8
         many_rows |= N // 2 >= 4 * 100
-        spec = compute_spectrum(window)
-        eig = spec.eigenvalues
+        eig = full_spectrum(window)
+        slem = float(np.abs(eig[: N // 2]).max(initial=0.0))
         gap = float(np.max(np.abs(eig - per_term_exp_eigenvalues(window))))
         assert gap <= 1e-15, (window.n, N)
         k = np.arange(1, N)
@@ -341,7 +353,7 @@ def test_narrow_rows_match_oracle_and_stream_exactly(monkeypatch):
             continue
         for chunk in (1, 3, 7, 100):
             monkeypatch.setattr(spectrum, "_CHUNK", chunk)
-            assert slem_streaming(window) == spec.slem, (window.n, chunk)
+            assert slem_streaming(window) == slem, (window.n, chunk)
         monkeypatch.setattr(spectrum, "_CHUNK", _CHUNK)
     assert short_last_row and many_rows
 
@@ -356,6 +368,6 @@ def test_wide_rows_match_oracle_at_large_n():
         ks = np.concatenate((starts - 1, starts, starts + 1))
         ks = np.unique(np.concatenate((ks, N - ks)))  # and the upper half
         ks = ks[(ks >= 1) & (ks <= N)]
-        got = compute_spectrum(window).eigenvalues[ks - 1]
+        got = full_spectrum(window)[ks - 1]
         gap = float(np.max(np.abs(got - per_term_exp_eigenvalues(window, ks))))
         assert gap <= 1e-15, (name, n)

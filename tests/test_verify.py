@@ -11,7 +11,7 @@ from recwalk import (
     RecurrenceSpec,
     StateSpaceTooLarge,
     UnknownSuite,
-    compute_spectrum,
+    full_spectrum,
     generate,
     mixing_time,
     run_suites,
@@ -151,7 +151,7 @@ def _angle_margin_oracle(window):
 def _ubl_margin_oracle(window):
     # |lambda_{N-k}| = |lambda_k|: twice the k < N/2, and k = N/2 once
     N = window.modulus
-    sq = np.abs(compute_spectrum(window).eigenvalues[: N // 2]) ** 2
+    sq = np.abs(full_spectrum(window)[: N // 2]) ** 2
     mirrored = (N - 1) // 2
     powered = np.ones_like(sq)
     margin = math.inf

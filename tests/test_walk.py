@@ -15,8 +15,8 @@ from recwalk import (
     RecurrenceSpec,
     RecwalkError,
     StateSpaceTooLarge,
-    compute_spectrum,
     evolve,
+    full_spectrum,
     generate,
     mixing_time,
     point_mass,
@@ -207,6 +207,21 @@ def test_mixing_scan_holds_no_step_law():
     assert peak < 28 * window.modulus
 
 
+@pytest.mark.parametrize("name, n", [("pow2", 17), ("fib-odd", 12)])
+def test_spectral_evolve_holds_only_the_half_spectrum(name, n):
+    # live arrays: the half spectrum, 8 N bytes, its clamped power, 8 N,
+    # and irfft's N-entry law, 8 N; a full N-entry spectrum on top made
+    # it 40 N
+    window = generate(PRESETS[name], n)
+    tracemalloc.start()
+    try:
+        evolve(window, 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * window.modulus
+
+
 def test_mixing_epsilon_monotonicity():
     window = generate(PRESETS["fib-odd"], 6)
     loose = mixing_time(window, 0.4).t_mix
@@ -318,7 +333,7 @@ def test_spectral_evolution_matches_direct_property(window, t):
 @PROPERTY_SETTINGS
 @given(window=small_windows())
 def test_spectrum_matches_per_term_exp_oracle_property(window):
-    got = compute_spectrum(window).eigenvalues
+    got = full_spectrum(window)
     assert float(np.max(np.abs(got - per_term_exp_eigenvalues(window)))) <= 1e-15
 
 
