@@ -3,8 +3,9 @@
 Cross-validates the exact engine and reaches state spaces beyond the
 dense cap.  All trajectories advance together, one step per t, and each
 t's histogram is taken and reduced to TV before the next step, so
-memory is O(T) for T trajectories (plus the occupied states of one t),
-and T is capped at _MAX_TRAJECTORIES.
+memory is O(T) for T trajectories (plus the occupied states of one t)
+and O(t_max) for the curve; T is capped at _MAX_TRAJECTORIES, and the
+curve's t_max + 1 rows at MAX_ROWS.
 The RNG is one Philox stream (counter-based), drawn T indices per t with
 no blocking, so a seed fixes the curve.  Note the empirical TV is
 upward-biased when num_trajectories is small relative to N; no
@@ -28,6 +29,12 @@ _INT64_SAFE_N = 1 << 62
 # with this many trajectories.
 _MAX_TRAJECTORIES = 1 << 24
 
+# Most rows an artifact may hold: a curve of t = 0..t_max, and the CLI's
+# spectrum listing.  Child peak RSS at 2^18 rows: the pow2 listing 40 MiB
+# as CSV and 126 MiB as JSON; `simulate --seq pow3 --n 3 --trajectories 1`
+# 120 MiB as CSV and 123 MiB as JSON (a bare interpreter with numpy: 33 MiB).
+MAX_ROWS = 1 << 18
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -43,8 +50,8 @@ class SimConfig:
             raise ValueError(
                 f"at most {_MAX_TRAJECTORIES} trajectories, got {self.num_trajectories}"
             )
-        if self.t_max < 0:
-            raise ValueError("t_max must be nonnegative")
+        if not 0 <= self.t_max < MAX_ROWS:  # a curve of at most MAX_ROWS rows
+            raise ValueError(f"t_max must be in 0..{MAX_ROWS - 1}, got {self.t_max}")
 
 
 def simulate_tv(config: SimConfig) -> list[tuple[int, float]]:

@@ -195,9 +195,12 @@ def full_spectrum(
     lambda_k.  The upper half holds the exact conjugates
     lambda_{N-k} = conj(lambda_k) of half_spectrum, and lambda_N = 1."""
     lam = half_spectrum(window, n_max_states)
-    N = window.modulus
-    upper = np.conj(lam[N - N // 2 - 1 : 0 : -1])  # lambda_{N//2+1}..lambda_{N-1}
-    return np.concatenate((lam[1:], upper, [1.0]))
+    N, half = window.modulus, window.modulus // 2
+    eig = np.empty(N, dtype=np.complex128)
+    eig[:half] = lam[1:]
+    np.conj(lam[N - half - 1 : 0 : -1], out=eig[half:-1])  # k = N//2+1..N-1
+    eig[-1] = 1.0
+    return eig
 
 
 def slem_streaming(window: SequenceWindow) -> float:

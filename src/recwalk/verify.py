@@ -144,16 +144,16 @@ def lifting_suite() -> SuiteResult:
     worst = 0.0
     for c in _LIFT_BASES:
         n = 1
+        parents = unnormalized_values(c, n)  # k = 1..c^(n-1)
         while c**n <= _CAP:
-            base = c ** (n - 1)
-            parents = np.concatenate(([1.0 + 0j], unnormalized_values(c, n)))
             children = unnormalized_values(c, n + 1)  # k = 1..c^n
             idx = np.arange(1, c**n + 1, dtype=np.int64)
-            k_parent = ((idx - 1) % base) + 1 if n > 1 else np.ones_like(idx)
-            predicted = parents[k_parent] + np.exp(2j * np.pi * idx / (c**n))
+            # child k has parent ((k - 1) mod c^(n-1)) + 1: the parents, c times
+            predicted = np.tile(parents, c) + np.exp(2j * np.pi * idx / (c**n))
             err = float(np.max(np.abs(children - predicted)))
             worst = max(worst, err)
             cases.append({"c": c, "n": n, "max_error": err})
+            parents = children
             n += 1
     passed = worst < LIFT_TOL
     return SuiteResult("lifting", passed, "max_error", worst, cases)
@@ -171,10 +171,11 @@ def multiset_domination_suite() -> SuiteResult:
             mods = np.sort(np.abs(unnormalized_values(c, n)))[::-1]
             pairs = seq2bound_multiset(c, n)
             total = sum(mult for _, mult in pairs)
+            # already descending: value m is n + (m/2)(cos(pi/c) - 1), and
+            # cos(pi/c) - 1 < 0
             expanded = np.repeat(
                 [val for val, _ in pairs], [mult for _, mult in pairs]
             )
-            expanded = np.sort(expanded)[::-1]
             ok_total = total == c ** (n - 1) and len(expanded) == len(mods)
             margin = float(np.min(expanded - mods)) if ok_total else -math.inf
             worst = min(worst, margin)

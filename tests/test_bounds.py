@@ -205,6 +205,14 @@ def test_seq2bound_multiplicities_total():
             assert sum(mult for _, mult in pairs) == c ** (n - 1)
 
 
+def test_seq2bound_values_descend():
+    # the domination suite pairs them with sorted moduli as they come
+    for c in (2, 3, 4, 7):
+        for n in range(2, 30):
+            values = [v for v, _ in seq2bound_multiset(c, n)]
+            assert values == sorted(values, reverse=True)
+
+
 def test_seq2bound_dominates_actual_moduli():
     # sorted dominance: r-th largest |tilde lambda| <= r-th largest bound
     for c, n in [(2, 6), (3, 4), (4, 3)]:

@@ -1,6 +1,7 @@
 import json
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -328,6 +329,21 @@ def test_simulate_trajectories_past_cap_is_usage_error(capsys):
     assert "trajectories" in err
 
 
+def test_simulate_tmax_past_row_limit_is_usage_error(capsys, monkeypatch):
+    def no_steps(*args, **kwargs):
+        raise AssertionError("the walk was simulated")
+
+    monkeypatch.setattr(cli, "simulate_tv", no_steps)
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--seq", "pow3", "--n", "3", "--trajectories", "1",
+        "--tmax", str(2**18),
+    )
+    assert code == 2
+    assert out == ""
+    assert "t_max must be in 0..262143" in err
+
+
 @pytest.mark.parametrize("cap", [2**24 + 1, 0])
 def test_nmax_states_outside_dense_cap_is_usage_error(capsys, monkeypatch, cap):
     def no_spectrum(*args, **kwargs):
@@ -360,16 +376,17 @@ DECLARED = {
     "simulate": {"seq", "out", "format", "n", "tmax", "trajectories", "seed"},
 }
 
-# One cheap run of each command, printing JSON.
-CHEAP_JSON_RUNS = {
-    "table": ["--nmax", "2", "--format", "json"],
-    "spectrum": ["--seq", "pow2", "--n", "3", "--format", "json"],
-    "mix": ["--seq", "pow2", "--n", "3", "--format", "json"],
+# One cheap run of each command; its output in each format is pinned in
+# tests/golden byte for byte, the manifest's timestamp line left out.
+CHEAP_RUNS = {
+    "table": ["--nmax", "2"],
+    "spectrum": ["--seq", "pow2", "--n", "3"],
+    "mix": ["--seq", "pow2", "--n", "3"],
     "bounds": ["--seq", "pow2", "--n", "3"],
     "verify": ["--suite", "eigmod-bound", "--nmax", "2"],
-    "simulate": ["--seq", "pow3", "--n", "2", "--tmax", "2",
-                 "--trajectories", "100", "--format", "json"],
+    "simulate": ["--seq", "pow3", "--n", "2", "--tmax", "2", "--trajectories", "100"],
 }
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _declared_destinations(command):
@@ -386,7 +403,7 @@ def test_each_command_declares_only_what_it_reads(command):
 
 @pytest.mark.parametrize("command", sorted(DECLARED))
 def test_manifest_parameters_are_the_declared_options(capsys, command):
-    code, out, _ = run_cli(capsys, command, *CHEAP_JSON_RUNS[command])
+    code, out, _ = run_cli(capsys, command, *CHEAP_RUNS[command], "--format", "json")
     assert code == 0
     params = json.loads(out)["manifest"]["parameters"]
     assert set(params) == {"sequences"} | DECLARED[command] - {"seq", "out"}
@@ -437,3 +454,30 @@ def test_spectrum_listing_past_row_limit_needs_top(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "spectrum", "--seq", "pow2", "--n", "20", "--top", "5")
     assert code == 0
     assert len(out.strip().splitlines()) == 6
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(CHEAP_RUNS))
+def test_output_bytes_are_pinned(capsys, command, fmt):
+    code, out, _ = run_cli(capsys, command, *CHEAP_RUNS[command], "--format", fmt)
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    kept = [line for line in lines if '"timestamp": ' not in line]
+    assert len(lines) - len(kept) == (fmt == "json")
+    assert "".join(kept) == (GOLDEN / f"{command}.{fmt}").read_text()
+
+
+@pytest.mark.parametrize("fmt, per_row", [("csv", 96), ("json", 512)])
+def test_spectrum_listing_memory_per_row(tmp_path, fmt, per_row):
+    # N = 2^14 rows into a file: CSV rows are written as they are formatted
+    # (37 bytes a row), JSON holds one dict a row for the encoder but not
+    # the document (333); as one string they took 388 and 1273
+    argv = ["spectrum", "--seq", "pow2", "--format", fmt, "--out", str(tmp_path / "eig")]
+    assert main([*argv, "--n", "3"]) == 0  # imports and caches, unmeasured
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--n", "15"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < per_row * 2**14

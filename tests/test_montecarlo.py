@@ -14,7 +14,7 @@ from recwalk import (
     simulate_tv,
     tv_to_uniform,
 )
-from recwalk.montecarlo import _MAX_TRAJECTORIES
+from recwalk.montecarlo import MAX_ROWS, _MAX_TRAJECTORIES
 
 
 def test_config_validation():
@@ -215,6 +215,14 @@ def test_trajectory_count_capped():
         SimConfig(
             window=window, t_max=5, num_trajectories=_MAX_TRAJECTORIES + 1, seed=1
         )
+
+
+def test_curve_rows_capped():
+    # t = 0..t_max is t_max + 1 rows, at most MAX_ROWS = 2^18
+    window = generate(PRESETS["pow3"], 3)
+    SimConfig(window=window, t_max=MAX_ROWS - 1, num_trajectories=1, seed=1)
+    with pytest.raises(ValueError, match="t_max"):
+        SimConfig(window=window, t_max=MAX_ROWS, num_trajectories=1, seed=1)
 
 
 def test_sparse_tv_never_exceeds_one():

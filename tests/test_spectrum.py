@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -310,6 +312,21 @@ def test_upper_half_is_exact_conjugate_of_lower_half():
     # N = 2, 3, 4 and both parities are among the windows
     assert {2, 3, 4} <= moduli
     assert any(N % 2 for N in moduli) and any(N % 2 == 0 for N in moduli)
+
+
+@pytest.mark.parametrize("name, n", [("pow2", 21), ("fib-odd", 12)])
+def test_full_spectrum_mirrors_into_its_result(name, n):
+    # live arrays: the half spectrum's buffer, 8 N bytes, and the N-entry
+    # result, 16 N; a conjugated upper half concatenated with the lower
+    # made it 32 N
+    window = generate(PRESETS[name], n)
+    tracemalloc.start()
+    try:
+        full_spectrum(window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * window.modulus
 
 
 def test_eigenvalues_match_per_term_exp_oracle():

@@ -16,6 +16,7 @@ from recwalk import (
     mixing_time,
     run_suites,
     s_value,
+    unnormalized_values,
 )
 from recwalk import verify
 from recwalk.spectrum import iter_eigenvalue_chunks
@@ -87,6 +88,37 @@ def test_lifting_residuals_tiny(monkeypatch):
     assert result.passed
     assert result.worst_slack < 1e-9
     assert {case["c"] for case in result.cases} == {2, 3}
+
+
+def _lifting_errors_oracle(c, cap):
+    """Each level's residual, every child k indexed to its parent
+    ((k - 1) mod c^(n-1)) + 1 in a spectrum with tilde(n, 0) = 1 prepended."""
+    errors = []
+    n = 1
+    while c**n <= cap:
+        parents = np.concatenate(([1.0 + 0j], unnormalized_values(c, n)))
+        idx = np.arange(1, c**n + 1, dtype=np.int64)
+        k_parent = ((idx - 1) % c ** (n - 1)) + 1 if n > 1 else np.ones_like(idx)
+        predicted = parents[k_parent] + np.exp(2j * np.pi * idx / (c**n))
+        errors.append(float(np.max(np.abs(unnormalized_values(c, n + 1) - predicted))))
+        n += 1
+    return errors
+
+
+def test_lifting_computes_each_level_once(monkeypatch):
+    monkeypatch.setattr(verify, "_CAP", 10**3)
+    calls = []
+
+    def counted(c, n):
+        calls.append((c, n))
+        return unnormalized_values(c, n)
+
+    monkeypatch.setattr(verify, "unnormalized_values", counted)
+    result = lifting_suite()
+    assert len(calls) == len(set(calls))  # each level computed once
+    for c in (2, 3):
+        errors = [case["max_error"] for case in result.cases if case["c"] == c]
+        assert errors == _lifting_errors_oracle(c, 10**3)
 
 
 def test_multiset_domination_margins(monkeypatch):
