@@ -17,7 +17,6 @@ from .errors import (
     NotFirstOrder,
     DomainError,
     UnknownSuite,
-    NoMixing,
     InsideErrorBand,
 )
 from .recurrence import (

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, RecwalkError
 from .recurrence import PRESETS, RecurrenceSpec, generate
-from .spectrum import DEFAULT_N_MAX, full_spectrum
+from .spectrum import DEFAULT_N_MAX, full_spectrum, require_dense
 from .bounds import build_report
 from .montecarlo import MAX_ROWS, SimConfig, simulate_tv
 from .verify import SUITE_NAMES, run_suites
@@ -147,6 +147,11 @@ def cmd_table(args) -> int:
     if args.nmax < 1:
         raise DomainError(f"no rows: --nmax = {args.nmax} is below 1")
     sequences = _resolve_sequences(args.seq)
+    # refuse a window past the cap before any scan; the windows are made one
+    # at a time, as the scan makes them, so a huge --nmax stops at the cap
+    for _, spec in sequences:
+        for n in range(1, args.nmax + 1):
+            require_dense(generate(spec, n).modulus, args.nmax_states)
     per_seq = {}
     for name, spec in sequences:
         per_seq[name] = []
@@ -208,8 +213,9 @@ def cmd_mix(args) -> int:
         "N": result.N,
         "epsilon": str(args.epsilon),
         "t_mix": result.t_mix,
-        "tv_curve": [{"t": t, "tv": tv} for t, tv in result.tv_curve],
     }
+    if args.format == "json":  # CSV formats the rows as _emit writes them
+        payload["tv_curve"] = [{"t": t, "tv": tv} for t, tv in result.tv_curve]
     _emit(args, [(name, spec)], payload, itertools.chain([("t", "tv")], result.tv_curve))
     return 0
 
@@ -256,14 +262,10 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
         )
     )
-    payload = {
-        "sequence": name,
-        "n": window.n,
-        "N": window.modulus,
-        "curve": [{"t": t, "empirical_tv": tv} for t, tv in curve],
-        "num_trajectories": args.trajectories,
-        "seed": args.seed,
-    }
+    payload = {"sequence": name, "n": window.n, "N": window.modulus}
+    if args.format == "json":  # CSV formats the rows as _emit writes them
+        payload["curve"] = [{"t": t, "empirical_tv": tv} for t, tv in curve]
+    payload.update(num_trajectories=args.trajectories, seed=args.seed)
     rows = ((t, tv, args.trajectories, args.seed) for t, tv in curve)
     header = ("t", "empirical_tv", "num_trajectories", "seed")
     _emit(args, [(name, spec)], payload, itertools.chain([header], rows))

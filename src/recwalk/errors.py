@@ -41,16 +41,6 @@ class UnknownSuite(RecwalkError):
     """Verification suite name not recognized."""
 
 
-class NoMixing(RecwalkError):
-    """The mixing scan knows no t with TV <= epsilon.
-
-    Raised when the SLEM is 1 within the eigenvalue engine's error, so the
-    upper-bound lemma bounds no t, or when the float scan passes the t
-    that lemma implies, which only an engine error beyond that margin
-    could cause.
-    """
-
-
 class InsideErrorBand(RecwalkError):
     """Past the int64 range of path counts, the float TV lies within its
     a-priori error band of epsilon, so TV <= epsilon cannot be decided."""

@@ -33,9 +33,13 @@ class RecurrenceSpec:
     init: tuple[int, ...]
 
     def __post_init__(self):
-        # operator.index refuses 2.5 and "3", which int() would accept
-        object.__setattr__(self, "coeffs", tuple(map(operator.index, self.coeffs)))
-        object.__setattr__(self, "init", tuple(map(operator.index, self.init)))
+        # operator.index refuses 2.5 and "3", which int() would accept, but
+        # takes True as 1, so booleans are refused first
+        for field in ("coeffs", "init"):
+            values = tuple(getattr(self, field))
+            if any(isinstance(v, bool) for v in values):
+                raise TypeError(f"{field} must be integers, not booleans: {values}")
+            object.__setattr__(self, field, tuple(map(operator.index, values)))
         if len(self.coeffs) < 1:
             raise ValueError("recurrence order must be at least 1")
         if len(self.init) != len(self.coeffs):

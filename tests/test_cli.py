@@ -273,6 +273,18 @@ def test_table_without_rows_is_usage_error(capsys, nmax):
     assert "no rows" in err
 
 
+def test_table_past_dense_cap_refused_before_any_scan(capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a mixing time was scanned")
+
+    monkeypatch.setattr(cli.walk, "mixing_time", no_scan)
+    # pow2 n = 26 has N = 2^25; scanning n = 1..25 first took 8.6 s
+    code, out, err = run_cli(capsys, "table", "--nmax", "26")
+    assert code == 2
+    assert out == ""
+    assert "dense cap" in err
+
+
 @pytest.mark.parametrize("command", ["table", "verify"])
 def test_preset_given_twice_is_usage_error(capsys, command):
     code, out, err = run_cli(
@@ -310,8 +322,12 @@ def test_simulate_seed_changes_output(capsys):
 
 
 def test_generation_failure_maps_to_exit_2(capsys):
-    # a sequence that stops increasing, and a coefficient that is no integer
-    for spec in ('{"coeffs": [1], "init": [1]}', '{"coeffs": [2.5], "init": [1]}'):
+    # a sequence that stops increasing, and coefficients that are no integers
+    for spec in (
+        '{"coeffs": [1], "init": [1]}',
+        '{"coeffs": [2.5], "init": [1]}',
+        '{"coeffs": [true, true], "init": [1, 2]}',
+    ):
         code, out, err = run_cli(capsys, "table", "--seq", spec, "--nmax", "4")
         assert code == 2
         assert out == ""
@@ -481,3 +497,26 @@ def test_spectrum_listing_memory_per_row(tmp_path, fmt, per_row):
     finally:
         tracemalloc.stop()
     assert peak < per_row * 2**14
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--seq", "pow3", "--n", "3", "--trajectories", "1", "--tmax", "16383"],
+        ["mix", "--seq", '{"coeffs":[1,1],"init":[1,200]}', "--n", "2", "--epsilon", "1/2"],
+    ],
+)
+def test_csv_curve_memory_per_row(tmp_path, argv):
+    # 2^14 and 2392 rows into a file: the curve is held (116 and 105 bytes
+    # a row) and its CSV rows are written as they are formatted; building
+    # the JSON dicts too took 307 and 277
+    out = tmp_path / "curve"
+    assert main([*argv, "--out", str(out)]) == 0  # imports and caches, unmeasured
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = len(out.read_text().splitlines()) - 1
+    assert peak < 192 * rows

@@ -54,8 +54,12 @@ def test_spec_validation_rejects_bad_shapes():
         RecurrenceSpec(coeffs=(2,), init=(3,))
     with pytest.raises(NonPositiveTerm):
         RecurrenceSpec(coeffs=(1, 1), init=(1, 0))
-    # non-integers are refused, not truncated or parsed into another walk
-    for coeffs, init in [((2.5,), (1,)), ((2,), (1.9,)), (("3",), (1,))]:
+    # non-integers are refused, not truncated or parsed into another walk;
+    # True would otherwise pass as the coefficient or G_1 of 1
+    for coeffs, init in [
+        ((2.5,), (1,)), ((2,), (1.9,)), (("3",), (1,)),
+        ((True, True), (1, 2)), ((2,), (True,)),
+    ]:
         with pytest.raises(TypeError):
             RecurrenceSpec(coeffs=coeffs, init=init)
 

@@ -10,7 +10,6 @@ from hypothesis import given, reject, settings, strategies as st
 
 from recwalk import (
     InsideErrorBand,
-    NoMixing,
     PRESETS,
     RecurrenceSpec,
     RecwalkError,
@@ -24,7 +23,7 @@ from recwalk import (
     tv_to_uniform,
 )
 
-from recwalk import walk
+from recwalk import spectrum, walk
 from recwalk.walk import _Convolver
 
 import path_counts
@@ -390,11 +389,17 @@ def test_float_scan_rescales_exactly(monkeypatch):
         assert window.n**res.t_mix >= 2**63  # decided in float
 
 
-def test_slem_at_one_raises_no_mixing():
-    # the int64 range ends at t = 19 for n = 9, long before TV(t) <= 1e-6
-    window = generate(PRESETS["fib-odd"], 9)
-    with pytest.raises(NoMixing):
-        mixing_time(window, 1e-6, slem=1.0 - 1e-15)
+def test_float_scan_reads_no_eigenvalues(monkeypatch):
+    # the float scan stops on TV <= epsilon or its band, neither of which
+    # reads eigenvalues: 15^17 >= 2^63, so t_mix = 157 is decided in float
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the eigenvalue engine was run")
+
+    monkeypatch.setattr(spectrum, "iter_eigenvalue_chunks", no_engine)
+    window = generate(PRESETS["pow2"], 15)
+    res = mixing_time(window, Fraction(1, 10**10))
+    assert res.t_mix == 157
+    assert window.n**res.t_mix >= 2**63
 
 
 def test_epsilon_below_band_refused_before_float_scan():
