@@ -241,7 +241,9 @@ def build_report(
         lam_star = float(mods.max())
         ubl_t = ubl_implied_t(np.square(mods, out=mods), N, eps)
         del mods  # its 4 N bytes are freed before the scan takes 16 N
-        exact = walk.mixing_time(window, epsilon, n_max_states=n_max_states).t_mix
+        exact = walk.mixing_time(
+            window, epsilon, n_max_states=n_max_states, slem=lam_star
+        ).t_mix
     else:
         lam_star = slem_streaming(window)
 

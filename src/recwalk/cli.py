@@ -147,18 +147,19 @@ def cmd_table(args) -> int:
     if args.nmax < 1:
         raise DomainError(f"no rows: --nmax = {args.nmax} is below 1")
     sequences = _resolve_sequences(args.seq)
-    # refuse a window past the cap before any scan; the windows are made one
-    # at a time, as the scan makes them, so a huge --nmax stops at the cap
-    for _, spec in sequences:
-        for n in range(1, args.nmax + 1):
-            require_dense(generate(spec, n).modulus, args.nmax_states)
-    per_seq = {}
+    # every window is made and checked against the cap before any scan; one
+    # at a time, so a huge --nmax stops at the cap
+    windows = {name: [] for name, _ in sequences}
     for name, spec in sequences:
-        per_seq[name] = []
         for n in range(1, args.nmax + 1):
-            window = generate(spec, n)
+            windows[name].append(generate(spec, n))
+            require_dense(windows[name][-1].modulus, args.nmax_states)
+    per_seq = {}
+    for name, row in windows.items():
+        per_seq[name] = []
+        for window in row:
             result = walk.mixing_time(window, args.epsilon, n_max_states=args.nmax_states)
-            per_seq[name].append({"n": n, "G_n": window.modulus, "t_mix": result.t_mix})
+            per_seq[name].append({"n": window.n, "G_n": window.modulus, "t_mix": result.t_mix})
     columns = ("G_n", "t_mix")
     header = ["n", *(f"{col}[{name}]" for name in per_seq for col in columns)]
     rows = (

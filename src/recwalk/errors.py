@@ -43,4 +43,5 @@ class UnknownSuite(RecwalkError):
 
 class InsideErrorBand(RecwalkError):
     """Past the int64 range of path counts, the float TV lies within its
-    a-priori error band of epsilon, so TV <= epsilon cannot be decided."""
+    a-priori error band of epsilon, or will before the SLEM bounds the
+    scan, so TV <= epsilon cannot be decided."""

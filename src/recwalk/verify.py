@@ -203,7 +203,8 @@ def ubl_consistency_suite(
     worst = math.inf
     for name, window in _preset_windows(specs, n_max):
         mods = np.abs(half_spectrum(window, n_max_states)[1:])
-        result = walk.mixing_time(window, epsilon, n_max_states=n_max_states)
+        slem = float(mods.max())
+        result = walk.mixing_time(window, epsilon, n_max_states=n_max_states, slem=slem)
         margin = math.inf
         sums = ubl_sums(np.square(mods, out=mods), window.modulus)
         for (_, tv), rhs in zip(result.tv_curve, sums):

@@ -18,11 +18,15 @@ import numpy as np
 
 from .errors import InsideErrorBand
 from .recurrence import SequenceWindow
-from .spectrum import DEFAULT_N_MAX, half_spectrum, require_dense
+from .spectrum import DEFAULT_N_MAX, half_spectrum, require_dense, slem_streaming
 
 # Path counts, and sums of up to two totals of them, stay exact in int64
 # (read as uint64 for those sums) while the total n^t is below this.
 _INT64_PATHS = 1 << 63
+
+# Margin on the engine's SLEM when it bounds the scan: ten times the 1e-15
+# the tests allow between the engine and one exp per term.
+_SLEM_ERROR = 1e-14
 
 # Unit roundoff of float64.
 _U = 2.0**-53
@@ -210,10 +214,32 @@ def _band(n: int, float_steps: int) -> float:
     return (_gamma(m + 3) + rows) * (1.0 + rows)
 
 
+def _ubl_last_step(N: int, slem: float, eps: Fraction) -> int:
+    """A t with TV(t) <= eps, from 4 TV(t)^2 <= (N - 1) slem^(2t).
+
+    That is the upper-bound lemma (Diaconis, Group Representations in
+    Probability and Statistics, 1988, Ch. 3) with every nontrivial
+    |lambda_k| at most the SLEM, raised by _SLEM_ERROR; one step is added
+    for the rounding of the logarithms.  A SLEM of 1 within _SLEM_ERROR
+    bounds no t and is refused with InsideErrorBand.
+    """
+    lam = slem + _SLEM_ERROR
+    if lam >= 1.0:
+        raise InsideErrorBand(
+            f"SLEM {slem!r} is 1 within the engine's error {_SLEM_ERROR}: "
+            "no t is known at which the float64 error band of TV is below "
+            "epsilon, so TV <= epsilon cannot be decided"
+        )
+    log_eps2 = math.log(2 * eps.numerator) - math.log(eps.denominator)
+    t = (log_eps2 - 0.5 * math.log(N - 1)) / math.log(lam)
+    return max(math.ceil(t), 0) + 1
+
+
 def mixing_time(
     window: SequenceWindow,
     epsilon: Fraction | float,
     n_max_states: int = DEFAULT_N_MAX,
+    slem: float | None = None,
 ) -> MixingResult:
     """Smallest t with TV(P^t, uniform) <= epsilon, by forward scan from 0.
 
@@ -234,12 +260,15 @@ def mixing_time(
     - Past the int64 range the counts are converted to float64 once, at
       t0, and advanced unweighted, rescaled by exact powers of two.  The
       scan then decides only outside an a-priori band delta around the
-      float TV, and raises InsideErrorBand when epsilon is inside it, or
-      when delta has reached epsilon: delta grows with t, so no later t
-      could decide.  That is the scan's only stopping rule besides
-      TV <= epsilon.  It ends the scan: the steps hold 1 = G_1 and the
-      hold 0 when n >= 2, so TV(t) -> 0, and the float TV falls below
-      epsilon - delta unless delta reaches epsilon first.
+      float TV, and raises InsideErrorBand when epsilon is inside it.
+      The last t it may need comes from the SLEM (taken from the engine
+      unless given): 4 TV(t)^2 <= (N - 1) slem^(2t).  When epsilon is
+      below the band at that t, or the SLEM is 1 within the engine's
+      error, InsideErrorBand is raised before any float step, so a slow
+      walk at a small epsilon is refused at once, not after millions of
+      float steps.  Otherwise the band alone ends the scan, by that t: there
+      TV <= epsilon, so the float TV is below epsilon - delta or within
+      delta of it.
 
     The band (Higham, Accuracy and Stability of Numerical Algorithms,
     2nd ed., Sec. 4.2; u = 2^-53 and gamma_k = k u / (1 - k u)).  Every
@@ -316,6 +345,16 @@ def mixing_time(
             return result(t)
 
     t0 = t
+    if slem is None:
+        slem = slem_streaming(window)
+    t_last = _ubl_last_step(N, slem, eps)
+    floor = _band(n, max(t_last - t0, 0))
+    if eps <= floor:
+        raise InsideErrorBand(
+            f"epsilon = {eps} is below the float64 error band {floor:.2e} of "
+            f"TV at t = {t_last}, the step the SLEM bound needs, so TV <= "
+            f"epsilon cannot be decided; path counts leave int64 after t = {t0}"
+        )
     counts = spare.view(np.float64)
     np.copyto(counts, cur)
     fspare, fscratch = cur.view(np.float64), scratch.view(np.float64)
@@ -342,15 +381,11 @@ def mixing_time(
         curve.append((t, tv))
         delta = _band(n, t - t0)
         gap = Fraction(tv) - eps
-        if eps <= delta or abs(gap) <= delta:
-            claim = (
-                f"has an error band of {delta:.2e}, above epsilon = {eps}"
-                if eps <= delta
-                else f"within {delta:.2e} of epsilon = {eps}"
-            )
+        if abs(gap) <= delta:
             raise InsideErrorBand(
-                f"TV({t}) = {tv!r} {claim}: float64 cannot decide TV <= "
-                f"epsilon past t = {t0}, where path counts leave int64"
+                f"TV({t}) = {tv!r} within {delta:.2e} of epsilon = {eps}: "
+                f"float64 cannot decide TV <= epsilon past t = {t0}, "
+                "where path counts leave int64"
             )
         if gap < 0:
             return result(t)

@@ -137,6 +137,21 @@ def test_mix_epsilon_below_float_band_exits_fast(capsys):
     assert "error band" in err
 
 
+def test_mix_slow_walk_below_float_band_exits_fast(capsys):
+    # steps {1, 0} on Z_4096 have SLEM cos(pi/4096): TV <= 1e-9 needs about
+    # 8e7 float steps, where the band is about 9e-9, so the scan refuses
+    # before its first float step rather than after millions of them
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "mix", "--seq", '{"coeffs":[1,1],"init":[1,4096]}',
+        "--n", "2", "--epsilon", "1e-9",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "error band" in err
+
+
 def test_bad_epsilon_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mix", "--seq", "pow2", "--n", "3", "--epsilon", "3/2"])

@@ -23,7 +23,7 @@ from recwalk import (
     tv_to_uniform,
 )
 
-from recwalk import spectrum, walk
+from recwalk import walk
 from recwalk.walk import _Convolver
 
 import path_counts
@@ -389,17 +389,12 @@ def test_float_scan_rescales_exactly(monkeypatch):
         assert window.n**res.t_mix >= 2**63  # decided in float
 
 
-def test_float_scan_reads_no_eigenvalues(monkeypatch):
-    # the float scan stops on TV <= epsilon or its band, neither of which
-    # reads eigenvalues: 15^17 >= 2^63, so t_mix = 157 is decided in float
-    def no_engine(*args, **kwargs):
-        raise AssertionError("the eigenvalue engine was run")
-
-    monkeypatch.setattr(spectrum, "iter_eigenvalue_chunks", no_engine)
-    window = generate(PRESETS["pow2"], 15)
-    res = mixing_time(window, Fraction(1, 10**10))
-    assert res.t_mix == 157
-    assert window.n**res.t_mix >= 2**63
+def test_slem_at_one_refused_before_float_scan():
+    # the int64 range ends at t = 19 for n = 9, long before TV(t) <= 1e-6,
+    # and a SLEM of 1 bounds no t for the float scan
+    window = generate(PRESETS["fib-odd"], 9)
+    with pytest.raises(InsideErrorBand, match="SLEM"):
+        mixing_time(window, 1e-6, slem=1.0 - 1e-15)
 
 
 def test_epsilon_below_band_refused_before_float_scan():
