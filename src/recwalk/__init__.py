@@ -26,6 +26,7 @@ from .recurrence import (
     SequenceWindow,
     estimate_growth,
     generate,
+    ratio_bounded,
     s_value,
 )
 from .spectrum import (

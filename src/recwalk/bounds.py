@@ -16,7 +16,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DegenerateStateSpace, DomainError
-from .recurrence import RecurrenceSpec, SequenceWindow, estimate_growth, s_value
+from .recurrence import RecurrenceSpec, SequenceWindow, estimate_growth
+from .recurrence import ratio_bounded, s_value
 from .spectrum import DEFAULT_N_MAX, half_spectrum, slem_streaming
 from . import walk
 
@@ -32,8 +33,8 @@ class BoundReport:
     N: int
     epsilon: float
     s: int
-    kappa_general: float
-    upper_general: float
+    kappa_general: float | None
+    upper_general: float | None
     lower_general: float | None
     c: int | None
     kappa_first_order: float | None
@@ -205,16 +206,19 @@ def build_report(
 ) -> BoundReport:
     """Evaluate every applicable bound for one window.
 
-    First-order bounds appear only for pow-c specs.  The general lower
-    bound needs an eta_1; without an override it uses the window
-    estimate and is omitted for sequences classified as non-exponential
-    or windows too short to classify.
+    First-order bounds appear only for pow-c specs.  The general upper
+    bound and its kappa need G_{j+1} <= s G_j for every j (ratio_bounded)
+    and are None elsewhere.  The general lower bound needs an eta_1;
+    without an override it uses the window estimate and is omitted for
+    sequences classified as non-exponential or windows too short to
+    classify.
     """
     n, N = window.n, window.modulus
     if n < 2:
         raise DomainError("bound reports need n >= 2")
     eps = float(epsilon)
     s = s_value(window.spec)
+    bounded = ratio_bounded(window)
 
     eta1 = eta1_override
     if eta1 is None and n >= 3:
@@ -253,8 +257,8 @@ def build_report(
         N=N,
         epsilon=eps,
         s=s,
-        kappa_general=kappa_general(s),
-        upper_general=upper_general(n, N, s, eps),
+        kappa_general=kappa_general(s) if bounded else None,
+        upper_general=upper_general(n, N, s, eps) if bounded else None,
         lower_general=lower_gen,
         c=c,
         kappa_first_order=kappa_fo,

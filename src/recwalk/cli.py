@@ -35,6 +35,21 @@ from . import walk
 _JSON_BATCH = 1 << 12
 
 
+class _Streamed(list):
+    """A JSON array whose items are made as the encoder reads them:
+    iterencode tests a list for emptiness, then walks it with `for value
+    in lst`, so only the first item is held (an empty one stays "[]")."""
+
+    def __init__(self, items):
+        items = iter(items)
+        super().__init__(itertools.islice(items, 1))
+        self._rest = items
+
+    def __iter__(self):
+        yield from list.__iter__(self)
+        yield from self._rest
+
+
 def _parse_epsilon(text: str) -> Fraction:
     try:
         eps = Fraction(text)
@@ -199,7 +214,7 @@ def cmd_spectrum(args) -> int:
         "slem": float(mods[: N // 2].max(initial=0.0)),  # 0.0 when N = 1
     }
     if args.format == "json":  # CSV formats the rows as _emit writes them
-        payload["eigenvalues"] = [dict(zip(fields, row)) for row in rows]
+        payload["eigenvalues"] = _Streamed(dict(zip(fields, row)) for row in rows)
     _emit(args, [(name, spec)], payload, itertools.chain([fields], rows))
     return 0
 
@@ -216,7 +231,7 @@ def cmd_mix(args) -> int:
         "t_mix": result.t_mix,
     }
     if args.format == "json":  # CSV formats the rows as _emit writes them
-        payload["tv_curve"] = [{"t": t, "tv": tv} for t, tv in result.tv_curve]
+        payload["tv_curve"] = _Streamed({"t": t, "tv": tv} for t, tv in result.tv_curve)
     _emit(args, [(name, spec)], payload, itertools.chain([("t", "tv")], result.tv_curve))
     return 0
 
@@ -265,7 +280,7 @@ def cmd_simulate(args) -> int:
     )
     payload = {"sequence": name, "n": window.n, "N": window.modulus}
     if args.format == "json":  # CSV formats the rows as _emit writes them
-        payload["curve"] = [{"t": t, "empirical_tv": tv} for t, tv in curve]
+        payload["curve"] = _Streamed({"t": t, "empirical_tv": tv} for t, tv in curve)
     payload.update(num_trajectories=args.trajectories, seed=args.seed)
     rows = ((t, tv, args.trajectories, args.seed) for t, tv in curve)
     header = ("t", "empirical_tv", "num_trajectories", "seed")

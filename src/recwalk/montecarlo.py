@@ -21,8 +21,8 @@ import numpy as np
 from .recurrence import SequenceWindow
 from .walk import _tv_excess
 
-# (pos + step) stays below 2^63 whenever N is below this.
-_INT64_SAFE_N = 1 << 62
+# Positions are int64 while N is below this: pos + step < 2 N < 2^63.
+_INT64_POSITIONS = 1 << 62
 
 # Largest T accepted.  Positions, drawn step indices and a sorted copy of
 # the positions are live at once: `simulate --seq pow3 --n 14` peaked at 420 MiB
@@ -31,8 +31,8 @@ _MAX_TRAJECTORIES = 1 << 24
 
 # Most rows an artifact may hold: a curve of t = 0..t_max, and the CLI's
 # spectrum listing.  Child peak RSS at 2^18 rows: the pow2 listing 40 MiB
-# as CSV and 126 MiB as JSON; `simulate --seq pow3 --n 3 --trajectories 1`
-# 120 MiB as CSV and 123 MiB as JSON (a bare interpreter with numpy: 33 MiB).
+# as CSV or JSON; `simulate --seq pow3 --n 3 --trajectories 1` 69 MiB as
+# CSV or JSON (a bare interpreter with numpy: 33 MiB).
 MAX_ROWS = 1 << 18
 
 
@@ -72,7 +72,7 @@ def simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
     T = config.num_trajectories
     rng = np.random.Generator(np.random.Philox(config.seed))
 
-    dtype = np.int64 if N < _INT64_SAFE_N else object
+    dtype = np.int64 if N < _INT64_POSITIONS else object
     steps = np.array(window.steps, dtype=dtype)
     pos = np.zeros(T, dtype=dtype)
     out = []

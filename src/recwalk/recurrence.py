@@ -126,6 +126,14 @@ def s_value(spec: RecurrenceSpec) -> int:
     return s
 
 
+def ratio_bounded(window: SequenceWindow) -> bool:
+    """G_{j+1} <= s G_j for every j < n, which the angle cover behind the
+    general upper bound needs; past the d initial terms it always holds."""
+    s = s_value(window.spec)
+    v = window.values
+    return all(b <= s * a for a, b in zip(v, v[1:]))
+
+
 def estimate_growth(window: SequenceWindow) -> GrowthEstimate:
     """Estimate the limiting ratio G_{i+1}/G_i from a window.
 

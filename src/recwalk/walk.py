@@ -119,52 +119,17 @@ def _convolve_tiles(src: np.ndarray, out: np.ndarray, plan):
         yield tile
 
 
-class _Convolver:
-    """Cyclic convolution of a float law with the window's step law.
-
-    The law puts the weight w = fl(1/n) on each of the n distinct steps,
-    so a shift-and-add over them is O(N * n) and free of FFT rounding.
-    Each call forms fl(w * probs) once, into a buffer owned here, and adds
-    its shifted copies into the caller's out buffer by _convolve_tiles.
-    Every output entry thus receives the same products in the same order
-    as the sum over x of w * np.roll(probs, x), so results are
-    bit-identical to that sum, without allocating per call.
-    """
-
-    def __init__(self, window: SequenceWindow):
-        self.weight = 1.0 / window.n
-        self.product = np.empty(window.modulus)
-        self.plan = _tile_plan(window)
-
-    def __call__(self, probs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.multiply(probs, self.weight, out=self.product)
-        for _ in _convolve_tiles(self.product, out, self.plan):
-            pass
-        return out
-
-
-def evolve(window: SequenceWindow, t: int, method: str = "spectral") -> np.ndarray:
+def evolve(window: SequenceWindow, t: int) -> np.ndarray:
     """Law of X_t: the step law convolved t times with the point mass at 0.
 
-    method "spectral" (the default) powers half_spectrum's
-    lambda_0..lambda_{N//2} and inverts with one irfft; "direct" repeats
-    time-domain convolution and serves as the independent oracle for
-    the spectral path.
+    Powers half_spectrum's lambda_0..lambda_{N//2} and inverts with one
+    irfft.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if method not in ("spectral", "direct"):
-        raise ValueError(f"unknown method {method!r}")
     N = window.modulus
     if t == 0:
         return point_mass(N)
-    if method == "direct":
-        require_dense(N, DEFAULT_N_MAX)
-        convolve = _Convolver(window)
-        probs, spare = point_mass(N), np.empty(N)
-        for _ in range(t):
-            probs, spare = convolve(probs, spare), probs
-        return probs
     # lam[m] = lambda_m for m <= N//2 and lambda_{N-m} = conj(lambda_m), so
     # irfft of conj(lam)^t is (1/N) sum_m lambda_m^t xi_N^(-m x) = P(X_t = x).
     # Clamping the moduli at 1 keeps rounding from growing |lambda^t| with t.

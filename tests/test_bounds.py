@@ -1,8 +1,10 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, strategies as st
 
 from recwalk import (
     BoundReport,
@@ -29,9 +31,12 @@ from recwalk import (
     upper_first_order,
     upper_general,
     RecurrenceSpec,
+    ratio_bounded,
+    s_value,
 )
 
 from expected_values import EXACT_TMIX, UBL_IMPLIED_T
+from test_walk import PROPERTY_SETTINGS, small_windows
 
 
 def test_kappa_general_values():
@@ -340,3 +345,29 @@ def test_report_to_dict_round_trip():
     assert d["sequence_id"] == "pow3"
     assert d["exact_t_mix"] == 3
     assert set(d) == set(BoundReport.__dataclass_fields__)
+
+
+def test_general_upper_bound_needs_bounded_ratios():
+    # G_2 = 7 > s G_1 = 3: the general upper bound 5.43 would sit below the
+    # exact t_mix 9 and the relaxation lower bound 6.31
+    window = generate(RecurrenceSpec((3, 0), (1, 7)), 2)
+    assert not ratio_bounded(window)
+    report = build_report("custom0", window, 0.25)
+    assert report.kappa_general is None and report.upper_general is None
+    assert report.exact_t_mix == 9
+
+
+@PROPERTY_SETTINGS
+@given(
+    window=small_windows(),
+    epsilon=st.sampled_from([Fraction(1, 4), Fraction(1, 10), Fraction(1, 100)]),
+)
+def test_general_upper_bound_holds_where_ratios_bounded_property(window, epsilon):
+    if window.n < 2 or max(window.spec.coeffs) <= 0:
+        reject()  # no report, or no s
+    report = build_report("custom0", window, epsilon)
+    if ratio_bounded(window):
+        assert report.exact_t_mix <= math.ceil(report.upper_general)
+        assert report.kappa_general == kappa_general(s_value(window.spec))
+    else:
+        assert report.kappa_general is None and report.upper_general is None

@@ -535,3 +535,29 @@ def test_csv_curve_memory_per_row(tmp_path, argv):
         tracemalloc.stop()
     rows = len(out.read_text().splitlines()) - 1
     assert peak < 192 * rows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--seq", "pow2", "--n", "15"],
+        ["simulate", "--seq", "pow3", "--n", "3", "--trajectories", "1", "--tmax", "16383"],
+        ["mix", "--seq", '{"coeffs":[1,1],"init":[1,200]}', "--n", "2", "--epsilon", "1/2"],
+    ],
+)
+def test_json_listing_memory_per_row(tmp_path, argv):
+    # 2^14, 2^14 and 2392 rows into a file: each row's dict is made as the
+    # encoder reads it (40, 128 and 164 bytes a row, the curves held);
+    # a list of the dicts took 334, 319 and 350
+    out = tmp_path / "listing"
+    argv = [*argv, "--format", "json", "--out", str(out)]
+    assert main(argv) == 0  # imports and caches, unmeasured
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    doc = json.loads(out.read_text())
+    rows = len(doc.get("eigenvalues") or doc.get("curve") or doc["tv_curve"])
+    assert peak < 192 * rows

@@ -9,12 +9,12 @@ from recwalk import (
     PRESETS,
     RecurrenceSpec,
     SimConfig,
-    evolve,
     generate,
     simulate_tv,
-    tv_to_uniform,
 )
 from recwalk.montecarlo import MAX_ROWS, _MAX_TRAJECTORIES
+
+import path_counts
 
 
 def test_config_validation():
@@ -59,9 +59,9 @@ def test_empirical_tracks_exact_distribution():
     curve = simulate_tv(
         SimConfig(window=window, t_max=4, num_trajectories=200_000, seed=11)
     )
+    exact = path_counts.tv_curve(window, 4)
     for t, emp in curve:
-        exact = tv_to_uniform(evolve(window, t, method="direct"))
-        assert emp == pytest.approx(exact, abs=5e-3), t
+        assert emp == pytest.approx(float(exact[t]), abs=5e-3), t
 
 
 def test_big_state_space_fallback():
@@ -169,9 +169,9 @@ def test_more_than_one_former_block_tracks_exact_distribution():
     curve = simulate_tv(
         SimConfig(window=window, t_max=4, num_trajectories=(1 << 20) + 1, seed=11)
     )
+    exact = path_counts.tv_curve(window, 4)
     for t, emp in curve:
-        exact = tv_to_uniform(evolve(window, t, method="direct"))
-        assert emp == pytest.approx(exact, abs=5e-3), t
+        assert emp == pytest.approx(float(exact[t]), abs=5e-3), t
 
 
 def _unique_simulate_tv(config: SimConfig) -> list[tuple[int, float]]:

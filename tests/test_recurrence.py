@@ -14,6 +14,7 @@ from recwalk import (
     WindowTooShort,
     estimate_growth,
     generate,
+    ratio_bounded,
     s_value,
 )
 
@@ -90,6 +91,16 @@ def test_s_value_sums_positive_coefficients():
     assert s_value(PRESETS["pow3"]) == 3
     assert s_value(PRESETS["fib-odd"]) == 3
     assert s_value(RecurrenceSpec(coeffs=(1, 1), init=(1, 2))) == 2
+
+
+def test_ratio_bounded_exactly():
+    # the presets meet G_{j+1} <= s G_j with equality at G_2
+    for name in PRESETS:
+        assert all(ratio_bounded(generate(PRESETS[name], n)) for n in range(1, 40))
+    assert ratio_bounded(generate(RecurrenceSpec((3, 0), (1, 3)), 5))
+    assert not ratio_bounded(generate(RecurrenceSpec((3, 0), (1, 4)), 2))
+    # G_2 = 2^60 + 1 exceeds s G_1 = 2^60 by one, which float64 would lose
+    assert not ratio_bounded(generate(RecurrenceSpec((2**60, 0), (1, 2**60 + 1)), 2))
 
 
 def test_s_value_requires_a_positive_coefficient():

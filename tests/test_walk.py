@@ -24,7 +24,6 @@ from recwalk import (
 )
 
 from recwalk import walk
-from recwalk.walk import _Convolver
 
 import path_counts
 from expected_values import EXACT_TMIX
@@ -47,6 +46,16 @@ def _roll_convolve(probs, step):
     for x in np.flatnonzero(step):
         out += step[x] * np.roll(probs, x)
     return out
+
+
+def _roll_evolve(window, t):
+    """Reference law of X_t: t applications of _roll_convolve to the point
+    mass at 0."""
+    step = step_distribution(window)
+    probs = point_mass(len(step))
+    for _ in range(t):
+        probs = _roll_convolve(probs, step)
+    return probs
 
 
 def _assert_curve_matches_oracle(window, epsilon):
@@ -92,39 +101,33 @@ def test_step_distribution_respects_cap():
 
 
 def test_evolve_zero_steps_is_point_mass():
-    window = generate(PRESETS["pow3"], 3)
-    for method in ("direct", "spectral"):
-        probs = evolve(window, 0, method=method)
-        assert probs[0] == 1.0
-        assert float(probs.sum()) == 1.0
+    probs = evolve(generate(PRESETS["pow3"], 3), 0)
+    assert probs[0] == 1.0
+    assert float(probs.sum()) == 1.0
 
 
 def test_evolve_small_cases_exact():
     # pow3 n=2 after 2 steps: (1/2, 1/2, 0) convolved with itself
     window = generate(PRESETS["pow3"], 2)
-    for method in ("direct", "spectral"):
-        p1 = evolve(window, 1, method=method)
-        assert p1 == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
-        p2 = evolve(window, 2, method=method)
-        assert p2 == pytest.approx([0.25, 0.5, 0.25], abs=1e-12)
-        assert tv_to_uniform(p2) == pytest.approx(1 / 6, abs=1e-12)
+    p1 = evolve(window, 1)
+    assert p1 == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
+    p2 = evolve(window, 2)
+    assert p2 == pytest.approx([0.25, 0.5, 0.25], abs=1e-12)
+    assert tv_to_uniform(p2) == pytest.approx(1 / 6, abs=1e-12)
 
 
 def test_evolve_rejects_bad_arguments():
     window = generate(PRESETS["pow2"], 2)
     with pytest.raises(ValueError):
         evolve(window, -1)
-    for t, method in ((3, "magic"), (0, "auto"), (3, "auto")):
-        with pytest.raises(ValueError):
-            evolve(window, t, method=method)
 
 
 def test_direct_and_spectral_agree():
     for name in PRESETS:
         window = generate(PRESETS[name], 6)
         for t in (1, 2, 3, 7, 16, 33, 64):
-            a = evolve(window, t, method="direct")
-            b = evolve(window, t, method="spectral")
+            a = _roll_evolve(window, t)
+            b = evolve(window, t)
             gap = float(np.max(np.abs(a - b)))
             assert gap <= 1e-9, (name, t, gap)
 
@@ -132,7 +135,7 @@ def test_direct_and_spectral_agree():
 def test_spectral_stays_normalized_at_huge_t():
     # eigenvalue moduli clamped at 1 before powering: mass error stays
     # tiny even at t = 10^6, and negative entries are only rounding dust
-    probs = evolve(generate(PRESETS["pow3"], 3), 10**6, method="spectral")
+    probs = evolve(generate(PRESETS["pow3"], 3), 10**6)
     assert abs(float(probs.sum()) - 1.0) <= 1e-9
     assert float(probs.min()) >= -1e-12
     assert tv_to_uniform(probs) <= 1e-9
@@ -228,16 +231,6 @@ def test_mixing_epsilon_monotonicity():
     assert loose <= tight
 
 
-def test_convolution_bit_identical_to_roll_reference():
-    for name in PRESETS:
-        for n in range(1, 11):
-            window = generate(PRESETS[name], n)
-            step = step_distribution(window)
-            probs = np.random.default_rng(n).random(len(step))
-            got = _Convolver(window)(probs, np.empty_like(probs))
-            assert np.array_equal(got, _roll_convolve(probs, step)), (name, n)
-
-
 def test_mixing_curve_bit_identical_to_roll_reference():
     # now against the integer oracle; eps = 0.01 takes pow3 n = 8..10 and
     # fib-odd n = 9, 10 past the int64 range of path counts
@@ -246,20 +239,6 @@ def test_mixing_curve_bit_identical_to_roll_reference():
             window = generate(PRESETS[name], n)
             for eps in (0.25, 0.01):
                 _assert_curve_matches_oracle(window, eps)
-
-
-def _assert_convolver_matches_roll(window, steps):
-    """Ping-pong _Convolver over `steps` steps from the point mass, each
-    step exactly equal to the np.roll reference; returns the last law."""
-    step = step_distribution(window)
-    convolve = _Convolver(window)
-    probs, spare = point_mass(len(step)), np.empty(len(step))
-    expected = point_mass(len(step))
-    for t in range(1, steps + 1):
-        expected = _roll_convolve(expected, step)
-        probs, spare = convolve(probs, spare), probs
-        assert np.array_equal(probs, expected), t
-    return expected
 
 
 @pytest.mark.parametrize(
@@ -283,18 +262,17 @@ def test_small_tiles_bit_identical_to_roll_reference(monkeypatch):
     monkeypatch.setattr(walk, "_TILE", 64)
     for name in PRESETS:
         for n in range(1, 11):
-            window = generate(PRESETS[name], n)
-            step = step_distribution(window)
-            probs = np.random.default_rng(n).random(len(step))
-            got = _Convolver(window)(probs, np.empty_like(probs))
-            assert np.array_equal(got, _roll_convolve(probs, step)), (name, n)
-            _assert_curve_matches_oracle(window, 0.25)
+            _assert_curve_matches_oracle(generate(PRESETS[name], n), 0.25)
     # tiles of 3 entries put shifts on both tile edges, inside tiles and
-    # past a partial last tile
+    # past a partial last tile; epsilon = the exact TV(24) runs the scan to
+    # t = 24, except where TV reaches 0 (N <= 2), which no epsilon can ask
     monkeypatch.setattr(walk, "_TILE", 3)
     for name in PRESETS:
         for n in range(1, 7):
-            _assert_convolver_matches_roll(generate(PRESETS[name], n), 24)
+            window = generate(PRESETS[name], n)
+            tv24 = path_counts.tv_curve(window, 24)[24]
+            if tv24 > 0:
+                assert _assert_curve_matches_oracle(window, tv24).t_mix == 24
 
 
 @st.composite
@@ -324,9 +302,8 @@ PROPERTY_SETTINGS = settings(
 @PROPERTY_SETTINGS
 @given(window=small_windows(), t=st.integers(0, 32))
 def test_spectral_evolution_matches_direct_property(window, t):
-    spectral = evolve(window, t, method="spectral")
-    direct = evolve(window, t, method="direct")
-    assert float(np.max(np.abs(spectral - direct))) <= 1e-9
+    spectral = evolve(window, t)
+    assert float(np.max(np.abs(spectral - _roll_evolve(window, t)))) <= 1e-9
 
 
 @PROPERTY_SETTINGS
@@ -345,8 +322,7 @@ def test_step_set_and_evolution_match_roll_oracle_property(window):
     assert steps[-1] == 0
     assert np.array_equal(step_distribution(window), _counting_step_law(window))
     _assert_curve_matches_oracle(window, 0.25)
-    last = _assert_convolver_matches_roll(window, 24)
-    assert np.array_equal(evolve(window, 24, method="direct"), last)
+    assert float(np.max(np.abs(evolve(window, 24) - _roll_evolve(window, 24)))) <= 1e-9
 
 
 def test_tie_probe_decided_exactly():
