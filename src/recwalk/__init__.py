@@ -25,6 +25,7 @@ from .recurrence import (
     RecurrenceSpec,
     SequenceWindow,
     estimate_growth,
+    first_unbounded_j,
     generate,
     ratio_bounded,
     s_value,

@@ -153,6 +153,8 @@ def _emit(args, sequences: list[tuple[str, RecurrenceSpec]], payload: dict, rows
 
 
 def _fmt(x) -> str:
+    if x is None:  # an absent value is a blank cell, as JSON writes null
+        return ""
     if isinstance(x, float):
         return repr(x)
     return str(x)

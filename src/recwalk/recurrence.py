@@ -126,12 +126,20 @@ def s_value(spec: RecurrenceSpec) -> int:
     return s
 
 
+def first_unbounded_j(window: SequenceWindow) -> int | None:
+    """The first j < n with G_{j+1} > s G_j, or None where there is none."""
+    s = s_value(window.spec)
+    v = window.values  # v[j] is G_{j+1}
+    for j in range(1, window.n):
+        if v[j] > s * v[j - 1]:
+            return j
+    return None
+
+
 def ratio_bounded(window: SequenceWindow) -> bool:
     """G_{j+1} <= s G_j for every j < n, which the angle cover behind the
     general upper bound needs; past the d initial terms it always holds."""
-    s = s_value(window.spec)
-    v = window.values
-    return all(b <= s * a for a, b in zip(v, v[1:]))
+    return first_unbounded_j(window) is None
 
 
 def estimate_growth(window: SequenceWindow) -> GrowthEstimate:

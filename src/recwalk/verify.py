@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, UnknownSuite
-from .recurrence import PRESETS, RecurrenceSpec, generate, s_value
+from .recurrence import PRESETS, RecurrenceSpec, first_unbounded_j, generate, s_value
 from .spectrum import (
     DEFAULT_N_MAX,
     half_spectrum,
@@ -68,6 +68,13 @@ def _preset_windows(specs: dict[str, RecurrenceSpec], n_max: int):
             yield name, generate(spec, n)
 
 
+def _hypothesis(window) -> dict:
+    """Whether G_{j+1} <= s G_j for every j, which the eigenvalue bound and
+    the angle cover rest on, and the first j where it fails."""
+    j = first_unbounded_j(window)
+    return {"ratio_bounded": j is None, "first_unbounded_j": j}
+
+
 def eigmod_bound_suite(specs: dict[str, RecurrenceSpec], n_max: int = 8) -> SuiteResult:
     """|lambda_k| <= 1 - (2/n)(1 - |cos(pi/(s+1))|) for every nontrivial k."""
     cases = []
@@ -79,6 +86,7 @@ def eigmod_bound_suite(specs: dict[str, RecurrenceSpec], n_max: int = 8) -> Suit
         worst = min(worst, slack)
         cases.append(
             {"sequence": name, "n": window.n, "slack": slack, "bound": bound}
+            | _hypothesis(window)
         )
     passed = worst >= -EIGMOD_TOL
     return SuiteResult("eigmod-bound", passed, "min_margin", worst, cases)
@@ -131,6 +139,7 @@ def angle_cover_suite(specs: dict[str, RecurrenceSpec], n_max: int = 8) -> Suite
         worst = min(worst, margin)
         cases.append(
             {"sequence": name, "n": window.n, "uncovered": miss, "margin": margin}
+            | _hypothesis(window)
         )
     passed = all(c["uncovered"] == 0 for c in cases)
     return SuiteResult("angle-cover", passed, "min_margin", worst, cases)

@@ -229,6 +229,45 @@ def test_bounds_csv_two_rows(capsys):
     assert values[0] == "pow3"
 
 
+# G_2 = 7 > s G_1 = 3: the spec breaks the hypothesis of the general bounds
+UNBOUNDED_SPEC = '{"coeffs":[3,0],"init":[1,7]}'
+
+
+def test_bounds_csv_absent_values_are_blank_cells(capsys):
+    code, out, _ = run_cli(
+        capsys, "bounds", "--seq", UNBOUNDED_SPEC, "--n", "2", "--format", "csv"
+    )
+    assert code == 0
+    header, values = (line.split(",") for line in out.strip().splitlines())
+    row = dict(zip(header, values, strict=True))
+    assert "None" not in values
+    blank = {
+        "kappa_general", "upper_general", "lower_general", "c",
+        "kappa_first_order", "upper_first_order", "gamma_first_order",
+        "lower_first_order",
+    }
+    assert {key for key, value in row.items() if value == ""} == blank
+    assert row["exact_t_mix"] == "9"
+
+
+def test_verify_names_the_first_unbounded_ratio(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--seq", UNBOUNDED_SPEC, "--nmax", "2", "--format", "json"
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    named = {
+        suite["suite"]: suite["cases"]
+        for suite in doc["suites"]
+        if suite["suite"] in ("eigmod-bound", "angle-cover")
+    }
+    assert len(named) == 2
+    for suite, (case,) in named.items():
+        assert case["ratio_bounded"] is False, suite
+        assert case["first_unbounded_j"] == 1, suite
+
+
 def test_verify_all_suites_exit_zero(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--nmax", "5", "--format", "json"

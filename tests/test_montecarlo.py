@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from recwalk import (
     PRESETS,
@@ -15,6 +17,7 @@ from recwalk import (
 from recwalk.montecarlo import MAX_ROWS, _MAX_TRAJECTORIES
 
 import path_counts
+from test_walk import PROPERTY_SETTINGS, small_windows
 
 
 def test_config_validation():
@@ -135,6 +138,11 @@ def _exact_tv(counts, T, N):
         (PRESETS["fib-odd"], 6, 3, 1 << 20, 7),  # one full former block
         (RecurrenceSpec((2,), (1,)), 64, 6, 500, 5),  # N = 2^63, Python ints
         (RecurrenceSpec((2,), (1,)), 63, 6, 2_000, 3),  # N = 2^62, smallest on the Python-int path
+        (RecurrenceSpec((2,), (1,)), 30, 6, 2_000, 8),  # N = 2^29, int32
+        (RecurrenceSpec((2,), (1,)), 31, 6, 2_000, 9),  # N = 2^30, largest on int32
+        (RecurrenceSpec((2,), (1,)), 32, 6, 2_000, 10),  # N = 2^31, smallest on int64
+        (PRESETS["pow3"], 19, 6, 3_000, 11),  # N = 3^18 < 2^30, int32
+        (PRESETS["pow3"], 20, 6, 3_000, 12),  # N = 3^19 > 2^30, int64
     ],
 )
 def test_bit_identical_to_blocked_loop(spec, n, t_max, trajectories, seed):
@@ -206,6 +214,45 @@ def test_bincount_histogram_matches_unique_exactly(name, n, trajectories):
     assert window.modulus <= trajectories
     config = SimConfig(window=window, t_max=15, num_trajectories=trajectories, seed=4)
     assert simulate_tv(config) == _unique_simulate_tv(config)
+
+
+@PROPERTY_SETTINGS
+@given(
+    window=small_windows(),
+    trajectories=st.integers(1, 1 << 13),  # N <= 2^12: N <= T and N > T
+    t_max=st.integers(0, 10),
+    seed=st.integers(0, 2**32),
+)
+def test_matches_unique_histogram_loop_property(window, trajectories, t_max, seed):
+    config = SimConfig(
+        window=window, t_max=t_max, num_trajectories=trajectories, seed=seed
+    )
+    assert simulate_tv(config) == _unique_simulate_tv(config)
+
+
+@pytest.mark.parametrize(
+    "n, trajectories",
+    [
+        (3, 1 << 20),  # N = 9 <= T: bincount
+        (14, 1 << 18),  # N = 3^13 > T: distinct positions
+    ],
+)
+def test_memory_per_trajectory(n, trajectories):
+    # int32 positions, int64 drawn indices and the gathered int32 steps are
+    # the largest set live at once: 16 bytes a trajectory
+    config = SimConfig(
+        window=generate(PRESETS["pow3"], n),
+        t_max=4,
+        num_trajectories=trajectories,
+        seed=1,
+    )
+    tracemalloc.start()
+    try:
+        simulate_tv(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 22 * trajectories
 
 
 def test_trajectory_count_capped():

@@ -13,6 +13,7 @@ from recwalk import (
     SequenceWindow,
     WindowTooShort,
     estimate_growth,
+    first_unbounded_j,
     generate,
     ratio_bounded,
     s_value,
@@ -101,6 +102,15 @@ def test_ratio_bounded_exactly():
     assert not ratio_bounded(generate(RecurrenceSpec((3, 0), (1, 4)), 2))
     # G_2 = 2^60 + 1 exceeds s G_1 = 2^60 by one, which float64 would lose
     assert not ratio_bounded(generate(RecurrenceSpec((2**60, 0), (1, 2**60 + 1)), 2))
+
+
+def test_first_unbounded_j_names_the_first_failing_ratio():
+    for name in PRESETS:
+        assert first_unbounded_j(generate(PRESETS[name], 30)) is None
+    assert first_unbounded_j(generate(RecurrenceSpec((3, 0), (1, 7)), 2)) == 1
+    # G = 1, 2, 7, 10 with s = 3: G_2 <= 3 G_1, then G_3 = 7 > 3 G_2
+    assert first_unbounded_j(generate(RecurrenceSpec((1, 1, 1), (1, 2, 7)), 4)) == 2
+    assert first_unbounded_j(generate(RecurrenceSpec((1, 1, 1), (1, 2, 7)), 2)) is None
 
 
 def test_s_value_requires_a_positive_coefficient():
