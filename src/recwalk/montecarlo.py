@@ -2,14 +2,20 @@
 
 Cross-validates the exact engine and reaches state spaces beyond the
 dense cap.  All trajectories advance together, one step per t, and each
-t's histogram is taken and reduced to TV before the next step, so
-memory is O(T) for T trajectories (plus the occupied states of one t)
-and O(t_max) for the curve; T is capped at _MAX_TRAJECTORIES, and the
-curve's t_max + 1 rows at MAX_ROWS.
-The RNG is one Philox stream (counter-based), drawn T indices per t with
-no blocking, so a seed fixes the curve, whichever integer type holds the
-positions.  Note the empirical TV is upward-biased when num_trajectories
-is small relative to N; no debiasing is applied.
+t's histogram is taken and reduced to TV before the next step.  Within a
+t the trajectories move in blocks of _BLOCK (at least N wide when N <= T,
+so that each block's histogram costs O(block)), so memory is the T
+positions, one block's temporaries and either an N-entry histogram
+(N <= T) or a sorted copy of the positions (N > T); the curve is
+O(t_max).  T, T * t_max and the curve's t_max + 1 rows are capped before
+anything is allocated.
+The RNG is one Philox stream (counter-based), drawn T indices per t.
+Bounded draws take the stream's 32-bit words index by index (one each,
+bar rare rejections) and keep nothing back between calls, so drawing
+block after block gives the same indices as one draw of T, and a seed
+fixes the curve, whatever the block width and whichever integer type
+holds the positions.  Note the empirical TV is upward-biased when
+num_trajectories is small relative to N; no debiasing is applied.
 """
 
 from __future__ import annotations
@@ -26,17 +32,44 @@ from .walk import _tv_excess
 _INT32_POSITIONS = 1 << 30
 _INT64_POSITIONS = 1 << 62
 
-# Largest T accepted.  During a step the int32 positions, the int64 drawn
-# step indices and the gathered int32 steps are live at once, 16 bytes a
-# trajectory: `simulate --seq pow3 --n 14 --tmax 3` peaked at 300 MiB (child
-# peak RSS) with this many trajectories.
+# Trajectories per block: a block's int64 draws and gathered steps, 12
+# bytes a trajectory, stay in L2.
+_BLOCK = 1 << 16
+
+# Largest T accepted on int32 and int64 positions.  The positions (4 or 8
+# bytes a trajectory) are the one T-entry array live through a step; the
+# sorted copy taken when N > T doubles them.  Child peak RSS with this
+# many trajectories: `simulate --seq pow3 --n 3 --tmax 3` 100 MiB, `--n 14
+# --tmax 3` 136 MiB, `--n 20 --tmax 2` (int64 positions) 307 MiB.
 _MAX_TRAJECTORIES = 1 << 24
+
+# Most trajectory-steps T * t_max on int32 and int64 positions: each
+# costs 8-33 ns (one x86-64 CPU; the most at N = T = 2^24, whose
+# histogram leaves the cache), so a run stays under about a minute.
+_MAX_WORK = 1 << 31
+
+# The same two caps on Python-int positions (N >= 2^62).  They take about
+# 120 bytes a trajectory (the int objects and the set of distinct
+# positions): `simulate --seq pow2 --n 70 --tmax 6` peaks at 292 MiB with
+# 2^21 trajectories, under the int64 path's 307 MiB at _MAX_TRAJECTORIES.
+# A trajectory-step costs 230-440 ns, so 2^27 of them take about a minute.
+_MAX_OBJECT_TRAJECTORIES = 1 << 21
+_MAX_OBJECT_WORK = 1 << 27
 
 # Most rows an artifact may hold: a curve of t = 0..t_max, and the CLI's
 # spectrum listing.  Child peak RSS at 2^18 rows: the pow2 listing 40 MiB
 # as CSV or JSON; `simulate --seq pow3 --n 3 --trajectories 1` 69 MiB as
 # CSV or JSON (a bare interpreter with numpy: 33 MiB).
 MAX_ROWS = 1 << 18
+
+
+def _position_types(N: int):
+    """The positions' dtype on Z_N and its unsigned twin (None for objects)."""
+    if N <= _INT32_POSITIONS:
+        return np.int32, np.uint32
+    if N < _INT64_POSITIONS:
+        return np.int64, np.uint64
+    return object, None
 
 
 @dataclass(frozen=True)
@@ -47,25 +80,35 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
+        most, most_work, past = _MAX_TRAJECTORIES, _MAX_WORK, ""
+        if _position_types(self.window.modulus)[0] is object:
+            most, most_work = _MAX_OBJECT_TRAJECTORIES, _MAX_OBJECT_WORK
+            past = " when N >= 2^62"
         if self.num_trajectories < 1:
             raise ValueError("need at least one trajectory")
-        if self.num_trajectories > _MAX_TRAJECTORIES:
+        if self.num_trajectories > most:
             raise ValueError(
-                f"at most {_MAX_TRAJECTORIES} trajectories, got {self.num_trajectories}"
+                f"at most {most} trajectories{past}, got {self.num_trajectories}"
             )
         if not 0 <= self.t_max < MAX_ROWS:  # a curve of at most MAX_ROWS rows
             raise ValueError(f"t_max must be in 0..{MAX_ROWS - 1}, got {self.t_max}")
+        work = self.num_trajectories * self.t_max
+        if work > most_work:
+            raise ValueError(
+                f"trajectories * t_max must be at most {most_work}{past}, got {work}"
+            )
 
 
 def simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
     """Empirical TV to uniform at every t = 0..t_max.
 
     Deterministic for a given config: t = 1..t_max each draw T step
-    indices from one Philox stream.  Positions are int32 while N <= 2^30,
-    int64 while N < 2^62 and Python ints (an object array, exact at any
-    N) past that.  When N <= T, each t's counts come from np.bincount,
-    and the mixing scan's integer N T TV (walk._tv_excess) over N T
-    rounds the TV correctly.
+    indices from one Philox stream, block by block.  Positions are int32
+    while N <= 2^30, int64 while N < 2^62 and Python ints (an object
+    array, exact at any N) past that.  When N <= T, each block's counts
+    come from np.bincount into one N-entry histogram, and the mixing
+    scan's integer N T TV (walk._tv_excess) over N T rounds the TV
+    correctly.
     When N > T, every occupied state holds at least 1/T > 1/N of the
     mass, so the TV is exactly 1 - occupied/N: only the distinct
     positions are counted, and (N - occupied) / N in integers rounds that
@@ -75,28 +118,36 @@ def simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
     N = window.modulus
     T = config.num_trajectories
     rng = np.random.Generator(np.random.Philox(config.seed))
-
-    if N <= _INT32_POSITIONS:
-        dtype, unsigned = np.int32, np.uint32
-    elif N < _INT64_POSITIONS:
-        dtype, unsigned = np.int64, np.uint64
-    else:
-        dtype, unsigned = object, None
+    dtype, unsigned = _position_types(N)
     steps = np.array(window.steps, dtype=dtype)
     pos = np.zeros(T, dtype=dtype)
+    # a block at least N wide keeps each bincount O(block)
+    width = max(_BLOCK, N) if N <= T else _BLOCK
     out = []
     for t in range(config.t_max + 1):
-        if t:
-            # the drawn indices are in 0..n-1, so "clip" changes none of them
-            pos += steps.take(rng.integers(0, window.n, size=T), mode="clip")
-            if dtype is object:
-                pos %= N
-            else:  # pos < 2N; as unsigned, pos - N wraps above pos where pos < N
-                wrapped = pos.view(unsigned)
-                np.minimum(wrapped, wrapped - N, out=wrapped)
+        hist = None  # the last t's histogram is not live through this step
+        for lo in range(0, T, width):
+            block = pos[lo : lo + width]
+            if t:
+                # the drawn indices are in 0..n-1, so "clip" changes none of them
+                block += steps.take(
+                    rng.integers(0, window.n, size=len(block)), mode="clip"
+                )
+                if dtype is object:
+                    block %= N
+                else:  # pos < 2N; as unsigned, pos - N wraps above pos where pos < N
+                    wrapped = block.view(unsigned)
+                    np.minimum(wrapped, wrapped - N, out=wrapped)
+            if N > T:
+                continue
+            if hist is None:
+                hist = np.bincount(block, minlength=N)
+            else:
+                hist += np.bincount(block, minlength=N)
         if N <= T:
-            over = np.maximum(np.bincount(pos) - T // N, 0)
-            excess = _tv_excess(N, T, int(over.sum()), int(np.count_nonzero(over)))
+            hist -= T // N
+            np.maximum(hist, 0, out=hist)
+            excess = _tv_excess(N, T, int(hist.sum()), int(np.count_nonzero(hist)))
             out.append((t, excess / (N * T)))
             continue
         if dtype is object:

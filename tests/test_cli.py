@@ -414,6 +414,40 @@ def test_simulate_tmax_past_row_limit_is_usage_error(capsys, monkeypatch):
     assert "t_max must be in 0..262143" in err
 
 
+def test_simulate_work_past_cap_is_usage_error(capsys, monkeypatch):
+    # 2^24 trajectories for 2^18 - 1 steps: 4.4e12 trajectory-steps
+    def no_steps(*args, **kwargs):
+        raise AssertionError("the walk was simulated")
+
+    monkeypatch.setattr(cli, "simulate_tv", no_steps)
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--seq", "pow3", "--n", "3",
+        "--trajectories", "16777216", "--tmax", "262143",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "trajectories * t_max must be at most 2147483648" in err
+
+
+def test_simulate_python_int_trajectories_past_cap_is_usage_error(capsys, monkeypatch):
+    # N = 2^69: Python-int positions have their own, smaller cap on T
+    def no_steps(*args, **kwargs):
+        raise AssertionError("the walk was simulated")
+
+    monkeypatch.setattr(cli, "simulate_tv", no_steps)
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--seq", "pow2", "--n", "70", "--tmax", "1",
+        "--trajectories", str(2**21 + 1),
+    )
+    assert code == 2
+    assert out == ""
+    assert "at most 2097152 trajectories when N >= 2^62" in err
+
+
 @pytest.mark.parametrize("cap", [2**24 + 1, 0])
 def test_nmax_states_outside_dense_cap_is_usage_error(capsys, monkeypatch, cap):
     def no_spectrum(*args, **kwargs):

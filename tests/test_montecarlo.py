@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from recwalk import (
     generate,
     simulate_tv,
 )
+from recwalk import montecarlo
 from recwalk.montecarlo import MAX_ROWS, _MAX_TRAJECTORIES
 
 import path_counts
@@ -143,6 +145,19 @@ def _exact_tv(counts, T, N):
         (RecurrenceSpec((2,), (1,)), 32, 6, 2_000, 10),  # N = 2^31, smallest on int64
         (PRESETS["pow3"], 19, 6, 3_000, 11),  # N = 3^18 < 2^30, int32
         (PRESETS["pow3"], 20, 6, 3_000, 12),  # N = 3^19 > 2^30, int64
+        (PRESETS["pow3"], 12, 3, (1 << 18) + 1, 13),  # two blocks N = 3^11 wide
+    ]
+    + [
+        # T = _BLOCK - 1, _BLOCK and _BLOCK + 1: one block short of, at and
+        # past its edge, on N <= T, N > T, int64 and Python-int positions
+        (spec, n, 3, montecarlo._BLOCK + d, 20 + d)
+        for spec, n in [
+            (PRESETS["pow3"], 3),
+            (PRESETS["pow3"], 14),
+            (PRESETS["pow3"], 20),
+            (RecurrenceSpec((2,), (1,)), 64),
+        ]
+        for d in (-1, 0, 1)
     ],
 )
 def test_bit_identical_to_blocked_loop(spec, n, t_max, trajectories, seed):
@@ -222,37 +237,43 @@ def test_bincount_histogram_matches_unique_exactly(name, n, trajectories):
     trajectories=st.integers(1, 1 << 13),  # N <= 2^12: N <= T and N > T
     t_max=st.integers(0, 10),
     seed=st.integers(0, 2**32),
+    block=st.sampled_from([1, 3, 7]),
 )
-def test_matches_unique_histogram_loop_property(window, trajectories, t_max, seed):
+def test_matches_unique_histogram_loop_property(
+    window, trajectories, t_max, seed, block
+):
+    # blocks of 1, 3 and 7 trajectories (N wide when N <= T) split each
+    # t's T draws many times, with a partial last block unless they divide T
     config = SimConfig(
         window=window, t_max=t_max, num_trajectories=trajectories, seed=seed
     )
-    assert simulate_tv(config) == _unique_simulate_tv(config)
+    with mock.patch.object(montecarlo, "_BLOCK", block):
+        assert simulate_tv(config) == _unique_simulate_tv(config)
 
 
 @pytest.mark.parametrize(
     "n, trajectories",
     [
-        (3, 1 << 20),  # N = 9 <= T: bincount
-        (14, 1 << 18),  # N = 3^13 > T: distinct positions
+        (3, 1 << 20),  # N = 9 <= T: bincount of one block at a time
+        (14, 1 << 18),  # N = 3^13 > T: the positions and their sorted copy
+        (12, 1 << 18),  # N = 3^11 just under T: blocks N wide, N-entry counts
     ],
 )
 def test_memory_per_trajectory(n, trajectories):
-    # int32 positions, int64 drawn indices and the gathered int32 steps are
-    # the largest set live at once: 16 bytes a trajectory
-    config = SimConfig(
-        window=generate(PRESETS["pow3"], n),
-        t_max=4,
-        num_trajectories=trajectories,
-        seed=1,
-    )
+    # the int32 positions are the one T-entry array live through a step;
+    # a block's draws and steps are O(_BLOCK), or O(N) when _BLOCK < N <= T
+    bytes_each = {3: 6, 14: 10, 12: 21}[n]
+    window = generate(PRESETS["pow3"], n)
+    config = SimConfig(window=window, t_max=4, num_trajectories=trajectories, seed=1)
+    # numpy.random imports the rest of its modules on first use
+    simulate_tv(SimConfig(window=window, t_max=1, num_trajectories=1, seed=1))
     tracemalloc.start()
     try:
         simulate_tv(config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 22 * trajectories
+    assert peak <= bytes_each * trajectories
 
 
 def test_trajectory_count_capped():
@@ -262,6 +283,32 @@ def test_trajectory_count_capped():
         SimConfig(
             window=window, t_max=5, num_trajectories=_MAX_TRAJECTORIES + 1, seed=1
         )
+
+
+def test_python_int_trajectory_count_capped():
+    # N = 2^69 >= 2^62: Python-int positions take about 120 bytes each
+    window = generate(PRESETS["pow2"], 70)
+    cap = montecarlo._MAX_OBJECT_TRAJECTORIES
+    SimConfig(window=window, t_max=5, num_trajectories=cap, seed=1)
+    with pytest.raises(ValueError, match=f"at most {cap} trajectories when N >= 2"):
+        SimConfig(window=window, t_max=5, num_trajectories=cap + 1, seed=1)
+
+
+@pytest.mark.parametrize(
+    "name, n, cap",
+    [
+        ("pow3", 3, montecarlo._MAX_WORK),  # int32 positions
+        ("pow3", 20, montecarlo._MAX_WORK),  # int64 positions
+        ("pow2", 70, montecarlo._MAX_OBJECT_WORK),  # Python ints
+    ],
+)
+def test_work_capped(name, n, cap):
+    # T * t_max trajectory-steps, refused before anything is allocated
+    window = generate(PRESETS[name], n)
+    T = cap >> 16
+    SimConfig(window=window, t_max=1 << 16, num_trajectories=T, seed=1)
+    with pytest.raises(ValueError, match=f"trajectories \\* t_max must be at most {cap}"):
+        SimConfig(window=window, t_max=(1 << 16) + 1, num_trajectories=T, seed=1)
 
 
 def test_curve_rows_capped():
