@@ -18,6 +18,7 @@ from .errors import (
     DomainError,
     UnknownSuite,
     InsideErrorBand,
+    ScanTooLong,
 )
 from .recurrence import (
     PRESETS,
@@ -42,6 +43,7 @@ from .walk import (
     evolve,
     mixing_time,
     point_mass,
+    scan_lower_bound,
     step_distribution,
     tv_to_uniform,
 )

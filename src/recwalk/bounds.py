@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateStateSpace, DomainError
 from .recurrence import RecurrenceSpec, SequenceWindow, estimate_growth
-from .recurrence import ratio_bounded, s_value
+from .recurrence import first_unbounded_j, s_value
 from .spectrum import DEFAULT_N_MAX, half_spectrum, slem_streaming
 from . import walk
 
@@ -33,6 +33,8 @@ class BoundReport:
     N: int
     epsilon: float
     s: int
+    ratio_bounded: bool
+    first_unbounded_j: int | None
     kappa_general: float | None
     upper_general: float | None
     lower_general: float | None
@@ -208,17 +210,18 @@ def build_report(
 
     First-order bounds appear only for pow-c specs.  The general upper
     bound and its kappa need G_{j+1} <= s G_j for every j (ratio_bounded)
-    and are None elsewhere.  The general lower bound needs an eta_1;
-    without an override it uses the window estimate and is omitted for
-    sequences classified as non-exponential or windows too short to
-    classify.
+    and are None elsewhere; first_unbounded_j names the first j where it
+    fails.  The general lower bound needs an eta_1; without an override
+    it uses the window estimate and is omitted for sequences classified
+    as non-exponential or windows too short to classify.
     """
     n, N = window.n, window.modulus
     if n < 2:
         raise DomainError("bound reports need n >= 2")
     eps = float(epsilon)
     s = s_value(window.spec)
-    bounded = ratio_bounded(window)
+    unbounded_j = first_unbounded_j(window)
+    bounded = unbounded_j is None
 
     eta1 = eta1_override
     if eta1 is None and n >= 3:
@@ -257,6 +260,8 @@ def build_report(
         N=N,
         epsilon=eps,
         s=s,
+        ratio_bounded=bounded,
+        first_unbounded_j=unbounded_j,
         kappa_general=kappa_general(s) if bounded else None,
         upper_general=upper_general(n, N, s, eps) if bounded else None,
         lower_general=lower_gen,

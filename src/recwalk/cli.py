@@ -25,9 +25,10 @@ from .errors import DomainError, RecwalkError
 from .recurrence import PRESETS, RecurrenceSpec, generate
 from .spectrum import DEFAULT_N_MAX, full_spectrum, require_dense
 from .bounds import build_report
-from .montecarlo import MAX_ROWS, SimConfig, simulate_tv
+from .montecarlo import SimConfig, simulate_tv
 from .verify import SUITE_NAMES, run_suites
 from . import walk
+from .walk import MAX_ROWS
 
 # Encoder chunks joined per write.  Written to piped stdout one chunk at a
 # time, as json.dump does, the 2^18-row listing took 10.9 s of CPU against

@@ -45,3 +45,9 @@ class InsideErrorBand(RecwalkError):
     """Past the int64 range of path counts, the float TV lies within its
     a-priori error band of epsilon, or will before the SLEM bounds the
     scan, so TV <= epsilon cannot be decided."""
+
+
+class ScanTooLong(RecwalkError):
+    """The mixing scan would need more curve rows than an artifact may
+    hold: refused up front by a lower bound on t_mix, or stopped at the
+    last row still undecided."""

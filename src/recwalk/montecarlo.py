@@ -5,10 +5,11 @@ dense cap.  All trajectories advance together, one step per t, and each
 t's histogram is taken and reduced to TV before the next step.  Within a
 t the trajectories move in blocks of _BLOCK (at least N wide when N <= T,
 so that each block's histogram costs O(block)), so memory is the T
-positions, one block's temporaries and either an N-entry histogram
-(N <= T) or a sorted copy of the positions (N > T); the curve is
-O(t_max).  T, T * t_max and the curve's t_max + 1 rows are capped before
-anything is allocated.
+positions, in the narrowest unsigned type that holds 2N - 1 (one byte a
+trajectory up to N = 128), one block's temporaries and either an
+N-entry histogram (N <= T) or a sorted copy of the positions (N > T);
+the curve is O(t_max).  T, T * t_max and the curve's t_max + 1 rows are
+capped before anything is allocated.
 The RNG is one Philox stream (counter-based), drawn T indices per t.
 Bounded draws take the stream's 32-bit words index by index (one each,
 bar rare rejections) and keep nothing back between calls, so drawing
@@ -25,51 +26,50 @@ from dataclasses import dataclass
 import numpy as np
 
 from .recurrence import SequenceWindow
-from .walk import _tv_excess
+from .walk import MAX_ROWS, _tv_excess
 
-# Positions are int32 while N <= _INT32_POSITIONS and int64 while N <
-# _INT64_POSITIONS: pos + step < 2 N, so neither overflows.
-_INT32_POSITIONS = 1 << 30
-_INT64_POSITIONS = 1 << 62
+# Positions are the narrowest unsigned integers that hold pos + step <=
+# 2N - 2 while N < _OBJECT_POSITIONS (one byte up to N = 128, two up to
+# 2^15, four up to 2^31), and Python ints from there on.
+_OBJECT_POSITIONS = 1 << 62
 
-# Trajectories per block: a block's int64 draws and gathered steps, 12
-# bytes a trajectory, stay in L2.
+# Trajectories per block: a block's int64 draws and gathered steps, 9 to
+# 16 bytes a trajectory, stay in L2.
 _BLOCK = 1 << 16
 
-# Largest T accepted on int32 and int64 positions.  The positions (4 or 8
-# bytes a trajectory) are the one T-entry array live through a step; the
-# sorted copy taken when N > T doubles them.  Child peak RSS with this
-# many trajectories: `simulate --seq pow3 --n 3 --tmax 3` 100 MiB, `--n 14
-# --tmax 3` 136 MiB, `--n 20 --tmax 2` (int64 positions) 307 MiB.
+# Largest T accepted on unsigned positions.  The positions (1 to 8 bytes
+# a trajectory) are the one T-entry array live through a step; the sorted
+# copy taken when N > T doubles them.  Child peak RSS with this many
+# trajectories: `simulate --seq pow3 --n 3 --tmax 3` (uint8) 52 MiB,
+# `--n 14 --tmax 3` (uint32) 135 MiB, `--n 20 --tmax 2` (uint32) 179 MiB,
+# `--seq pow2 --n 33 --tmax 2` (uint64) 307 MiB.
 _MAX_TRAJECTORIES = 1 << 24
 
-# Most trajectory-steps T * t_max on int32 and int64 positions: each
-# costs 8-33 ns (one x86-64 CPU; the most at N = T = 2^24, whose
-# histogram leaves the cache), so a run stays under about a minute.
+# Most trajectory-steps T * t_max on unsigned positions: each costs 8-33
+# ns (one x86-64 CPU; the most at N = T = 2^24, whose histogram leaves
+# the cache), so a run stays under about a minute.
 _MAX_WORK = 1 << 31
 
-# The same two caps on Python-int positions (N >= 2^62).  They take about
-# 120 bytes a trajectory (the int objects and the set of distinct
+# The same two caps on Python-int positions (N >= 2^62), measured at a
+# 70-bit N, which CPython stores in _OBJECT_DIGITS digits of 30 bits.  An
+# int's size and the cost of adding and hashing it grow with its digits,
+# so both caps shrink in proportion past that.  At 70 bits positions take
+# about 120 bytes a trajectory (the int objects and the set of distinct
 # positions): `simulate --seq pow2 --n 70 --tmax 6` peaks at 292 MiB with
-# 2^21 trajectories, under the int64 path's 307 MiB at _MAX_TRAJECTORIES.
-# A trajectory-step costs 230-440 ns, so 2^27 of them take about a minute.
+# 2^21 trajectories, under the uint64 path's 307 MiB at
+# _MAX_TRAJECTORIES.  A trajectory-step costs 230-440 ns, so 2^27 of them
+# take about a minute.
 _MAX_OBJECT_TRAJECTORIES = 1 << 21
 _MAX_OBJECT_WORK = 1 << 27
-
-# Most rows an artifact may hold: a curve of t = 0..t_max, and the CLI's
-# spectrum listing.  Child peak RSS at 2^18 rows: the pow2 listing 40 MiB
-# as CSV or JSON; `simulate --seq pow3 --n 3 --trajectories 1` 69 MiB as
-# CSV or JSON (a bare interpreter with numpy: 33 MiB).
-MAX_ROWS = 1 << 18
+_OBJECT_DIGITS = 3
 
 
-def _position_types(N: int):
-    """The positions' dtype on Z_N and its unsigned twin (None for objects)."""
-    if N <= _INT32_POSITIONS:
-        return np.int32, np.uint32
-    if N < _INT64_POSITIONS:
-        return np.int64, np.uint64
-    return object, None
+def _position_type(N: int):
+    """The positions' dtype on Z_N: unsigned and wide enough for 2N - 1
+    below N = 2^62, object (exact Python ints) from there on."""
+    if N < _OBJECT_POSITIONS:
+        return np.min_scalar_type(2 * N - 1)
+    return object
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,13 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
+        N = self.window.modulus
         most, most_work, past = _MAX_TRAJECTORIES, _MAX_WORK, ""
-        if _position_types(self.window.modulus)[0] is object:
-            most, most_work = _MAX_OBJECT_TRAJECTORIES, _MAX_OBJECT_WORK
-            past = " when N >= 2^62"
+        if _position_type(N) is object:
+            digits = -(-N.bit_length() // 30)
+            most = _MAX_OBJECT_TRAJECTORIES * _OBJECT_DIGITS // digits
+            most_work = _MAX_OBJECT_WORK * _OBJECT_DIGITS // digits
+            past = f" when N >= 2^62 (here {digits} 30-bit digits)"
         if self.num_trajectories < 1:
             raise ValueError("need at least one trajectory")
         if self.num_trajectories > most:
@@ -103,12 +106,12 @@ def simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
     """Empirical TV to uniform at every t = 0..t_max.
 
     Deterministic for a given config: t = 1..t_max each draw T step
-    indices from one Philox stream, block by block.  Positions are int32
-    while N <= 2^30, int64 while N < 2^62 and Python ints (an object
-    array, exact at any N) past that.  When N <= T, each block's counts
-    come from np.bincount into one N-entry histogram, and the mixing
-    scan's integer N T TV (walk._tv_excess) over N T rounds the TV
-    correctly.
+    indices from one Philox stream, block by block.  Positions are the
+    narrowest unsigned integers that hold 2N - 1 while N < 2^62 (uint8
+    up to N = 128) and Python ints (an object array, exact at any N) past
+    that.  When N <= T, each block's counts come from np.bincount into
+    one N-entry histogram, and the mixing scan's integer N T TV
+    (walk._tv_excess) over N T rounds the TV correctly.
     When N > T, every occupied state holds at least 1/T > 1/N of the
     mass, so the TV is exactly 1 - occupied/N: only the distinct
     positions are counted, and (N - occupied) / N in integers rounds that
@@ -118,7 +121,7 @@ def simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
     N = window.modulus
     T = config.num_trajectories
     rng = np.random.Generator(np.random.Philox(config.seed))
-    dtype, unsigned = _position_types(N)
+    dtype = _position_type(N)
     steps = np.array(window.steps, dtype=dtype)
     pos = np.zeros(T, dtype=dtype)
     # a block at least N wide keeps each bincount O(block)
@@ -135,9 +138,8 @@ def simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
                 )
                 if dtype is object:
                     block %= N
-                else:  # pos < 2N; as unsigned, pos - N wraps above pos where pos < N
-                    wrapped = block.view(unsigned)
-                    np.minimum(wrapped, wrapped - N, out=wrapped)
+                else:  # pos < 2N, and pos - N wraps above pos where pos < N
+                    np.minimum(block, block - N, out=block)
             if N > T:
                 continue
             if hist is None:
@@ -154,7 +156,10 @@ def simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
             occupied = len(set(pos.tolist()))
         else:
             ordered = np.sort(pos)
-            occupied = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+            occupied = 1
+            for lo in range(1, T, _BLOCK):  # one block's mask at a time
+                hi = min(lo + _BLOCK, T)
+                occupied += int(np.count_nonzero(ordered[lo:hi] != ordered[lo - 1 : hi - 1]))
             del ordered  # not live through the next step
         out.append((t, (N - occupied) / N))
     return out

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InsideErrorBand
+from .errors import InsideErrorBand, ScanTooLong
 from .recurrence import SequenceWindow
 from .spectrum import DEFAULT_N_MAX, half_spectrum, require_dense, slem_streaming
 
@@ -30,6 +30,23 @@ _SLEM_ERROR = 1e-14
 
 # Unit roundoff of float64.
 _U = 2.0**-53
+
+# Most rows an artifact may hold: a mixing-scan curve or a simulated curve
+# of t = 0..t_max, and the CLI's spectrum listing.  Child peak RSS at 2^18
+# rows: the pow2 listing 40 MiB as CSV or JSON; `simulate --seq pow3 --n 3
+# --trajectories 1` 69 MiB as CSV or JSON (`import recwalk.cli` alone:
+# 33 MiB).
+MAX_ROWS = 1 << 18
+
+# Margin by which |lambda_1| is rounded down before it bounds the scan
+# from below.  The float |lambda_1| is within 33 u (each angle 2 pi G/N
+# within 19 u, its cos and sin within 1 u more, then two correctly
+# rounded sums, a division by n and a hypot), and the logarithms and the
+# division in t_low add a relative error of at most about 3 u log2 q for a
+# denominator q of epsilon.  Taking 2^-40 off |lambda_1| raises
+# -log|lambda_1| by a relative 2^-40 / (|lambda_1| (-log|lambda_1|)) >=
+# e 2^-40, far more than that while q < 2^1000.
+_LAMBDA1_ERROR = 2.0**-40
 
 # The float scan rescales its counts by 2^-_RESCALE_BITS once their total
 # passes 2^_RESCALE_BITS, an exact operation that keeps them in range.
@@ -200,6 +217,35 @@ def _ubl_last_step(N: int, slem: float, eps: Fraction) -> int:
     return max(math.ceil(t), 0) + 1
 
 
+def scan_lower_bound(window: SequenceWindow, epsilon: Fraction) -> int:
+    """t_low = ceil(log(1/(2 eps)) / log(1/|lambda_1|)) <= t_mix(eps).
+
+    One character bounds the TV from below (Diaconis, Group
+    Representations in Probability and Statistics, 1988, Ch. 3): since
+    |chi| = 1, 2 TV(t) >= |sum_x (P^t(x) - 1/N) chi(x)| = |lambda_1|^t,
+    with lambda_1 = (1/n) sum_i xi_N^(G_i).  So TV(t) > eps for every
+    t < t_low.  |lambda_1| is rounded down by _LAMBDA1_ERROR first.  For
+    the steps {1, 0}, |lambda_1| = cos(pi/N) is the SLEM, so the bound
+    is tight on the slowest walks.
+    """
+    N, n = window.modulus, window.n
+    p, q = epsilon.numerator, epsilon.denominator
+    if N == 1 or 2 * p >= q:
+        return 0  # at N = 1, lambda_1 is the trivial eigenvalue 1
+    angles = [math.tau * (g / N) for g in window.steps]
+    re = math.fsum(map(math.cos, angles)) / n
+    im = math.fsum(map(math.sin, angles)) / n
+    lam = math.hypot(re, im) - _LAMBDA1_ERROR
+    if lam <= 0.0:
+        return 0
+    # log(q / 2p) as log1p(q/2p - 1) near eps = 1/2, where it is small
+    if q <= 4 * p:
+        log_inv_2eps = math.log1p((q - 2 * p) / (2 * p))
+    else:
+        log_inv_2eps = math.log(q) - math.log(2 * p)
+    return math.ceil(log_inv_2eps / -math.log(lam))
+
+
 def mixing_time(
     window: SequenceWindow,
     epsilon: Fraction | float,
@@ -209,8 +255,11 @@ def mixing_time(
     """Smallest t with TV(P^t, uniform) <= epsilon, by forward scan from 0.
 
     epsilon is taken exactly, as a Fraction (a float by its binary
-    value).  The scan advances the path counts c_x, whose total is
-    M = n^t, in three phases:
+    value).  A curve holds at most MAX_ROWS rows, t = 0..MAX_ROWS - 1:
+    ScanTooLong is raised before any step when scan_lower_bound puts
+    t_mix at MAX_ROWS or later, and at t = MAX_ROWS - 1 if the scan is
+    still undecided there.  The scan advances the path counts c_x, whose
+    total is M = n^t, in three phases:
 
     - Sparse start.  After t steps at most C(n+t-1, t) residues are
       occupied, so while s occupied residues give s * n <= N/4 candidates
@@ -261,6 +310,12 @@ def mixing_time(
     p, q = eps.numerator, eps.denominator
     N, n = window.modulus, window.n
     require_dense(N, n_max_states)
+    t_low = scan_lower_bound(window, eps)
+    if t_low >= MAX_ROWS:
+        raise ScanTooLong(
+            f"t_mix({eps}) >= {t_low}, by TV(t) >= |lambda_1|^t / 2, but a "
+            f"curve holds at most {MAX_ROWS} rows, t = 0..{MAX_ROWS - 1}"
+        )
     curve: list[tuple[int, float]] = []
 
     def mixed(t: int, M: int, above: int, count: int) -> bool:
@@ -354,3 +409,9 @@ def mixing_time(
             )
         if gap < 0:
             return result(t)
+        # the integer phases end by t = 62, where n^t passes 2^63
+        if t == MAX_ROWS - 1:
+            raise ScanTooLong(
+                f"TV({t}) = {tv!r} > epsilon = {eps}: a curve holds at most "
+                f"{MAX_ROWS} rows, so the scan stops undecided at t = {t}"
+            )

@@ -31,6 +31,7 @@ from recwalk import (
     upper_first_order,
     upper_general,
     RecurrenceSpec,
+    first_unbounded_j,
     ratio_bounded,
     s_value,
 )
@@ -354,6 +355,7 @@ def test_general_upper_bound_needs_bounded_ratios():
     assert not ratio_bounded(window)
     report = build_report("custom0", window, 0.25)
     assert report.kappa_general is None and report.upper_general is None
+    assert (report.ratio_bounded, report.first_unbounded_j) == (False, 1)
     assert report.exact_t_mix == 9
 
 
@@ -366,6 +368,8 @@ def test_general_upper_bound_holds_where_ratios_bounded_property(window, epsilon
     if window.n < 2 or max(window.spec.coeffs) <= 0:
         reject()  # no report, or no s
     report = build_report("custom0", window, epsilon)
+    assert report.ratio_bounded == ratio_bounded(window)
+    assert report.first_unbounded_j == first_unbounded_j(window)
     if ratio_bounded(window):
         assert report.exact_t_mix <= math.ceil(report.upper_general)
         assert report.kappa_general == kappa_general(s_value(window.spec))

@@ -138,18 +138,41 @@ def test_mix_epsilon_below_float_band_exits_fast(capsys):
 
 
 def test_mix_slow_walk_below_float_band_exits_fast(capsys):
-    # steps {1, 0} on Z_4096 have SLEM cos(pi/4096): TV <= 1e-9 needs about
-    # 8e7 float steps, where the band is about 9e-9, so the scan refuses
-    # before its first float step rather than after millions of them
+    # steps {1, 0} on Z_128 have SLEM cos(pi/128): TV <= 1e-12 needs about
+    # 9.7e4 float steps, where the band is about 1.1e-11, so the scan
+    # refuses before its first float step rather than after 10^5 of them.
+    # Its t_low = 89,428 is under the row cap, which refuses the slower
+    # walks (test_mix_past_row_cap_is_refused_fast).
     start = time.perf_counter()
     code, out, err = run_cli(
-        capsys, "mix", "--seq", '{"coeffs":[1,1],"init":[1,4096]}',
-        "--n", "2", "--epsilon", "1e-9",
+        capsys, "mix", "--seq", '{"coeffs":[1,1],"init":[1,128]}',
+        "--n", "2", "--epsilon", "1e-12",
     )
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
     assert "error band" in err
+
+
+@pytest.mark.parametrize(
+    "N, epsilon, t_low",
+    [(4096, "1/4", 2_356_537), (100_000, "1/4", 1_402_025_788), (4096, "1e-9", 68_097_675)],
+)
+def test_mix_past_row_cap_is_refused_fast(capsys, N, epsilon, t_low):
+    # steps {1, 0} on Z_N have TV(t) >= cos(pi/N)^t / 2, so t_mix >= t_low,
+    # past the 2^18 rows a curve may hold: refused before any step, where
+    # Z_4096 at 1/4 ran for more than a minute and Z_100000 would run for
+    # years
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "mix", "--seq", f'{{"coeffs":[1,1],"init":[1,{N}]}}',
+        "--n", "2", "--epsilon", epsilon,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert f">= {t_low}, by TV(t) >= |lambda_1|^t / 2" in err
+    assert "at most 262144 rows" in err
 
 
 def test_bad_epsilon_rejected(capsys):
@@ -446,6 +469,22 @@ def test_simulate_python_int_trajectories_past_cap_is_usage_error(capsys, monkey
     assert code == 2
     assert out == ""
     assert "at most 2097152 trajectories when N >= 2^62" in err
+
+
+def test_simulate_python_int_cap_shrinks_with_digits(capsys, monkeypatch):
+    # N = 2^1999 has 67 30-bit digits, and its positions take about 315
+    # bytes a trajectory: 2^21 of them would take about 660 MB
+    def no_steps(*args, **kwargs):
+        raise AssertionError("the walk was simulated")
+
+    monkeypatch.setattr(cli, "simulate_tv", no_steps)
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--seq", "pow2", "--n", "2000", "--trajectories", "2097152",
+    )
+    assert code == 2
+    assert out == ""
+    assert "at most 93902 trajectories when N >= 2^62 (here 67 30-bit digits)" in err
 
 
 @pytest.mark.parametrize("cap", [2**24 + 1, 0])

@@ -16,7 +16,8 @@ from recwalk import (
     simulate_tv,
 )
 from recwalk import montecarlo
-from recwalk.montecarlo import MAX_ROWS, _MAX_TRAJECTORIES
+from recwalk.montecarlo import _MAX_TRAJECTORIES
+from recwalk.walk import MAX_ROWS
 
 import path_counts
 from test_walk import PROPERTY_SETTINGS, small_windows
@@ -158,6 +159,20 @@ def _exact_tv(counts, T, N):
             (RecurrenceSpec((2,), (1,)), 64),
         ]
         for d in (-1, 0, 1)
+    ]
+    + [
+        # N = 128, 256, 2^15 and 2^16: the largest on uint8, the smallest
+        # on uint16, the largest on uint16 and the smallest on uint32, with
+        # N <= T and N > T
+        (RecurrenceSpec((2,), (1,)), n, 6, trajectories, 30 + n)
+        for n, trajectories in [
+            (8, 100_000),
+            (9, 100_000),
+            (16, 100_000),
+            (17, 100_000),
+            (16, 1_000),
+            (17, 1_000),
+        ]
     ],
 )
 def test_bit_identical_to_blocked_loop(spec, n, t_max, trajectories, seed):
@@ -251,19 +266,24 @@ def test_matches_unique_histogram_loop_property(
         assert simulate_tv(config) == _unique_simulate_tv(config)
 
 
+# Per n: the sequence and the most bytes a trajectory simulate_tv may hold
+MEMORY_CASES = {3: ("pow3", 2), 14: ("pow3", 9), 12: ("pow3", 21), 13: ("pow2", 5.5)}
+
+
 @pytest.mark.parametrize(
     "n, trajectories",
     [
-        (3, 1 << 20),  # N = 9 <= T: bincount of one block at a time
-        (14, 1 << 18),  # N = 3^13 > T: the positions and their sorted copy
+        (3, 1 << 20),  # N = 9 <= T, uint8: bincount of one block at a time
+        (14, 1 << 18),  # N = 3^13 > T, uint32: the positions and their sorted copy
         (12, 1 << 18),  # N = 3^11 just under T: blocks N wide, N-entry counts
+        (13, 1 << 18),  # N = 2^12 <= T, uint16
     ],
 )
 def test_memory_per_trajectory(n, trajectories):
-    # the int32 positions are the one T-entry array live through a step;
-    # a block's draws and steps are O(_BLOCK), or O(N) when _BLOCK < N <= T
-    bytes_each = {3: 6, 14: 10, 12: 21}[n]
-    window = generate(PRESETS["pow3"], n)
+    # the positions are the one T-entry array live through a step; a
+    # block's draws and steps are O(_BLOCK), or O(N) when _BLOCK < N <= T
+    name, bytes_each = MEMORY_CASES[n]
+    window = generate(PRESETS[name], n)
     config = SimConfig(window=window, t_max=4, num_trajectories=trajectories, seed=1)
     # numpy.random imports the rest of its modules on first use
     simulate_tv(SimConfig(window=window, t_max=1, num_trajectories=1, seed=1))
@@ -283,6 +303,30 @@ def test_trajectory_count_capped():
         SimConfig(
             window=window, t_max=5, num_trajectories=_MAX_TRAJECTORIES + 1, seed=1
         )
+
+
+@pytest.mark.parametrize(
+    "N, dtype",
+    [(1, np.uint8), (128, np.uint8), (129, np.uint16), (1 << 15, np.uint16),
+     ((1 << 15) + 1, np.uint32), (1 << 31, np.uint32), ((1 << 31) + 1, np.uint64),
+     ((1 << 62) - 1, np.uint64), (1 << 62, object)],
+)
+def test_position_type_holds_two_n_minus_two(N, dtype):
+    # pos + step <= 2N - 2 before the wrap
+    assert montecarlo._position_type(N) == dtype
+
+
+def test_python_int_caps_shrink_with_digits():
+    # N = 2^1999 has 67 30-bit digits, against 3 at N = 2^69
+    window = generate(PRESETS["pow2"], 2000)
+    cap = montecarlo._MAX_OBJECT_TRAJECTORIES * 3 // 67
+    work = montecarlo._MAX_OBJECT_WORK * 3 // 67
+    SimConfig(window=window, t_max=1, num_trajectories=cap, seed=1)
+    with pytest.raises(ValueError, match=f"at most {cap} trajectories"):
+        SimConfig(window=window, t_max=1, num_trajectories=cap + 1, seed=1)
+    SimConfig(window=window, t_max=work // 1000, num_trajectories=1000, seed=1)
+    with pytest.raises(ValueError, match=f"t_max must be at most {work}"):
+        SimConfig(window=window, t_max=work // 1000 + 1, num_trajectories=1000, seed=1)
 
 
 def test_python_int_trajectory_count_capped():

@@ -13,12 +13,14 @@ from recwalk import (
     PRESETS,
     RecurrenceSpec,
     RecwalkError,
+    ScanTooLong,
     StateSpaceTooLarge,
     evolve,
     full_spectrum,
     generate,
     mixing_time,
     point_mass,
+    scan_lower_bound,
     step_distribution,
     tv_to_uniform,
 )
@@ -387,6 +389,52 @@ def test_sparse_start_runs_into_float_scan():
     window = generate(RecurrenceSpec((1, 1), (1, 4000)), 2)
     res = _assert_curve_matches_oracle(window, 0.98)
     assert res.t_mix > 62
+
+
+@pytest.mark.parametrize("N, t_low", [(1400, 275_304), (1024, 147_284), (24, 81)])
+def test_scan_lower_bound_is_the_slem_bound_on_steps_one_and_zero(N, t_low):
+    # |lambda_1| = cos(pi/N) is the SLEM of the steps {1, 0}, and
+    # TV(t) >= cos(pi/N)^t / 2 > 1/4 for every t < t_low
+    window = generate(RecurrenceSpec((1, 1), (1, N)), 2)
+    assert scan_lower_bound(window, Fraction(1, 4)) == t_low
+    assert 0.5 * np.cos(np.pi / N) ** (t_low - 1) > 0.25 >= 0.5 * np.cos(np.pi / N) ** t_low
+
+
+@PROPERTY_SETTINGS
+@given(
+    window=small_windows(),
+    epsilon=st.fractions(Fraction(1, 10**9), Fraction(999, 1000), max_denominator=10**12),
+)
+def test_scan_lower_bound_below_t_mix_property(window, epsilon):
+    # t_low <= t_mix means TV(t_low - 1) > epsilon, as TV only falls with
+    # t; the oracle's work is about n N t_low big-integer additions
+    n, N = window.n, window.modulus
+    t_low = scan_lower_bound(window, epsilon)
+    if t_low == 0 or n * N * t_low > 2**22:
+        return
+    assert path_counts.tv_curve(window, t_low - 1)[-1] > epsilon
+
+
+@pytest.mark.parametrize(
+    "rows, t_mix",
+    [
+        (81, None),  # t_low = 81: refused before the scan
+        (82, None),  # the scan stops undecided at t = 81
+        (110, None),
+        (111, 110),  # t_mix = 110 is the last row
+    ],
+)
+def test_scan_holds_at_most_max_rows(monkeypatch, rows, t_mix):
+    # steps {1, 0} on Z_24 have t_low = 81 and t_mix = 110 at epsilon = 1/4
+    window = generate(RecurrenceSpec((1, 1), (1, 24)), 2)
+    monkeypatch.setattr(walk, "MAX_ROWS", rows)
+    if t_mix is not None:
+        res = mixing_time(window, 0.25)
+        assert (res.t_mix, len(res.tv_curve)) == (t_mix, rows)
+        return
+    match = f">= 81, by" if rows == 81 else f"stops undecided at t = {rows - 1}"
+    with pytest.raises(ScanTooLong, match=match):
+        mixing_time(window, 0.25)
 
 
 @PROPERTY_SETTINGS
