@@ -93,7 +93,8 @@ def require_dense(N: int, n_max_states: int) -> None:
         raise StateSpaceTooLarge(f"N = {N} exceeds the dense cap {n_max_states}")
 
 
-def _require_int64_safe(N: int) -> None:
+def require_int64_safe(N: int) -> None:
+    """Refuse an N past the engine's exact int64 reductions."""
     if N > _INT64_SAFE_N:
         raise StateSpaceTooLarge(f"N = {N} exceeds the exact int64 reduction range")
 
@@ -117,7 +118,7 @@ def iter_k_rows(N: int, B: int) -> Iterator[tuple[np.ndarray, slice]]:
     int64 up to N = _INT64_SAFE_N; past it this raises StateSpaceTooLarge
     at the call, before any block.
     """
-    _require_int64_safe(N)
+    require_int64_safe(N)
     last = N // 2
     rows = max(1, _CHUNK // B)
     q_end = last // B + 1 if last else 0

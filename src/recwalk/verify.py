@@ -21,6 +21,8 @@ from .spectrum import (
     DEFAULT_N_MAX,
     half_spectrum,
     iter_k_rows,
+    require_dense,
+    require_int64_safe,
     row_width,
     slem_streaming,
     unnormalized_values,
@@ -92,6 +94,19 @@ def eigmod_bound_suite(specs: dict[str, RecurrenceSpec], n_max: int = 8) -> Suit
     return SuiteResult("eigmod-bound", passed, "min_margin", worst, cases)
 
 
+def _require_angle_range(name: str, window) -> None:
+    """Refuse a window whose exact angle-cover test would leave int64: N
+    past the engine's int64 reductions, or (s + 1) N >= 2^63."""
+    N = window.modulus
+    require_int64_safe(N)
+    s = s_value(window.spec)
+    if (s + 1) * N >= 1 << 63:
+        raise DomainError(
+            f"{name} n = {window.n}: (s + 1) N = {(s + 1) * N} is past the "
+            "int64 range of the exact angle-cover test"
+        )
+
+
 def angle_cover_suite(specs: dict[str, RecurrenceSpec], n_max: int = 8) -> SuiteResult:
     """Every k in 1..N-1 has some j < n with frac(k G_j / N) in the
     closed interval [1/(s+1), s/(s+1)].
@@ -112,20 +127,15 @@ def angle_cover_suite(specs: dict[str, RecurrenceSpec], n_max: int = 8) -> Suite
     cases = []
     worst = math.inf
     for name, window in _preset_windows(specs, n_max):
+        _require_angle_range(name, window)
         N = window.modulus
         s = s_value(window.spec)
         B = row_width(N)
-        blocks = iter_k_rows(N, B)  # refuses N past the int64 range first
-        if (s + 1) * N >= 1 << 63:
-            raise DomainError(
-                f"{name} n = {window.n}: (s + 1) N = {(s + 1) * N} is past the "
-                "int64 range of the exact angle-cover test"
-            )
         js = np.arange(B, dtype=np.int64)
         tables = [(js * g % N, B * g % N) for g in window.steps[:-1]]  # j = 1..n-1
         miss = 0
         lowest = math.inf  # min_k best_k
-        for qs, keep in blocks:
+        for qs, keep in iter_k_rows(N, B):
             best = np.full((len(qs), B), -N, dtype=np.int64)  # every best_k >= -N
             for table, bg in tables:
                 r = (qs * bg % N)[:, None] + table
@@ -231,9 +241,22 @@ def run_suites(
     epsilon: Fraction | float = 0.25,
     n_max_states: int = DEFAULT_N_MAX,
 ) -> list[SuiteResult]:
-    """Run one named suite, or all of them."""
+    """Run one named suite, or all of them.
+
+    Every window a selected suite will visit is checked first, in the
+    order the suites run, so a window that suite would refuse part way
+    through (StateSpaceTooLarge or DomainError) is refused before any
+    suite starts.
+    """
     if specs is None:
         specs = dict(PRESETS)
+    checks = {
+        "eigmod-bound": lambda name, window: require_int64_safe(window.modulus),
+        "angle-cover": _require_angle_range,
+        "ubl-consistency": lambda name, window: require_dense(
+            window.modulus, n_max_states
+        ),
+    }
     runners = {
         "eigmod-bound": lambda: eigmod_bound_suite(specs, n_max=n_max),
         "angle-cover": lambda: angle_cover_suite(specs, n_max=n_max),
@@ -243,8 +266,11 @@ def run_suites(
             specs, n_max=n_max, epsilon=epsilon, n_max_states=n_max_states
         ),
     }
-    if suite == "all":
-        return [runners[name]() for name in SUITE_NAMES]
-    if suite not in runners:
+    if suite != "all" and suite not in runners:
         raise UnknownSuite(f"unknown suite {suite!r}; choose from {SUITE_NAMES + ('all',)}")
-    return [runners[suite]()]
+    names = SUITE_NAMES if suite == "all" else (suite,)
+    for name in names:
+        if name in checks:
+            for label, window in _preset_windows(specs, n_max):
+                checks[name](label, window)
+    return [runners[name]() for name in names]

@@ -5,7 +5,9 @@ distinct steps window.steps = (G_1, ..., G_{n-1}, 0), started from the
 point mass at 0.  Laws are dense float64 arrays over Z_N: entry x is
 the mass at x, and N is the array's length.  The mixing scan works on
 path counts instead: P^t(x) = c_x / n^t, where the integer c_x counts
-the step sequences of length t that end at x.
+the step sequences of length t that end at x.  It holds them in uint32
+while n times the largest fits, then in int64 while n^t does, and then
+in float64.
 """
 
 from __future__ import annotations
@@ -21,8 +23,14 @@ from .recurrence import SequenceWindow
 from .spectrum import DEFAULT_N_MAX, half_spectrum, require_dense, slem_streaming
 
 # Path counts, and sums of up to two totals of them, stay exact in int64
-# (read as uint64 for those sums) while the total n^t is below this.
+# (those sums taken mod 2^64) while the total n^t is below this.
 _INT64_PATHS = 1 << 63
+
+# The dense scan holds its path counts in this unsigned type, not int64,
+# while n times the largest count is below the type's range (2^32, from
+# np.iinfo): each new count is a sum of n old ones, so every add stays
+# exact, and each shift-add moves half the bytes it moves in int64.
+_NARROW = np.uint32
 
 # Margin on the engine's SLEM when it bounds the scan: ten times the 1e-15
 # the tests allow between the engine and one exp per term.
@@ -82,10 +90,12 @@ def step_distribution(
     return p
 
 
-# Output entries per tile of the shift-and-add: every shift is added into
-# one tile, which stays in cache, before the next tile is touched.
-# 2^16 float64 (512 KiB) measured best on a 2-vCPU Xeon (2 MiB L2 per
-# core), ahead of 2^14, 2^15, 2^17 and 2^18.
+# Output entries per tile of the shift-and-add of 8-byte counts: every
+# shift is added into one tile, which stays in cache, before the next tile
+# is touched.  2^16 float64 (512 KiB) measured best on a 2-vCPU Xeon (2 MiB
+# L2 per core), ahead of 2^14, 2^15, 2^17 and 2^18.  Narrower counts keep
+# the 512 KiB: 2^17 uint32 entries ran a narrow step at fib-odd n=16 and
+# pow2 n=21 4-7% faster than 2^16, and 2^18 was slower than both.
 _TILE = 1 << 16
 
 # Entries between the scan's two count arrays, which share one block.  Two
@@ -97,8 +107,11 @@ _TILE = 1 << 16
 _GAP = 512
 
 
-def _tile_plan(window: SequenceWindow) -> list[tuple[int, int, list[tuple[int, int, int]]]]:
-    """Per tile [lo, hi) of an N-entry output, the adds of the nonzero steps.
+def _tile_plan(
+    window: SequenceWindow, width: int
+) -> list[tuple[int, int, list[tuple[int, int, int]]]]:
+    """Per tile [lo, hi) of width entries of an N-entry output, the adds of
+    the nonzero steps.
 
     Each add (a, b, s) is out[a:b] += src[s : s + b - a], so that out[j]
     takes src[(j - x) mod N] for the step x; a step inside the tile splits
@@ -109,8 +122,8 @@ def _tile_plan(window: SequenceWindow) -> list[tuple[int, int, list[tuple[int, i
     N = window.modulus
     shifts = sorted(window.steps)[1:]
     plan = []
-    for lo in range(0, N, _TILE):
-        hi = min(lo + _TILE, N)
+    for lo in range(0, N, width):
+        hi = min(lo + width, N)
         adds = []
         for x in shifts:
             if x <= lo:
@@ -264,17 +277,25 @@ def mixing_time(
     - Sparse start.  After t steps at most C(n+t-1, t) residues are
       occupied, so while s occupied residues give s * n <= N/4 candidates
       the counts live on those residues only (_sparse_step).
-    - Dense, exact.  The counts are scattered once into an int64 array
+    - Dense, exact.  The counts are scattered once into a dense array
       and advanced by _convolve_tiles, with no weights, while M < 2^63.
       With k = M // N the residues above uniform are A = {x : c_x > k},
       and TV(t) = (N * sum_A c_x - |A| * M) / (N * M).  Each tile
       contributes sum max(c - k, 0) and its count above k while it is in
       cache, so TV(t) <= p/q is one comparison of Python integers, and
-      the curve holds the correctly rounded TV(t).
-    - Past the int64 range the counts are converted to float64 once, at
-      t0, and advanced unweighted, rescaled by exact powers of two.  The
-      scan then decides only outside an a-priori band delta around the
-      float TV, and raises InsideErrorBand when epsilon is inside it.
+      the curve holds the correctly rounded TV(t).  The array is _NARROW
+      (uint32) while n * big is below its range, where big is the
+      largest count, taken per tile as max(max(c, k)) = max c (k is at
+      most the mean count); every count of the next step is then at most
+      n * big, so each add is exact.  Once that fails the counts are
+      widened to int64, once, into the spare buffer.  The uint32 arrays
+      are the first halves of the two int64 buffers, so the scan's block
+      stays 16 N bytes; a narrow step touches half of it.
+    - Past the int64 range the counts are converted to float64 once, from
+      either width, at t0, and advanced unweighted, rescaled by exact
+      powers of two.  The scan then decides only outside an a-priori band
+      delta around the float TV, and raises InsideErrorBand when epsilon
+      is inside it.
       The last t it may need comes from the SLEM (taken from the engine
       unless given): 4 TV(t)^2 <= (N - 1) slem^(2t).  When epsilon is
       below the band at that t, or the SLEM is 1 within the engine's
@@ -342,25 +363,40 @@ def mixing_time(
         t, M = t + 1, M * n
 
     both = np.zeros(2 * N + _GAP, dtype=np.int64)
-    cur, spare = both[:N], both[N + _GAP :]
+    wide = both[:N], both[N + _GAP :]  # the int64 buffers under cur and spare
+    big = int(cnt.max())  # at least the largest count
+    narrow, bound = _NARROW, int(np.iinfo(_NARROW).max) + 1
+    dtype = narrow if big * n < bound else np.int64
+    cur, spare = (a.view(dtype)[:N] for a in wide)
     cur[pos] = cnt
     del pos, cnt, over
-    plan = _tile_plan(window)
-    # one tile of scratch; its first bytes double as the tile's mask once
-    # the tile's sum has been taken
+    plans = {  # tiles of 512 KiB at either width
+        dt: _tile_plan(window, _TILE * 8 // np.dtype(dt).itemsize)
+        for dt in (narrow, np.int64)
+    }
+    # one 512 KiB tile of scratch; its first bytes double as the tile's mask
+    # once the tile's sum has been taken
     scratch = np.empty(min(N, _TILE), dtype=np.int64)
     mask = scratch.view(bool)
     while M * n < _INT64_PATHS:
+        if dtype is narrow and big * n >= bound:
+            np.copyto(wide[1], cur)  # widen once, as the float phase converts
+            cur, spare, wide = wide[1], wide[0], wide[::-1]
+            dtype = np.int64
         t, M = t + 1, M * n
         k = M // N
-        above = count = 0
-        for tile in _convolve_tiles(cur, spare, plan):
+        above = count = big = 0
+        tops = scratch.view(dtype)
+        for tile in _convolve_tiles(cur, spare, plans[dtype]):
             w = len(tile)
-            # sum max(c, k) <= M + N k <= 2M < 2^64: exact as uint64
-            top = np.maximum(tile, k, out=scratch[:w]).view(np.uint64)
-            above += int(top.sum()) - w * k
+            top = np.maximum(tile, k, out=tops[:w])
+            if dtype is narrow:
+                big = max(big, int(top.max()))  # k <= max c, so max top = max c
+            # sum max(c, k) <= M + N k <= 2M < 2^64, and numpy sums narrow
+            # counts in uint64 and int64 ones mod 2^64: exact either way
+            above += int(top.sum()) % (1 << 64) - w * k
             count += int(np.count_nonzero(np.greater(tile, k, out=mask[:w])))
-        cur, spare = spare, cur
+        cur, spare, wide = spare, cur, wide[::-1]
         if mixed(t, M, above, count):
             return result(t)
 
@@ -375,9 +411,10 @@ def mixing_time(
             f"TV at t = {t_last}, the step the SLEM bound needs, so TV <= "
             f"epsilon cannot be decided; path counts leave int64 after t = {t0}"
         )
-    counts = spare.view(np.float64)
+    # converted from either width: cur lies in wide[0], counts in wide[1]
+    counts, fspare = wide[1].view(np.float64), wide[0].view(np.float64)
     np.copyto(counts, cur)
-    fspare, fscratch = cur.view(np.float64), scratch.view(np.float64)
+    fscratch = scratch.view(np.float64)
     e = 0  # counts hold c_x 2^-e
     while True:
         t, M = t + 1, M * n
@@ -386,7 +423,7 @@ def mixing_time(
             scale, e = 2.0**-_RESCALE_BITS, e + _RESCALE_BITS
         h = M / (N << e)
         sums: list[float] = []
-        for tile in _convolve_tiles(counts, fspare, plan):
+        for tile in _convolve_tiles(counts, fspare, plans[np.int64]):
             if scale != 1.0:
                 tile *= scale
             d = np.subtract(tile, h, out=fscratch[: len(tile)])

@@ -19,18 +19,25 @@ from typing import Iterator
 import numpy as np
 
 
-def iter_tv(window) -> Iterator[Fraction]:
-    """TV(0), TV(1), ... as exact fractions, without end."""
+def iter_counts(window) -> Iterator[np.ndarray]:
+    """The path counts after t = 0, 1, ... steps, without end."""
     N, n = window.modulus, window.n
     counts = np.zeros(N, dtype=np.int64)
     counts[0] = 1
     for t in count():
-        total = n**t
-        gap = sum(abs(N * c - total) for c in counts.tolist())
-        yield Fraction(gap, 2 * N * total)
+        yield counts
         if n ** (t + 1) >= 2**63:
             counts = counts.astype(object)
         counts = sum(np.roll(counts, g % N) for g in window.values)
+
+
+def iter_tv(window) -> Iterator[Fraction]:
+    """TV(0), TV(1), ... as exact fractions, without end."""
+    N, n = window.modulus, window.n
+    for t, counts in enumerate(iter_counts(window)):
+        total = n**t
+        gap = sum(abs(N * c - total) for c in counts.tolist())
+        yield Fraction(gap, 2 * N * total)
 
 
 def tv_curve(window, t_max: int) -> list[Fraction]:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from recwalk import cli
+from recwalk import cli, verify
 from recwalk.cli import main
 
 from expected_values import EXACT_TMIX, SEQUENCE_VALUES
@@ -301,6 +301,14 @@ def test_verify_all_suites_exit_zero(capsys):
     assert len(doc["suites"]) == 5
 
 
+def test_verify_accepts_the_sweep_windows(capsys):
+    # the benchmark's sweep runs `verify --suite all --nmax 12`, which the
+    # up-front window checks must accept
+    code, out, _ = run_cli(capsys, "verify", "--nmax", "12", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_verify_single_suite_csv(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "lifting", "--format", "csv"
@@ -340,6 +348,40 @@ def test_angle_cover_past_int64_range_is_usage_error(capsys, spec):
     out, err = capsys.readouterr()
     assert out == ""
     assert "(s + 1) N" in err
+
+
+def _no_suite_may_run(monkeypatch):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    for name in verify.SUITE_NAMES:
+        monkeypatch.setattr(verify, name.replace("-", "_") + "_suite", no_suite)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # pow3 n = 21 has N = 3^20, past the engine's int64 reductions; the
+        # suites streamed for 43.6 s before the refusal came mid-run
+        (["--nmax", "26"], "int64 reduction range"),
+        # only ubl-consistency, the last suite, is capped: pow3 n = 14 has
+        # N = 3^13, past 2^20
+        (["--nmax", "20", "--nmax-states", str(2**20)], "dense cap"),
+        # angle-cover, the second suite, refuses the n = 3 window, N = 1000
+        (
+            ["--seq", '{"coeffs":[10000000000000000,-19999999999999000],"init":[1,2]}',
+             "--nmax", "3"],
+            "(s + 1) N",
+        ),
+    ],
+)
+def test_verify_refuses_windows_before_any_suite(capsys, monkeypatch, argv, message):
+    _no_suite_may_run(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 @pytest.mark.parametrize("nmax", ["0", "-3"])

@@ -2,6 +2,7 @@ import re
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -62,16 +63,16 @@ def _roll_evolve(window, t):
 
 def _assert_curve_matches_oracle(window, epsilon):
     """The scan's TV curve is float(TV(t)) of the integer oracle, exactly,
-    while n^t < 2^63, and within the float band past that; t_mix is the
-    oracle's."""
+    while n^t < walk._INT64_PATHS (2^63), and within the float band past
+    that; t_mix is the oracle's."""
     res = mixing_time(window, epsilon)
     exact = path_counts.tv_curve(window, res.t_mix)
     assert [t for t, _ in res.tv_curve] == list(range(res.t_mix + 1))
     n, t0 = window.n, 0
-    while n > 1 and n ** (t0 + 1) < 2**63:
+    while n > 1 and n ** (t0 + 1) < walk._INT64_PATHS:
         t0 += 1
     for (t, tv), want in zip(res.tv_curve, exact):
-        if n**t < 2**63:
+        if n**t < walk._INT64_PATHS:
             assert tv == float(want), (window.values, t)
         else:
             band = walk._band(n, t - t0)
@@ -277,6 +278,61 @@ def test_small_tiles_bit_identical_to_roll_reference(monkeypatch):
                 assert _assert_curve_matches_oracle(window, tv24).t_mix == 24
 
 
+def _record_count_types(monkeypatch) -> list:
+    """Patch walk._convolve_tiles to list the dtype of the counts each scan
+    step reads, and return that list."""
+    types = []
+    convolve = walk._convolve_tiles
+
+    def recording(src, out, plan):
+        types.append(src.dtype)
+        return convolve(src, out, plan)
+
+    monkeypatch.setattr(walk, "_convolve_tiles", recording)
+    return types
+
+
+@pytest.mark.parametrize("name, n", [("pow2", 18), ("pow3", 12)])
+def test_narrow_counts_widen_where_the_oracle_says(monkeypatch, name, n):
+    # each dense step reads uint32 counts exactly while n times the
+    # oracle's largest count is below 2^32, and these windows cross from
+    # uint32 to int64 before t_mix (fib-odd n = 13 stays in uint32)
+    window = generate(PRESETS[name], n)
+    types = _record_count_types(monkeypatch)
+    res = mixing_time(window, 0.25)
+    counts = list(islice(path_counts.iter_counts(window), res.t_mix))
+    # the dense steps read c_first .. c_(t_mix - 1)
+    first = res.t_mix - len(types)
+    want = [np.uint32 if n * int(c.max()) < 2**32 else np.int64 for c in counts[first:]]
+    assert types == want
+    assert types[0] == np.uint32 and types[-1] == np.int64
+
+
+@pytest.mark.parametrize("tile", [walk._TILE, 8])
+@pytest.mark.parametrize("narrow", [np.uint8, np.uint16])
+def test_narrow_types_bit_identical_to_integer_oracle(monkeypatch, narrow, tile):
+    # 8 or 16 bits are outgrown after a few steps, so the presets cross
+    # from the narrow type to int64 at many different steps; small tiles
+    # spread the largest count over many tiles
+    monkeypatch.setattr(walk, "_NARROW", narrow)
+    monkeypatch.setattr(walk, "_TILE", tile)
+    types = _record_count_types(monkeypatch)
+    for name in PRESETS:
+        for n in range(1, 12):
+            for eps in (0.25, 0.01) if n <= 10 else (0.25,):
+                _assert_curve_matches_oracle(generate(PRESETS[name], n), eps)
+    assert narrow in types and np.int64 in types
+
+
+def test_float_phase_converts_narrow_counts(monkeypatch):
+    # with int64 taken to end at n^t = 2^20, the counts of pow3 n = 9 go
+    # from uint32 straight to float64, which must read them at their width
+    monkeypatch.setattr(walk, "_INT64_PATHS", 1 << 20)
+    types = _record_count_types(monkeypatch)
+    _assert_curve_matches_oracle(generate(PRESETS["pow3"], 9), 0.01)
+    assert np.uint32 in types and np.float64 in types and np.int64 not in types
+
+
 @st.composite
 def small_windows(draw):
     """Windows of random order <= 3 specs, cut to the longest prefix with
@@ -313,6 +369,14 @@ def test_spectral_evolution_matches_direct_property(window, t):
 def test_spectrum_matches_per_term_exp_oracle_property(window):
     got = full_spectrum(window)
     assert float(np.max(np.abs(got - per_term_exp_eigenvalues(window)))) <= 1e-15
+
+
+@PROPERTY_SETTINGS
+@given(window=small_windows(), narrow=st.sampled_from([np.uint8, np.uint16]))
+def test_narrow_types_match_integer_oracle_property(window, narrow):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walk, "_NARROW", narrow)
+        _assert_curve_matches_oracle(window, 0.25)
 
 
 @PROPERTY_SETTINGS
