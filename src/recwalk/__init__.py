@@ -19,6 +19,7 @@ from .errors import (
     UnknownSuite,
     InsideErrorBand,
     ScanTooLong,
+    WorkTooLarge,
 )
 from .recurrence import (
     PRESETS,

@@ -51,3 +51,7 @@ class ScanTooLong(RecwalkError):
     """The mixing scan would need more curve rows than an artifact may
     hold: refused up front by a lower bound on t_mix, or stopped at the
     last row still undecided."""
+
+
+class WorkTooLarge(RecwalkError):
+    """A run would pass its work budget: refused before it starts."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, UnknownSuite
+from .errors import DomainError, UnknownSuite, WorkTooLarge
 from .recurrence import PRESETS, RecurrenceSpec, first_unbounded_j, generate, s_value
 from .spectrum import (
     DEFAULT_N_MAX,
@@ -47,6 +47,12 @@ UBL_TOL = 1e-9
 _LIFT_BASES = (2, 3)
 _DOMINATION_BASES = (2, 3, 4)
 _CAP = 10**5
+
+# Engine terms sum (N//2)(n - 1) over its windows that a streamed suite may
+# take, about 5 s of work each: eigmod-bound's complex terms cost 2.1-2.9
+# ns, angle-cover's int64 terms 4.0-4.6 ns (one x86-64 CPU, pow2 n <= 26,
+# pow3 n <= 17, fib-odd n <= 16).
+_TERM_BUDGET = {"eigmod-bound": 1 << 31, "angle-cover": 1 << 30}
 
 
 @dataclass(frozen=True)
@@ -246,7 +252,9 @@ def run_suites(
     Every window a selected suite will visit is checked first, in the
     order the suites run, so a window that suite would refuse part way
     through (StateSpaceTooLarge or DomainError) is refused before any
-    suite starts.
+    suite starts.  Then the streamed suites' engine terms are summed over
+    those windows, and a suite past its _TERM_BUDGET is refused
+    (WorkTooLarge).
     """
     if specs is None:
         specs = dict(PRESETS)
@@ -273,4 +281,13 @@ def run_suites(
         if name in checks:
             for label, window in _preset_windows(specs, n_max):
                 checks[name](label, window)
+    budgeted = [name for name in names if name in _TERM_BUDGET]
+    if budgeted:
+        terms = sum((w.modulus // 2) * (w.n - 1) for _, w in _preset_windows(specs, n_max))
+        for name in budgeted:
+            if terms > _TERM_BUDGET[name]:
+                raise WorkTooLarge(
+                    f"{name} would take {terms} engine terms, sum (N//2)(n - 1) "
+                    f"over its windows; the budget is {_TERM_BUDGET[name]}"
+                )
     return [runners[name]() for name in names]

@@ -373,6 +373,12 @@ def _no_suite_may_run(monkeypatch):
              "--nmax", "3"],
             "(s + 1) N",
         ),
+        # eigmod-bound streamed 42.7 s here: pow3 n = 20 alone is
+        # (3^19 // 2) 19 engine terms, past the budget
+        (["--suite", "eigmod-bound", "--nmax", "20"], "the budget is 2147483648"),
+        # angle-cover streamed 60.5 s here
+        (["--suite", "angle-cover", "--seq", "pow3", "--nmax", "19"],
+         "the budget is 1073741824"),
     ],
 )
 def test_verify_refuses_windows_before_any_suite(capsys, monkeypatch, argv, message):

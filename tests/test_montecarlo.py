@@ -1,7 +1,9 @@
+import contextlib
 import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -85,6 +87,12 @@ def test_big_state_space_fallback():
     assert curve == simulate_tv(config)
     for _, tv in curve:
         assert 0.99 < tv <= 1.0 + 1e-12
+
+
+def _walkers_only():
+    """Keep a run on the walker path, which the per-walker oracles
+    replay draw for draw, also where N n R <= T would take the histogram."""
+    return mock.patch.object(montecarlo, "_advances_histogram", lambda N, n, T: False)
 
 
 def _blocked_simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
@@ -180,7 +188,8 @@ def test_bit_identical_to_blocked_loop(spec, n, t_max, trajectories, seed):
     config = SimConfig(
         window=window, t_max=t_max, num_trajectories=trajectories, seed=seed
     )
-    assert simulate_tv(config) == _blocked_simulate_tv(config)
+    with _walkers_only():
+        assert simulate_tv(config) == _blocked_simulate_tv(config)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -204,9 +213,10 @@ def test_sparse_support_invariant(seed):
 
 def test_more_than_one_former_block_tracks_exact_distribution():
     window = generate(PRESETS["pow3"], 2)
-    curve = simulate_tv(
-        SimConfig(window=window, t_max=4, num_trajectories=(1 << 20) + 1, seed=11)
-    )
+    with _walkers_only():
+        curve = simulate_tv(
+            SimConfig(window=window, t_max=4, num_trajectories=(1 << 20) + 1, seed=11)
+        )
     exact = path_counts.tv_curve(window, 4)
     for t, emp in curve:
         assert emp == pytest.approx(float(exact[t]), abs=5e-3), t
@@ -243,7 +253,8 @@ def test_bincount_histogram_matches_unique_exactly(name, n, trajectories):
     window = generate(PRESETS[name], n)
     assert window.modulus <= trajectories
     config = SimConfig(window=window, t_max=15, num_trajectories=trajectories, seed=4)
-    assert simulate_tv(config) == _unique_simulate_tv(config)
+    with _walkers_only():
+        assert simulate_tv(config) == _unique_simulate_tv(config)
 
 
 @PROPERTY_SETTINGS
@@ -262,7 +273,7 @@ def test_matches_unique_histogram_loop_property(
     config = SimConfig(
         window=window, t_max=t_max, num_trajectories=trajectories, seed=seed
     )
-    with mock.patch.object(montecarlo, "_BLOCK", block):
+    with mock.patch.object(montecarlo, "_BLOCK", block), _walkers_only():
         assert simulate_tv(config) == _unique_simulate_tv(config)
 
 
@@ -289,7 +300,8 @@ def test_memory_per_trajectory(n, trajectories):
     simulate_tv(SimConfig(window=window, t_max=1, num_trajectories=1, seed=1))
     tracemalloc.start()
     try:
-        simulate_tv(config)
+        with _walkers_only():
+            simulate_tv(config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -369,3 +381,97 @@ def test_sparse_tv_never_exceeds_one():
     window = generate(PRESETS["pow2"], 70)
     config = SimConfig(window=window, t_max=3, num_trajectories=1000, seed=0)
     assert simulate_tv(config) == [(t, 1.0) for t in range(4)]
+
+
+@pytest.mark.parametrize("name, n", [("pow3", 2), ("pow3", 3), ("pow2", 13)])
+def test_histogram_from_n_n_r_trajectories(name, n):
+    # T = N n R takes the histogram, one multinomial split a step; T - 1
+    # keeps the walkers
+    window = generate(PRESETS[name], n)
+    T = window.modulus * n * montecarlo._HISTOGRAM_RATIO
+    assert montecarlo._advances_histogram(window.modulus, n, T)
+    assert not montecarlo._advances_histogram(window.modulus, n, T - 1)
+    for trajectories, steps in [(T, 3), (T - 1, 0)]:
+        config = SimConfig(window=window, t_max=3, num_trajectories=trajectories, seed=1)
+        with mock.patch.object(
+            montecarlo, "_histogram_step", wraps=montecarlo._histogram_step
+        ) as step:
+            simulate_tv(config)
+        assert step.call_count == steps, trajectories
+
+
+class _FixedSplit:
+    """A stand-in generator whose multinomial split is a given matrix."""
+
+    def __init__(self, split):
+        self.split = split
+        self.calls = []
+
+    def multinomial(self, counts, pvals):
+        self.calls.append((counts, pvals))
+        return self.split
+
+
+@PROPERTY_SETTINGS
+@given(window=small_windows(), seed=st.integers(0, 2**32))
+def test_histogram_step_shifts_each_column_by_its_step(window, seed):
+    N, n = window.modulus, window.n
+    split = np.random.default_rng(seed).integers(0, 1000, size=(N, n))
+    hist = split.sum(axis=1)
+    rng = _FixedSplit(split)
+    stepped = montecarlo._histogram_step(hist, window.steps, rng)
+    (counts, pvals), = rng.calls
+    assert counts is hist and pvals == [1 / n] * n
+    # column i's walkers at x move to x + steps[i] mod N
+    expected = np.zeros(N, dtype=np.int64)
+    np.add.at(expected, (np.arange(N)[:, None] + np.array(window.steps)) % N, split)
+    assert stepped.dtype == np.int64
+    assert np.array_equal(stepped, expected)
+
+
+def _histograms(config: SimConfig) -> list[np.ndarray]:
+    """The histogram at each t = 0..t_max of one run, N <= T."""
+    seen = []
+    reduce = montecarlo._histogram_tv
+
+    def record(hist, T):
+        seen.append(hist.copy())
+        return reduce(hist, T)
+
+    with mock.patch.object(montecarlo, "_histogram_tv", record):
+        simulate_tv(config)
+    return seen
+
+
+@pytest.mark.parametrize("walkers", [False, True], ids=["histogram", "walkers"])
+@pytest.mark.parametrize("name, n", [("pow3", 3), ("pow2", 4)])
+def test_histogram_counts_follow_the_walk_law(name, n, walkers):
+    # each count h_t(x) is Binomial(T, P^t(x)) on either path, so over S
+    # seeds its mean lies within 6 sigma = 6 sqrt(T p (1 - p) / S) of T p
+    window = generate(PRESETS[name], n)
+    T, seeds = 1000, range(40)
+    assert montecarlo._advances_histogram(window.modulus, n, T)
+    runs = []
+    for seed in seeds:
+        config = SimConfig(window=window, t_max=2, num_trajectories=T, seed=seed)
+        with _walkers_only() if walkers else contextlib.nullcontext():
+            runs.append(_histograms(config))
+    for t, counts in zip((1, 2), islice(path_counts.iter_counts(window), 1, 3)):
+        p = counts / n**t
+        mean = np.mean([run[t] for run in runs], axis=0)
+        sigma = np.sqrt(T * p * (1 - p) / len(seeds))
+        assert np.all(np.abs(mean - T * p) <= 6 * sigma + 1e-9), t
+
+
+def test_histogram_memory_does_not_grow_with_trajectories():
+    # N = 9: the histogram and one 9 x 3 split, whatever T
+    window = generate(PRESETS["pow3"], 3)
+    config = SimConfig(window=window, t_max=20, num_trajectories=1 << 24, seed=1)
+    simulate_tv(SimConfig(window=window, t_max=1, num_trajectories=1000, seed=1))
+    tracemalloc.start()
+    try:
+        simulate_tv(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10

@@ -11,6 +11,7 @@ from recwalk import (
     RecurrenceSpec,
     StateSpaceTooLarge,
     UnknownSuite,
+    WorkTooLarge,
     full_spectrum,
     generate,
     mixing_time,
@@ -226,3 +227,20 @@ def test_angle_cover_counts_every_uncovered_k():
         assert case["uncovered"] == sum(b < 0 for b in bests), case
         assert case["margin"] == float(Fraction(min(bests), denominator)), case
     assert any(case["uncovered"] for case in result.cases)
+
+
+@pytest.mark.parametrize("suite", ["eigmod-bound", "angle-cover"])
+def test_term_budget_admits_its_own_size(monkeypatch, suite):
+    # n = 2..4 take sum (N//2)(n - 1) = 17 + 48 + 39 engine terms on pow2
+    # (N = 2, 4, 8), pow3 (3, 9, 27) and fib-odd (3, 8, 21)
+    monkeypatch.setitem(verify._TERM_BUDGET, suite, 104)
+    (result,) = run_suites(suite, n_max=4)
+    assert result.suite == suite
+    monkeypatch.setitem(verify._TERM_BUDGET, suite, 103)
+    with pytest.raises(WorkTooLarge, match="104 engine terms.*the budget is 103"):
+        run_suites(suite, n_max=4)
+    # "all" holds each suite to its own budget before any suite runs
+    with pytest.raises(WorkTooLarge, match=f"^{suite} would take"):
+        run_suites("all", n_max=4)
+    # lifting visits no windows, so no sum is taken (n = 2..1 is none)
+    run_suites("lifting", n_max=1)
