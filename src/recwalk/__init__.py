@@ -34,6 +34,7 @@ from .recurrence import (
 )
 from .spectrum import (
     DEFAULT_N_MAX,
+    eigenvalue_bound,
     full_spectrum,
     half_spectrum,
     slem_streaming,

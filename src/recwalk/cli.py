@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError, RecwalkError
-from .recurrence import PRESETS, RecurrenceSpec, generate
-from .spectrum import DEFAULT_N_MAX, full_spectrum, require_dense
+from .recurrence import PRESETS, RecurrenceSpec, SequenceWindow, generate
+from .spectrum import _INT64_SAFE_N, DEFAULT_N_MAX, full_spectrum
 from .bounds import build_report
 from .montecarlo import SimConfig, simulate_tv
 from .verify import SUITE_NAMES, run_suites
@@ -161,23 +161,25 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _dense_window(args, spec: RecurrenceSpec, n: int) -> SequenceWindow:
+    """The window of n terms, refused at its first term past --nmax-states."""
+    return generate(spec, n, limit=args.nmax_states, limit_name="dense cap")
+
+
 def cmd_table(args) -> int:
     if args.nmax < 1:
         raise DomainError(f"no rows: --nmax = {args.nmax} is below 1")
     sequences = _resolve_sequences(args.seq)
-    # every window is made and checked against the cap before any scan; one
-    # at a time, so a huge --nmax stops at the cap
-    windows = {name: [] for name, _ in sequences}
-    for name, spec in sequences:
-        for n in range(1, args.nmax + 1):
-            windows[name].append(generate(spec, n))
-            require_dense(windows[name][-1].modulus, args.nmax_states)
+    # one window per spec, made before any scan and refused at its first term
+    # past the cap, so a huge --nmax stops there; the rows are its prefixes
+    longest = [(name, _dense_window(args, spec, args.nmax)) for name, spec in sequences]
     per_seq = {}
-    for name, row in windows.items():
+    for name, last in longest:
         per_seq[name] = []
-        for window in row:
+        for n in range(1, args.nmax + 1):
+            window = SequenceWindow(last.spec, n, last.values[:n])
             result = walk.mixing_time(window, args.epsilon, n_max_states=args.nmax_states)
-            per_seq[name].append({"n": window.n, "G_n": window.modulus, "t_mix": result.t_mix})
+            per_seq[name].append({"n": n, "G_n": window.modulus, "t_mix": result.t_mix})
     columns = ("G_n", "t_mix")
     header = ["n", *(f"{col}[{name}]" for name in per_seq for col in columns)]
     rows = (
@@ -192,7 +194,7 @@ def cmd_spectrum(args) -> int:
     name, spec = _single_sequence(args)
     if args.top is not None and args.top < 1:
         raise DomainError(f"--top must be at least 1, got {args.top}")
-    window = generate(spec, args.n)
+    window = _dense_window(args, spec, args.n)
     listed = window.modulus if args.top is None else min(args.top, window.modulus)
     if listed > MAX_ROWS:
         raise DomainError(f"N = {window.modulus}: a listing holds at most {MAX_ROWS} "
@@ -224,7 +226,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_mix(args) -> int:
     name, spec = _single_sequence(args)
-    window = generate(spec, args.n)
+    window = _dense_window(args, spec, args.n)
     result = walk.mixing_time(window, args.epsilon, n_max_states=args.nmax_states)
     payload = {
         "sequence": name,
@@ -241,7 +243,10 @@ def cmd_mix(args) -> int:
 
 def cmd_bounds(args) -> int:
     name, spec = _single_sequence(args)
-    window = generate(spec, args.n)
+    # past the engine's int64 range the report has no spectrum to read
+    window = generate(
+        spec, args.n, limit=_INT64_SAFE_N, limit_name="exact int64 reduction range"
+    )
     report = build_report(
         name,
         window,

@@ -18,6 +18,7 @@ from .errors import (
     NonIncreasingSequence,
     NonPositiveTerm,
     NoPositiveCoefficient,
+    StateSpaceTooLarge,
     WindowTooShort,
 )
 
@@ -93,29 +94,48 @@ PRESETS: dict[str, RecurrenceSpec] = {
 }
 
 
-def generate(spec: RecurrenceSpec, n: int) -> SequenceWindow:
-    """Generate G_1..G_n exactly.
+def first_terms(spec: RecurrenceSpec, n: int, limit: int | None = None) -> tuple[int, ...]:
+    """G_1..G_n exactly, or G_1..G_i where G_i is the first term past
+    limit: no term after it is made.
 
-    Raises NonPositiveTerm or NonIncreasingSequence when the spec
-    leaves the positive increasing regime within the window; both mean
-    the walk's standing hypotheses do not hold for this spec.
+    Raises NonPositiveTerm or NonIncreasingSequence at the first term
+    that leaves the positive increasing regime; both mean the walk's
+    standing hypotheses do not hold for this spec.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     d = spec.order
-    vals = list(spec.init[:n])
+    vals: list[int] = []
     while len(vals) < n:
-        nxt = sum(spec.coeffs[j] * vals[-1 - j] for j in range(d))
-        vals.append(nxt)
-    for i, g in enumerate(vals):
+        i = len(vals)
+        g = spec.init[i] if i < d else sum(spec.coeffs[j] * vals[-1 - j] for j in range(d))
         if g <= 0:
             raise NonPositiveTerm(f"G_{i + 1} = {g} is not positive")
-    for i in range(1, n):
-        if vals[i] <= vals[i - 1]:
-            raise NonIncreasingSequence(
-                f"G_{i + 1} = {vals[i]} does not exceed G_{i} = {vals[i - 1]}"
-            )
-    return SequenceWindow(spec=spec, n=n, values=tuple(vals))
+        if vals and g <= vals[-1]:
+            raise NonIncreasingSequence(f"G_{i + 1} = {g} does not exceed G_{i} = {vals[-1]}")
+        vals.append(g)
+        if limit is not None and g > limit:
+            break
+    return tuple(vals)
+
+
+def generate(
+    spec: RecurrenceSpec, n: int, limit: int | None = None, limit_name: str = "limit"
+) -> SequenceWindow:
+    """The window G_1..G_n, made exactly by first_terms.
+
+    With a limit on N, StateSpaceTooLarge is raised at the first term
+    past it, before any later term is made, so a huge n costs no more
+    than the terms up to the limit; its message calls the limit
+    limit_name.
+    """
+    values = first_terms(spec, n, limit)
+    if limit is not None and values[-1] > limit:
+        raise StateSpaceTooLarge(
+            f"G_{len(values)} = {values[-1]} exceeds the {limit_name} {limit} "
+            f"on N = G_{n}"
+        )
+    return SequenceWindow(spec=spec, n=n, values=values)
 
 
 def s_value(spec: RecurrenceSpec) -> int:

@@ -26,6 +26,7 @@ is the worst), and the tests bound the gap by 1e-15.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -202,6 +203,19 @@ def full_spectrum(
     np.conj(lam[N - half - 1 : 0 : -1], out=eig[half:-1])  # k = N//2+1..N-1
     eig[-1] = 1.0
     return eig
+
+
+def eigenvalue_bound(n: int, s: int) -> float:
+    """The paper's bound 1 - (2/n)(1 - |cos(pi/(s+1))|) on every nontrivial
+    |lambda_k| of an n-term window with G_{j+1} <= s G_j for every j < n.
+
+    Some root xi_N^(k G_j), j < n, has k G_j / N mod 1 in [1/(s+1),
+    s/(s+1)]: where k/N < 1/(s+1) (k and N - k share a modulus) it is the
+    first j at which k G_j / N reaches 1/(s+1), and G_j <= s G_{j-1} keeps
+    it below s/(s+1).  That root and the hold's 1 sum to at most
+    2 cos(pi/(s+1)) in modulus, the other n - 2 roots to at most n - 2.
+    """
+    return 1.0 - (2.0 / n) * (1.0 - abs(math.cos(math.pi / (s + 1))))
 
 
 def slem_streaming(window: SequenceWindow) -> float:

@@ -16,9 +16,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, UnknownSuite, WorkTooLarge
-from .recurrence import PRESETS, RecurrenceSpec, first_unbounded_j, generate, s_value
+from .recurrence import PRESETS, RecurrenceSpec, SequenceWindow, first_terms
+from .recurrence import first_unbounded_j, s_value
 from .spectrum import (
+    _INT64_SAFE_N,
     DEFAULT_N_MAX,
+    eigenvalue_bound,
     half_spectrum,
     iter_k_rows,
     require_dense,
@@ -67,13 +70,26 @@ class SuiteResult:
         return asdict(self)
 
 
-def _preset_windows(specs: dict[str, RecurrenceSpec], n_max: int):
-    """Every window n = 2..n_max of every spec (n = 1 has N = 1)."""
+def _window_terms(specs: dict[str, RecurrenceSpec], n_max: int):
+    """(name, spec, n, terms) for every window n = 2..n_max of every spec
+    (n = 1 has N = 1), whose values are terms[:n].
+
+    Each spec's terms are made once, and stop at the first past
+    _INT64_SAFE_N: every suite refuses that window, so none after it is
+    needed.
+    """
     if n_max < 2:
         raise DomainError(f"no windows: n_max = {n_max} is below 2")
     for name, spec in specs.items():
-        for n in range(2, n_max + 1):
-            yield name, generate(spec, n)
+        terms = first_terms(spec, n_max, limit=_INT64_SAFE_N)
+        for n in range(2, len(terms) + 1):
+            yield name, spec, n, terms
+
+
+def _preset_windows(specs: dict[str, RecurrenceSpec], n_max: int):
+    """Every window n = 2..n_max of every spec, as (name, window)."""
+    for name, spec, n, terms in _window_terms(specs, n_max):
+        yield name, SequenceWindow(spec, n, terms[:n])
 
 
 def _hypothesis(window) -> dict:
@@ -88,8 +104,7 @@ def eigmod_bound_suite(specs: dict[str, RecurrenceSpec], n_max: int = 8) -> Suit
     cases = []
     worst = math.inf
     for name, window in _preset_windows(specs, n_max):
-        s = s_value(window.spec)
-        bound = 1.0 - (2.0 / window.n) * (1.0 - abs(math.cos(math.pi / (s + 1))))
+        bound = eigenvalue_bound(window.n, s_value(window.spec))
         slack = bound - slem_streaming(window)
         worst = min(worst, slack)
         cases.append(
@@ -100,15 +115,14 @@ def eigmod_bound_suite(specs: dict[str, RecurrenceSpec], n_max: int = 8) -> Suit
     return SuiteResult("eigmod-bound", passed, "min_margin", worst, cases)
 
 
-def _require_angle_range(name: str, window) -> None:
+def _require_angle_range(name: str, spec: RecurrenceSpec, n: int, N: int) -> None:
     """Refuse a window whose exact angle-cover test would leave int64: N
     past the engine's int64 reductions, or (s + 1) N >= 2^63."""
-    N = window.modulus
     require_int64_safe(N)
-    s = s_value(window.spec)
+    s = s_value(spec)
     if (s + 1) * N >= 1 << 63:
         raise DomainError(
-            f"{name} n = {window.n}: (s + 1) N = {(s + 1) * N} is past the "
+            f"{name} n = {n}: (s + 1) N = {(s + 1) * N} is past the "
             "int64 range of the exact angle-cover test"
         )
 
@@ -133,8 +147,8 @@ def angle_cover_suite(specs: dict[str, RecurrenceSpec], n_max: int = 8) -> Suite
     cases = []
     worst = math.inf
     for name, window in _preset_windows(specs, n_max):
-        _require_angle_range(name, window)
         N = window.modulus
+        _require_angle_range(name, window.spec, window.n, N)
         s = s_value(window.spec)
         B = row_width(N)
         js = np.arange(B, dtype=np.int64)
@@ -228,8 +242,7 @@ def ubl_consistency_suite(
     worst = math.inf
     for name, window in _preset_windows(specs, n_max):
         mods = np.abs(half_spectrum(window, n_max_states)[1:])
-        slem = float(mods.max())
-        result = walk.mixing_time(window, epsilon, n_max_states=n_max_states, slem=slem)
+        result = walk.mixing_time(window, epsilon, n_max_states=n_max_states)
         margin = math.inf
         sums = ubl_sums(np.square(mods, out=mods), window.modulus)
         for (_, tv), rhs in zip(result.tv_curve, sums):
@@ -253,17 +266,16 @@ def run_suites(
     order the suites run, so a window that suite would refuse part way
     through (StateSpaceTooLarge or DomainError) is refused before any
     suite starts.  Then the streamed suites' engine terms are summed over
-    those windows, and a suite past its _TERM_BUDGET is refused
-    (WorkTooLarge).
+    those windows, until the sum passes every selected _TERM_BUDGET, and
+    a suite past its budget is refused (WorkTooLarge).  Both passes read
+    only each window's n and N.
     """
     if specs is None:
         specs = dict(PRESETS)
     checks = {
-        "eigmod-bound": lambda name, window: require_int64_safe(window.modulus),
+        "eigmod-bound": lambda name, spec, n, N: require_int64_safe(N),
         "angle-cover": _require_angle_range,
-        "ubl-consistency": lambda name, window: require_dense(
-            window.modulus, n_max_states
-        ),
+        "ubl-consistency": lambda name, spec, n, N: require_dense(N, n_max_states),
     }
     runners = {
         "eigmod-bound": lambda: eigmod_bound_suite(specs, n_max=n_max),
@@ -279,15 +291,21 @@ def run_suites(
     names = SUITE_NAMES if suite == "all" else (suite,)
     for name in names:
         if name in checks:
-            for label, window in _preset_windows(specs, n_max):
-                checks[name](label, window)
+            for label, spec, n, terms in _window_terms(specs, n_max):
+                checks[name](label, spec, n, terms[n - 1])
     budgeted = [name for name in names if name in _TERM_BUDGET]
     if budgeted:
-        terms = sum((w.modulus // 2) * (w.n - 1) for _, w in _preset_windows(specs, n_max))
+        most = max(_TERM_BUDGET[name] for name in budgeted)
+        work = 0
+        for _, _, n, terms in _window_terms(specs, n_max):
+            work += (terms[n - 1] // 2) * (n - 1)
+            if work > most:
+                break
         for name in budgeted:
-            if terms > _TERM_BUDGET[name]:
+            if work > _TERM_BUDGET[name]:
                 raise WorkTooLarge(
-                    f"{name} would take {terms} engine terms, sum (N//2)(n - 1) "
-                    f"over its windows; the budget is {_TERM_BUDGET[name]}"
+                    f"{name} would take at least {work} engine terms, sum "
+                    f"(N//2)(n - 1) over its windows; the budget is "
+                    f"{_TERM_BUDGET[name]}"
                 )
     return [runners[name]() for name in names]

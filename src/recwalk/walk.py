@@ -19,8 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InsideErrorBand, ScanTooLong
-from .recurrence import SequenceWindow
-from .spectrum import DEFAULT_N_MAX, half_spectrum, require_dense, slem_streaming
+from .recurrence import SequenceWindow, ratio_bounded, s_value
+from .spectrum import DEFAULT_N_MAX, eigenvalue_bound, half_spectrum, require_dense
+from .spectrum import slem_streaming
 
 # Path counts, and sums of up to two totals of them, stay exact in int64
 # (those sums taken mod 2^64) while the total n^t is below this.
@@ -32,8 +33,8 @@ _INT64_PATHS = 1 << 63
 # exact, and each shift-add moves half the bytes it moves in int64.
 _NARROW = np.uint32
 
-# Margin on the engine's SLEM when it bounds the scan: ten times the 1e-15
-# the tests allow between the engine and one exp per term.
+# Margin on a SLEM when it bounds the scan: ten times the 1e-15 the tests
+# allow between the engine and one exp per term.
 _SLEM_ERROR = 1e-14
 
 # Unit roundoff of float64.
@@ -230,6 +231,19 @@ def _ubl_last_step(N: int, slem: float, eps: Fraction) -> int:
     return max(math.ceil(t), 0) + 1
 
 
+def _bound_last_step(window: SequenceWindow, eps: Fraction) -> int | None:
+    """_ubl_last_step at the paper's eigenvalue_bound, which is at least the
+    engine's SLEM, so this t is never below the engine's; None where the
+    bound does not hold (no s, or some G_{j+1} > s G_j) or is 1 within
+    _SLEM_ERROR."""
+    if max(window.spec.coeffs) <= 0 or not ratio_bounded(window):
+        return None
+    bound = eigenvalue_bound(window.n, s_value(window.spec))
+    if bound + _SLEM_ERROR >= 1.0:
+        return None
+    return _ubl_last_step(window.modulus, bound, eps)
+
+
 def scan_lower_bound(window: SequenceWindow, epsilon: Fraction) -> int:
     """t_low = ceil(log(1/(2 eps)) / log(1/|lambda_1|)) <= t_mix(eps).
 
@@ -263,7 +277,6 @@ def mixing_time(
     window: SequenceWindow,
     epsilon: Fraction | float,
     n_max_states: int = DEFAULT_N_MAX,
-    slem: float | None = None,
 ) -> MixingResult:
     """Smallest t with TV(P^t, uniform) <= epsilon, by forward scan from 0.
 
@@ -296,12 +309,16 @@ def mixing_time(
       powers of two.  The scan then decides only outside an a-priori band
       delta around the float TV, and raises InsideErrorBand when epsilon
       is inside it.
-      The last t it may need comes from the SLEM (taken from the engine
-      unless given): 4 TV(t)^2 <= (N - 1) slem^(2t).  When epsilon is
-      below the band at that t, or the SLEM is 1 within the engine's
-      error, InsideErrorBand is raised before any float step, so a slow
-      walk at a small epsilon is refused at once, not after millions of
-      float steps.  Otherwise the band alone ends the scan, by that t: there
+      The last t it may need comes from a bound on the SLEM:
+      4 TV(t)^2 <= (N - 1) slem^(2t).  That t is taken from the paper's
+      eigenvalue_bound where G_{j+1} <= s G_j for every j, and from the
+      engine's SLEM (slem_streaming) only where the bound does not hold
+      or leaves epsilon inside the band at its t; the bound is at least
+      the SLEM, so its t is never the smaller.  When epsilon is below the
+      band at the engine's t, or the SLEM is 1 within the engine's error,
+      InsideErrorBand is raised before any float step, so a slow walk at
+      a small epsilon is refused at once, not after millions of float
+      steps.  Otherwise the band alone ends the scan, by that t: there
       TV <= epsilon, so the float TV is below epsilon - delta or within
       delta of it.
 
@@ -401,9 +418,9 @@ def mixing_time(
             return result(t)
 
     t0 = t
-    if slem is None:
-        slem = slem_streaming(window)
-    t_last = _ubl_last_step(N, slem, eps)
+    t_last = _bound_last_step(window, eps)
+    if t_last is None or eps <= _band(n, max(t_last - t0, 0)):
+        t_last = _ubl_last_step(N, slem_streaming(window), eps)
     floor = _band(n, max(t_last - t0, 0))
     if eps <= floor:
         raise InsideErrorBand(

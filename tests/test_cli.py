@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from recwalk import cli, verify
+from recwalk import cli, verify, walk
 from recwalk.cli import main
 
 from expected_values import EXACT_TMIX, SEQUENCE_VALUES
@@ -388,6 +388,61 @@ def test_verify_refuses_windows_before_any_suite(capsys, monkeypatch, argv, mess
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert message in err
+
+
+def test_verify_budget_pass_is_linear_in_nmax(capsys, monkeypatch):
+    # G_i = i: every window made from scratch, once for the checks and once
+    # for the sum, took 9.2 s to refuse
+    _no_suite_may_run(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "verify", "--seq", '{"coeffs":[2,-1],"init":[1,2]}',
+        "--suite", "eigmod-bound", "--nmax", "3000",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "the budget is 2147483648" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the refusal tried to print the 6,021-digit N and exited on
+        # Python's 4300-digit limit for integer string conversion
+        (["mix", "--seq", "pow2", "--n", "20000"],
+         "G_26 = 33554432 exceeds the dense cap 16777216"),
+        (["spectrum", "--seq", "pow2", "--n", "20000", "--top", "3"],
+         "G_26 = 33554432 exceeds the dense cap 16777216"),
+        # the window alone took 679 MiB before the refusal
+        (["mix", "--seq", "pow2", "--n", "100000"], "dense cap"),
+        # growth was estimated before the int64 guard: 2.6 s and 59.6 s
+        (["bounds", "--seq", "fib-odd", "--n", "8000"],
+         "G_24 = 4807526976 exceeds the exact int64 reduction range 3037000499"),
+        (["bounds", "--seq", "fib-odd", "--n", "30000"], "int64 reduction range"),
+    ],
+)
+def test_oversized_window_refused_while_generated(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_scans_past_int64_take_the_paper_bound_not_the_engine(capsys, monkeypatch):
+    # both leave int64 (21^15 > 2^63), and the paper's bound on the SLEM
+    # puts epsilon above the float band wherever the scan may need to go
+    def no_engine(window):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(walk, "slem_streaming", no_engine)
+    code, out, _ = run_cli(capsys, "mix", "--seq", "pow2", "--n", "21", "--epsilon", "1e-10")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("224,")
+    for name, n, t_mix in (("pow2", 21, 15), ("pow3", 13, 17)):
+        code, out, _ = run_cli(capsys, "bounds", "--seq", name, "--n", str(n))
+        assert code == 0
+        assert json.loads(out)["report"]["exact_t_mix"] == t_mix
 
 
 @pytest.mark.parametrize("nmax", ["0", "-3"])

@@ -11,6 +11,7 @@ from recwalk import (
     PRESETS,
     RecurrenceSpec,
     SequenceWindow,
+    StateSpaceTooLarge,
     WindowTooShort,
     estimate_growth,
     first_unbounded_j,
@@ -18,6 +19,8 @@ from recwalk import (
     ratio_bounded,
     s_value,
 )
+
+from recwalk.recurrence import first_terms
 
 from expected_values import SEQUENCE_VALUES
 
@@ -80,6 +83,19 @@ def test_generate_rejects_non_increasing_terms():
     spec = RecurrenceSpec(coeffs=(1, -2), init=(1, 4))
     with pytest.raises(NonIncreasingSequence):
         generate(spec, 3)
+
+
+def test_generate_stops_at_the_first_term_past_its_limit():
+    # pow2's G_26 = 2^25 is the first term past 2^24, and the last one made
+    assert first_terms(PRESETS["pow2"], 10**4, limit=2**24)[-1] == 2**25
+    with pytest.raises(StateSpaceTooLarge, match=(
+        "^G_26 = 33554432 exceeds the dense cap 16777216 on N = G_10000$"
+    )):
+        generate(PRESETS["pow2"], 10**4, limit=2**24, limit_name="dense cap")
+    assert generate(PRESETS["pow2"], 25, limit=2**24).modulus == 2**24
+    # the first fault is the one reported: G_3 = 1 before G_4 = -1
+    with pytest.raises(NonIncreasingSequence, match="G_3"):
+        generate(RecurrenceSpec(coeffs=(1, -1), init=(1, 2)), 4)
 
 
 def test_generate_requires_positive_length():

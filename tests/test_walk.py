@@ -16,12 +16,16 @@ from recwalk import (
     RecwalkError,
     ScanTooLong,
     StateSpaceTooLarge,
+    eigenvalue_bound,
     evolve,
     full_spectrum,
     generate,
     mixing_time,
     point_mass,
+    ratio_bounded,
+    s_value,
     scan_lower_bound,
+    slem_streaming,
     step_distribution,
     tv_to_uniform,
 )
@@ -431,12 +435,35 @@ def test_float_scan_rescales_exactly(monkeypatch):
         assert window.n**res.t_mix >= 2**63  # decided in float
 
 
-def test_slem_at_one_refused_before_float_scan():
-    # the int64 range ends at t = 19 for n = 9, long before TV(t) <= 1e-6,
-    # and a SLEM of 1 bounds no t for the float scan
+def test_slem_at_one_refused_before_float_scan(monkeypatch):
+    # the int64 range ends at t = 19 for n = 9; at 1e-14 the paper's bound
+    # puts the last step at t = 529, where the band is 4.8e-13, so the scan
+    # asks the engine, and a SLEM of 1 bounds no t for the float scan
     window = generate(PRESETS["fib-odd"], 9)
+    monkeypatch.setattr(walk, "slem_streaming", lambda window: 1.0 - 1e-15)
     with pytest.raises(InsideErrorBand, match="SLEM"):
-        mixing_time(window, 1e-6, slem=1.0 - 1e-15)
+        mixing_time(window, Fraction(1, 10**14))
+
+
+@PROPERTY_SETTINGS
+@given(
+    window=small_windows(),
+    epsilon=st.fractions(Fraction(1, 10**14), Fraction(1, 4), max_denominator=10**15),
+)
+def test_paper_bound_is_at_least_the_engine_slem_property(window, epsilon):
+    # the bound holds where s exists and G_{j+1} <= s G_j for every j;
+    # small_windows also draws specs with no positive coefficient, e.g.
+    # coeffs (0, 0, 0), init (1, 19, 1) at n = 2, which have no s
+    if window.modulus < 2:
+        return
+    slem = slem_streaming(window)
+    t_last = walk._bound_last_step(window, epsilon)
+    if max(window.spec.coeffs) > 0 and ratio_bounded(window):
+        assert eigenvalue_bound(window.n, s_value(window.spec)) >= slem
+    else:
+        assert t_last is None
+    if t_last is not None:
+        assert t_last >= walk._ubl_last_step(window.modulus, slem, epsilon)
 
 
 def test_epsilon_below_band_refused_before_float_scan():
