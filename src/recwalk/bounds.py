@@ -9,9 +9,8 @@ comparisons against exact mixing times use ceil/floor at the call site.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -24,8 +23,7 @@ from . import walk
 _ETA1_MIN = 1.0 + 1e-9
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Every applicable bound for one (sequence, n, epsilon) triple."""
 
     sequence_id: str
@@ -48,7 +46,7 @@ class BoundReport:
     exact_t_mix: int | None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def kappa_general(s: int) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import itertools
 import json
 import sys
@@ -21,12 +20,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, RecwalkError
+from .errors import SUITE_NAMES, DomainError, RecwalkError
 from .recurrence import PRESETS, RecurrenceSpec, SequenceWindow, generate
 from .spectrum import _INT64_SAFE_N, DEFAULT_N_MAX, full_spectrum
-from .bounds import build_report
 from .montecarlo import SimConfig, simulate_tv
-from .verify import SUITE_NAMES, run_suites
 from . import walk
 from .walk import MAX_ROWS
 
@@ -108,6 +105,8 @@ def _single_sequence(args) -> tuple[str, RecurrenceSpec]:
 def _manifest(args, sequences: list[tuple[str, RecurrenceSpec]]) -> dict:
     """The run's record: the sequences and every other option the command
     declares, as parsed; the output path is not a setting."""
+    import hashlib  # only a written manifest needs it, with its OpenSSL
+
     resolved = [
         {"name": name, "coeffs": list(s.coeffs), "init": list(s.init)}
         for name, s in sequences
@@ -135,8 +134,9 @@ def _emit(args, sequences: list[tuple[str, RecurrenceSpec]], payload: dict, rows
     """Write the artifact to --out or stdout as it is formatted: JSON is
     {"manifest": ..., **payload}, encoded in batches of _JSON_BATCH chunks;
     CSV is rows, header first, read only for CSV and written one by one,
-    with the manifest in a .manifest.json sidecar next to an --out file."""
-    manifest = _manifest(args, sequences)
+    with the manifest in a .manifest.json sidecar next to an --out file.
+    CSV on stdout has no manifest, so none is built."""
+    manifest = _manifest(args, sequences) if args.out or args.format == "json" else None
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         if args.format == "json":
             doc = {"manifest": manifest, **payload}
@@ -242,6 +242,8 @@ def cmd_mix(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import build_report  # loaded by the one command that runs it
+
     name, spec = _single_sequence(args)
     # past the engine's int64 range the report has no spectrum to read
     window = generate(
@@ -259,6 +261,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suites  # loaded by the one command that runs it
+
     sequences = _resolve_sequences(args.seq)
     results = run_suites(
         args.suite,

@@ -37,8 +37,19 @@ class DomainError(RecwalkError):
     """A formula precondition was violated (pole, empty domain, bad range)."""
 
 
+# The verification suites, in the order `verify --suite all` runs them;
+# kept here so that the CLI can offer them without importing verify.
+SUITE_NAMES = (
+    "eigmod-bound",
+    "angle-cover",
+    "lifting",
+    "multiset-domination",
+    "ubl-consistency",
+)
+
+
 class UnknownSuite(RecwalkError):
-    """Verification suite name not recognized."""
+    """Verification suite name not recognized (not one of SUITE_NAMES)."""
 
 
 class InsideErrorBand(RecwalkError):

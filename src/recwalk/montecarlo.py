@@ -27,7 +27,7 @@ num_trajectories is small relative to N; no debiasing is applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,34 +96,39 @@ def _position_type(N: int):
     return object
 
 
-@dataclass(frozen=True)
-class SimConfig:
+# typing.NamedTuple refuses a __new__, so the checks live in the subclass's
+class _SimFields(NamedTuple):
     window: SequenceWindow
     t_max: int
     num_trajectories: int
     seed: int
 
-    def __post_init__(self):
-        N = self.window.modulus
+
+class SimConfig(_SimFields):
+    __slots__ = ()
+
+    def __new__(cls, window, t_max, num_trajectories, seed):
+        N = window.modulus
         most, most_work, past = _MAX_TRAJECTORIES, _MAX_WORK, ""
         if _position_type(N) is object:
             digits = -(-N.bit_length() // 30)
             most = _MAX_OBJECT_TRAJECTORIES * _OBJECT_DIGITS // digits
             most_work = _MAX_OBJECT_WORK * _OBJECT_DIGITS // digits
             past = f" when N >= 2^62 (here {digits} 30-bit digits)"
-        if self.num_trajectories < 1:
+        if num_trajectories < 1:
             raise ValueError("need at least one trajectory")
-        if self.num_trajectories > most:
+        if num_trajectories > most:
             raise ValueError(
-                f"at most {most} trajectories{past}, got {self.num_trajectories}"
+                f"at most {most} trajectories{past}, got {num_trajectories}"
             )
-        if not 0 <= self.t_max < MAX_ROWS:  # a curve of at most MAX_ROWS rows
-            raise ValueError(f"t_max must be in 0..{MAX_ROWS - 1}, got {self.t_max}")
-        work = self.num_trajectories * self.t_max
+        if not 0 <= t_max < MAX_ROWS:  # a curve of at most MAX_ROWS rows
+            raise ValueError(f"t_max must be in 0..{MAX_ROWS - 1}, got {t_max}")
+        work = num_trajectories * t_max
         if work > most_work:
             raise ValueError(
                 f"trajectories * t_max must be at most {most_work}{past}, got {work}"
             )
+        return super().__new__(cls, window, t_max, num_trajectories, seed)
 
 
 def _advances_histogram(N: int, n: int, T: int) -> bool:

@@ -11,8 +11,8 @@ the step set of the walk on Z_{G_n}; SequenceWindow.steps states it mod N.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     NonIncreasingSequence,
@@ -26,37 +26,43 @@ from .errors import (
 GROWTH_DELTA = 1e-6
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
-    """Coefficients a_1..a_d and the d initial terms G_1..G_d."""
-
+# typing.NamedTuple refuses a __new__, so the checks live in the subclass's
+class _SpecFields(NamedTuple):
     coeffs: tuple[int, ...]
     init: tuple[int, ...]
 
-    def __post_init__(self):
+
+class RecurrenceSpec(_SpecFields):
+    """Coefficients a_1..a_d and the d initial terms G_1..G_d."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs, init):
         # operator.index refuses 2.5 and "3", which int() would accept, but
         # takes True as 1, so booleans are refused first
-        for field in ("coeffs", "init"):
-            values = tuple(getattr(self, field))
+        checked = []
+        for field, values in (("coeffs", coeffs), ("init", init)):
+            values = tuple(values)
             if any(isinstance(v, bool) for v in values):
                 raise TypeError(f"{field} must be integers, not booleans: {values}")
-            object.__setattr__(self, field, tuple(map(operator.index, values)))
-        if len(self.coeffs) < 1:
+            checked.append(tuple(map(operator.index, values)))
+        coeffs, init = checked
+        if len(coeffs) < 1:
             raise ValueError("recurrence order must be at least 1")
-        if len(self.init) != len(self.coeffs):
+        if len(init) != len(coeffs):
             raise ValueError("need exactly one initial term per coefficient")
-        if self.init[0] != 1:
+        if init[0] != 1:
             raise ValueError("G_1 must be 1")
-        if any(g <= 0 for g in self.init):
-            raise NonPositiveTerm(f"initial terms must be positive: {self.init}")
+        if any(g <= 0 for g in init):
+            raise NonPositiveTerm(f"initial terms must be positive: {init}")
+        return super().__new__(cls, coeffs, init)
 
     @property
     def order(self) -> int:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class SequenceWindow:
+class SequenceWindow(NamedTuple):
     """The exact terms G_1..G_n of one sequence, strictly increasing."""
 
     spec: RecurrenceSpec
@@ -75,8 +81,7 @@ class SequenceWindow:
         return self.values[:-1] + (0,)
 
 
-@dataclass(frozen=True)
-class GrowthEstimate:
+class GrowthEstimate(NamedTuple):
     """Numerical growth summary of a window.
 
     The exponential/polynomial call is made on an extrapolated limit of

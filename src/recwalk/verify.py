@@ -10,12 +10,12 @@ suite just says passed or not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, UnknownSuite, WorkTooLarge
+from .errors import SUITE_NAMES, DomainError, UnknownSuite, WorkTooLarge
 from .recurrence import PRESETS, RecurrenceSpec, SequenceWindow, first_terms
 from .recurrence import first_unbounded_j, s_value
 from .spectrum import (
@@ -32,14 +32,6 @@ from .spectrum import (
 )
 from .bounds import seq2bound_multiset, ubl_sums
 from . import walk
-
-SUITE_NAMES = (
-    "eigmod-bound",
-    "angle-cover",
-    "lifting",
-    "multiset-domination",
-    "ubl-consistency",
-)
 
 EIGMOD_TOL = 1e-12
 LIFT_TOL = 1e-9
@@ -58,16 +50,15 @@ _CAP = 10**5
 _TERM_BUDGET = {"eigmod-bound": 1 << 31, "angle-cover": 1 << 30}
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     suite: str
     passed: bool
     metric: str  # "min_margin" or "max_error"
     worst_slack: float
-    cases: list[dict] = field(default_factory=list)
+    cases: list[dict]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _window_terms(specs: dict[str, RecurrenceSpec], n_max: int):

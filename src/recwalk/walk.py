@@ -13,8 +13,8 @@ in float64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +66,7 @@ _RESCALE_BITS = 512
 _SUM_ROW = 256
 
 
-@dataclass(frozen=True)
-class MixingResult:
+class MixingResult(NamedTuple):
     n: int
     N: int
     t_mix: int

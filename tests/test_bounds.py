@@ -345,7 +345,7 @@ def test_report_to_dict_round_trip():
     d = report.to_dict()
     assert d["sequence_id"] == "pow3"
     assert d["exact_t_mix"] == 3
-    assert set(d) == set(BoundReport.__dataclass_fields__)
+    assert set(d) == set(BoundReport._fields)
 
 
 def test_general_upper_bound_needs_bounded_ratios():

@@ -47,6 +47,9 @@ def test_table_writes_file_and_manifest(tmp_path, capsys):
     assert manifest["command"] == "table"
     assert len(manifest["spec_hash"]) == 64
     assert manifest["parameters"]["epsilon"] == "1/4"
+    # the sidecar's hash is the one a JSON document embeds for the same --seq
+    code, out, _ = run_cli(capsys, "table", "--format", "json", "--nmax", "1")
+    assert json.loads(out)["manifest"]["spec_hash"] == manifest["spec_hash"]
 
 
 def test_table_manifest_embedded_in_json(capsys):

@@ -11,11 +11,15 @@ from recwalk import (
     PRESETS,
     RecurrenceSpec,
     SequenceWindow,
+    SimConfig,
     StateSpaceTooLarge,
+    SuiteResult,
     WindowTooShort,
+    build_report,
     estimate_growth,
     first_unbounded_j,
     generate,
+    mixing_time,
     ratio_bounded,
     s_value,
 )
@@ -182,10 +186,39 @@ def test_ratios_are_exact_rationals():
     assert window.values[-1] == 3 ** 39
 
 
-def test_sequence_window_is_immutable():
-    window = generate(PRESETS["pow2"], 4)
-    with pytest.raises(AttributeError):
-        window.n = 5
+_WINDOW = generate(PRESETS["pow2"], 4)
+RECORDS = [
+    PRESETS["pow2"],
+    _WINDOW,
+    estimate_growth(_WINDOW),
+    mixing_time(_WINDOW, Fraction(1, 4)),
+    SimConfig(window=_WINDOW, t_max=2, num_trajectories=10, seed=0),
+    build_report("pow2", _WINDOW, 0.25),
+    SuiteResult("lifting", True, "max_error", 0.0, []),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_immutable(record):
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    assert record == type(record)(*record)  # compared by value
+
+
+def test_record_checks_run_when_built_by_keyword():
+    assert RecurrenceSpec(init=[1], coeffs=[2]) == PRESETS["pow2"]
+    assert type(RecurrenceSpec(coeffs=[2], init=[1]).coeffs) is tuple
+    with pytest.raises(ValueError, match="G_1 must be 1"):
+        RecurrenceSpec(coeffs=(2,), init=(2,))
+    with pytest.raises(TypeError, match="coeffs must be integers, not booleans"):
+        RecurrenceSpec(init=(1,), coeffs=(True,))
+    with pytest.raises(NonPositiveTerm):
+        RecurrenceSpec(coeffs=(1, 1), init=(1, 0))
+    with pytest.raises(ValueError, match="need at least one trajectory"):
+        SimConfig(window=_WINDOW, t_max=2, num_trajectories=0, seed=0)
+    with pytest.raises(ValueError, match="t_max must be in"):
+        SimConfig(seed=0, num_trajectories=5, t_max=-1, window=_WINDOW)
 
 
 def test_ratio_extrapolation_matches_fraction_arithmetic():
