@@ -211,7 +211,9 @@ def build_report(
     and are None elsewhere; first_unbounded_j names the first j where it
     fails.  The general lower bound needs an eta_1; without an override
     it uses the window estimate and is omitted for sequences classified
-    as non-exponential or windows too short to classify.
+    as non-exponential or windows too short to classify.  Where
+    N <= n_max_states (at most DEFAULT_N_MAX) the report reads the dense
+    spectrum and the exact scan; past it, only the streamed SLEM.
     """
     n, N = window.n, window.modulus
     if n < 2:
@@ -242,11 +244,11 @@ def build_report(
     ubl_t: int | None = None
     exact: int | None = None
     if N <= n_max_states:
-        mods = np.abs(half_spectrum(window, n_max_states)[1:])
+        mods = np.abs(half_spectrum(window)[1:])
         lam_star = float(mods.max())
         ubl_t = ubl_implied_t(np.square(mods, out=mods), N, eps)
         del mods  # its 4 N bytes are freed before the scan takes 16 N
-        exact = walk.mixing_time(window, epsilon, n_max_states=n_max_states).t_mix
+        exact = walk.mixing_time(window, epsilon).t_mix
     else:
         lam_star = slem_streaming(window)
 

@@ -177,8 +177,8 @@ def cmd_table(args) -> int:
     for name, last in longest:
         per_seq[name] = []
         for n in range(1, args.nmax + 1):
-            window = SequenceWindow(last.spec, n, last.values[:n])
-            result = walk.mixing_time(window, args.epsilon, n_max_states=args.nmax_states)
+            window = SequenceWindow(last.spec, last.values[:n])
+            result = walk.mixing_time(window, args.epsilon)
             per_seq[name].append({"n": n, "G_n": window.modulus, "t_mix": result.t_mix})
     columns = ("G_n", "t_mix")
     header = ["n", *(f"{col}[{name}]" for name in per_seq for col in columns)]
@@ -200,7 +200,7 @@ def cmd_spectrum(args) -> int:
         raise DomainError(f"N = {window.modulus}: a listing holds at most {MAX_ROWS} "
                           f"rows; pass --top {MAX_ROWS} or less")
     N = window.modulus
-    eig = full_spectrum(window, n_max_states=args.nmax_states)
+    eig = full_spectrum(window)
     mods = abs(eig)
     if args.top is not None:
         # stable on -mods: ties keep increasing k, as sorted(reverse=True) does
@@ -227,7 +227,7 @@ def cmd_spectrum(args) -> int:
 def cmd_mix(args) -> int:
     name, spec = _single_sequence(args)
     window = _dense_window(args, spec, args.n)
-    result = walk.mixing_time(window, args.epsilon, n_max_states=args.nmax_states)
+    result = walk.mixing_time(window, args.epsilon)
     payload = {
         "sequence": name,
         "n": result.n,

@@ -63,11 +63,16 @@ class RecurrenceSpec(_SpecFields):
 
 
 class SequenceWindow(NamedTuple):
-    """The exact terms G_1..G_n of one sequence, strictly increasing."""
+    """The exact terms G_1..G_n of one sequence, strictly increasing; n is
+    len(values), not a field of its own."""
 
     spec: RecurrenceSpec
-    n: int
     values: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        """Window length n = len(values)."""
+        return len(self.values)
 
     @property
     def modulus(self) -> int:
@@ -140,7 +145,7 @@ def generate(
             f"G_{len(values)} = {values[-1]} exceeds the {limit_name} {limit} "
             f"on N = G_{n}"
         )
-    return SequenceWindow(spec=spec, n=n, values=values)
+    return SequenceWindow(spec, values)
 
 
 def s_value(spec: RecurrenceSpec) -> int:

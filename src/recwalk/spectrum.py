@@ -94,6 +94,18 @@ def require_dense(N: int, n_max_states: int) -> None:
         raise StateSpaceTooLarge(f"N = {N} exceeds the dense cap {n_max_states}")
 
 
+def require_tables(n: int, N: int) -> None:
+    """Refuse an engine run whose n - 1 root tables of row_width(N) entries
+    would hold more than DEFAULT_N_MAX entries in all, the dense cap's own
+    count: they are built before the first block and grow with n, not N."""
+    entries = (n - 1) * row_width(N)
+    if entries > DEFAULT_N_MAX:
+        raise StateSpaceTooLarge(
+            f"n = {n}: the engine's {n - 1} root tables of {row_width(N)} "
+            f"entries would hold {entries}, past the dense cap {DEFAULT_N_MAX}"
+        )
+
+
 def require_int64_safe(N: int) -> None:
     """Refuse an N past the engine's exact int64 reductions."""
     if N > _INT64_SAFE_N:
@@ -143,7 +155,9 @@ def iter_eigenvalue_chunks(
     xi_N^(k*g) = xi_N^(q*B*g) * xi_N^(j*g), with B = row_width(N).
     Storage-free except for one block at a time and one B-entry table per
     step, so it works beyond the dense cap; half_spectrum and the
-    streaming SLEM are both built on this.
+    streaming SLEM are both built on this.  The tables hold (n - 1) B
+    entries in all, and require_tables refuses more than DEFAULT_N_MAX
+    before any is built.
 
     out, when given, is a complex array of N//2 + B entries indexed by k:
     each block's rows are computed in place in out[q*B : (q + rows)*B],
@@ -154,6 +168,7 @@ def iter_eigenvalue_chunks(
     N = window.modulus
     B = row_width(N)
     blocks = iter_k_rows(N, B)  # the int64 guard on N: products stay below N^2
+    require_tables(window.n, N)
     js = np.arange(B, dtype=np.int64)
     # N > 1 means n > 1, so G_1 = 1 gives at least one table
     factors = [(_roots(N, js * g % N), B * g % N) for g in window.steps[:-1]]
@@ -170,18 +185,16 @@ def iter_eigenvalue_chunks(
         yield acc.ravel()[keep]
 
 
-def half_spectrum(
-    window: SequenceWindow, n_max_states: int = DEFAULT_N_MAX
-) -> np.ndarray:
-    """lambda_0..lambda_{N//2} for N = G_n <= n_max_states: index k holds
-    lambda_k, and lambda_0 = 1 exactly.
+def half_spectrum(window: SequenceWindow) -> np.ndarray:
+    """lambda_0..lambda_{N//2} for N = G_n <= DEFAULT_N_MAX (StateSpaceTooLarge
+    past it): index k holds lambda_k, and lambda_0 = 1 exactly.
 
     With lambda_{N-k} = conj(lambda_k) these are the whole spectrum.  The
     engine writes each block straight into its slots of one buffer of
     N//2 + row_width(N) entries, and the result is a view of it.
     """
     N = window.modulus
-    require_dense(N, n_max_states)
+    require_dense(N, DEFAULT_N_MAX)
     half = N // 2
     by_k = np.empty(half + row_width(N), dtype=np.complex128)
     for _ in iter_eigenvalue_chunks(window, out=by_k):
@@ -190,13 +203,12 @@ def half_spectrum(
     return by_k[: half + 1]
 
 
-def full_spectrum(
-    window: SequenceWindow, n_max_states: int = DEFAULT_N_MAX
-) -> np.ndarray:
-    """lambda_1..lambda_N for N = G_n <= n_max_states: index k-1 holds
-    lambda_k.  The upper half holds the exact conjugates
-    lambda_{N-k} = conj(lambda_k) of half_spectrum, and lambda_N = 1."""
-    lam = half_spectrum(window, n_max_states)
+def full_spectrum(window: SequenceWindow) -> np.ndarray:
+    """lambda_1..lambda_N for N = G_n <= DEFAULT_N_MAX, as half_spectrum
+    refuses past it: index k-1 holds lambda_k.  The upper half holds the
+    exact conjugates lambda_{N-k} = conj(lambda_k) of half_spectrum, and
+    lambda_N = 1."""
+    lam = half_spectrum(window)
     N, half = window.modulus, window.modulus // 2
     eig = np.empty(N, dtype=np.complex128)
     eig[:half] = lam[1:]

@@ -80,7 +80,7 @@ def _window_terms(specs: dict[str, RecurrenceSpec], n_max: int):
 def _preset_windows(specs: dict[str, RecurrenceSpec], n_max: int):
     """Every window n = 2..n_max of every spec, as (name, window)."""
     for name, spec, n, terms in _window_terms(specs, n_max):
-        yield name, SequenceWindow(spec, n, terms[:n])
+        yield name, SequenceWindow(spec, terms[:n])
 
 
 def _hypothesis(window) -> dict:
@@ -226,14 +226,14 @@ def ubl_consistency_suite(
     specs: dict[str, RecurrenceSpec],
     n_max: int = 8,
     epsilon: Fraction | float = 0.25,
-    n_max_states: int = DEFAULT_N_MAX,
 ) -> SuiteResult:
-    """TV(t)^2 <= (1/4) sum_{k<N} |lambda_k|^(2t) at every scanned t."""
+    """TV(t)^2 <= (1/4) sum_{k<N} |lambda_k|^(2t) at every scanned t, on
+    windows with N <= DEFAULT_N_MAX."""
     cases = []
     worst = math.inf
     for name, window in _preset_windows(specs, n_max):
-        mods = np.abs(half_spectrum(window, n_max_states)[1:])
-        result = walk.mixing_time(window, epsilon, n_max_states=n_max_states)
+        mods = np.abs(half_spectrum(window)[1:])
+        result = walk.mixing_time(window, epsilon)
         margin = math.inf
         sums = ubl_sums(np.square(mods, out=mods), window.modulus)
         for (_, tv), rhs in zip(result.tv_curve, sums):
@@ -259,7 +259,8 @@ def run_suites(
     suite starts.  Then the streamed suites' engine terms are summed over
     those windows, until the sum passes every selected _TERM_BUDGET, and
     a suite past its budget is refused (WorkTooLarge).  Both passes read
-    only each window's n and N.
+    only each window's n and N; n_max_states is the cap ubl-consistency's
+    windows are checked against here.
     """
     if specs is None:
         specs = dict(PRESETS)
@@ -273,9 +274,7 @@ def run_suites(
         "angle-cover": lambda: angle_cover_suite(specs, n_max=n_max),
         "lifting": lifting_suite,
         "multiset-domination": multiset_domination_suite,
-        "ubl-consistency": lambda: ubl_consistency_suite(
-            specs, n_max=n_max, epsilon=epsilon, n_max_states=n_max_states
-        ),
+        "ubl-consistency": lambda: ubl_consistency_suite(specs, n_max=n_max, epsilon=epsilon),
     }
     if suite != "all" and suite not in runners:
         raise UnknownSuite(f"unknown suite {suite!r}; choose from {SUITE_NAMES + ('all',)}")

@@ -79,12 +79,11 @@ def point_mass(N: int) -> np.ndarray:
     return p
 
 
-def step_distribution(
-    window: SequenceWindow, n_max_states: int = DEFAULT_N_MAX
-) -> np.ndarray:
-    """Step law: p[x] = 1/n for each x in window.steps, 0 elsewhere."""
+def step_distribution(window: SequenceWindow) -> np.ndarray:
+    """Step law: p[x] = 1/n for each x in window.steps, 0 elsewhere, for
+    N = G_n <= DEFAULT_N_MAX."""
     N = window.modulus
-    require_dense(N, n_max_states)
+    require_dense(N, DEFAULT_N_MAX)
     p = np.zeros(N)
     p[list(window.steps)] = 1.0 / window.n
     return p
@@ -107,45 +106,31 @@ _TILE = 1 << 16
 _GAP = 512
 
 
-def _tile_plan(
-    window: SequenceWindow, width: int
-) -> list[tuple[int, int, list[tuple[int, int, int]]]]:
-    """Per tile [lo, hi) of width entries of an N-entry output, the adds of
-    the nonzero steps.
-
-    Each add (a, b, s) is out[a:b] += src[s : s + b - a], so that out[j]
-    takes src[(j - x) mod N] for the step x; a step inside the tile splits
-    it at j = x, where the source index wraps.  Adds run in increasing x.
-    The hold, step 0, is the smallest step and becomes the tile's copy of
-    src[lo:hi], so it is not listed.
-    """
-    N = window.modulus
-    shifts = sorted(window.steps)[1:]
-    plan = []
-    for lo in range(0, N, width):
-        hi = min(lo + width, N)
-        adds = []
-        for x in shifts:
-            if x <= lo:
-                adds.append((lo, hi, lo - x))
-            elif x >= hi:
-                adds.append((lo, hi, lo - x + N))
-            else:
-                adds.append((lo, x, lo - x + N))
-                adds.append((x, hi, 0))
-        plan.append((lo, hi, adds))
-    return plan
-
-
-def _convolve_tiles(src: np.ndarray, out: np.ndarray, plan):
+def _convolve_tiles(src: np.ndarray, out: np.ndarray, shifts):
     """Fill out with the sum over the steps x of src shifted by x, a tile
     at a time, and yield each tile as soon as it is complete, while it is
-    still in cache."""
-    for lo, hi, adds in plan:
+    still in cache.
+
+    out[j] takes src[(j - x) mod N] for each step x.  The hold, step 0,
+    becomes the tile's copy of src; then each other step, in shifts in
+    increasing order, adds once, split at j = x where it falls inside the
+    tile, since the source index wraps there.  A tile is 512 KiB:
+    _TILE * 8 // src.itemsize entries.
+    """
+    N = len(src)
+    width = _TILE * 8 // src.itemsize
+    for lo in range(0, N, width):
+        hi = min(lo + width, N)
         tile = out[lo:hi]
         np.copyto(tile, src[lo:hi])
-        for a, b, s in adds:
-            out[a:b] += src[s : s + b - a]
+        for x in shifts:
+            if x <= lo:
+                tile += src[lo - x : hi - x]
+            elif x >= hi:
+                tile += src[lo - x + N : hi - x + N]
+            else:
+                out[lo:x] += src[lo - x + N : N]
+                out[x:hi] += src[: hi - x]
         yield tile
 
 
@@ -272,12 +257,9 @@ def scan_lower_bound(window: SequenceWindow, epsilon: Fraction) -> int:
     return math.ceil(log_inv_2eps / -math.log(lam))
 
 
-def mixing_time(
-    window: SequenceWindow,
-    epsilon: Fraction | float,
-    n_max_states: int = DEFAULT_N_MAX,
-) -> MixingResult:
-    """Smallest t with TV(P^t, uniform) <= epsilon, by forward scan from 0.
+def mixing_time(window: SequenceWindow, epsilon: Fraction | float) -> MixingResult:
+    """Smallest t with TV(P^t, uniform) <= epsilon, by forward scan from 0,
+    for N = G_n <= DEFAULT_N_MAX (StateSpaceTooLarge past it).
 
     epsilon is taken exactly, as a Fraction (a float by its binary
     value).  A curve holds at most MAX_ROWS rows, t = 0..MAX_ROWS - 1:
@@ -302,7 +284,9 @@ def mixing_time(
       n * big, so each add is exact.  Once that fails the counts are
       widened to int64, once, into the spare buffer.  The uint32 arrays
       are the first halves of the two int64 buffers, so the scan's block
-      stays 16 N bytes; a narrow step touches half of it.
+      stays 16 N bytes; a narrow step touches half of it.  Besides it the
+      scan holds one 512 KiB tile of scratch and the n steps, whose adds
+      _convolve_tiles works out per tile as it walks: O(N + n) in all.
     - Past the int64 range the counts are converted to float64 once, from
       either width, at t0, and advanced unweighted, rescaled by exact
       powers of two.  The scan then decides only outside an a-priori band
@@ -346,7 +330,7 @@ def mixing_time(
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     p, q = eps.numerator, eps.denominator
     N, n = window.modulus, window.n
-    require_dense(N, n_max_states)
+    require_dense(N, DEFAULT_N_MAX)
     t_low = scan_lower_bound(window, eps)
     if t_low >= MAX_ROWS:
         raise ScanTooLong(
@@ -385,11 +369,8 @@ def mixing_time(
     dtype = narrow if big * n < bound else np.int64
     cur, spare = (a.view(dtype)[:N] for a in wide)
     cur[pos] = cnt
-    del pos, cnt, over
-    plans = {  # tiles of 512 KiB at either width
-        dt: _tile_plan(window, _TILE * 8 // np.dtype(dt).itemsize)
-        for dt in (narrow, np.int64)
-    }
+    del pos, cnt, over, steps
+    shifts = sorted(window.steps)[1:]  # the hold, step 0, is each tile's copy
     # one 512 KiB tile of scratch; its first bytes double as the tile's mask
     # once the tile's sum has been taken
     scratch = np.empty(min(N, _TILE), dtype=np.int64)
@@ -403,7 +384,7 @@ def mixing_time(
         k = M // N
         above = count = big = 0
         tops = scratch.view(dtype)
-        for tile in _convolve_tiles(cur, spare, plans[dtype]):
+        for tile in _convolve_tiles(cur, spare, shifts):
             w = len(tile)
             top = np.maximum(tile, k, out=tops[:w])
             if dtype is narrow:
@@ -439,7 +420,7 @@ def mixing_time(
             scale, e = 2.0**-_RESCALE_BITS, e + _RESCALE_BITS
         h = M / (N << e)
         sums: list[float] = []
-        for tile in _convolve_tiles(counts, fspare, plans[np.int64]):
+        for tile in _convolve_tiles(counts, fspare, shifts):
             if scale != 1.0:
                 tile *= scale
             d = np.subtract(tile, h, out=fscratch[: len(tile)])

@@ -7,6 +7,7 @@ import pytest
 
 from recwalk import cli, verify, walk
 from recwalk.cli import main
+from recwalk.recurrence import PRESETS, SequenceWindow, generate
 
 from expected_values import EXACT_TMIX, SEQUENCE_VALUES
 
@@ -430,6 +431,36 @@ def test_oversized_window_refused_while_generated(capsys, argv, message):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert message in err
+
+
+def test_engine_tables_past_dense_cap_refused_fast(capsys):
+    # G_i = i at n = 2^17: 131,071 root tables of 512 entries, 2^26 complex
+    # entries (1 GiB), would be built before the first block
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "spectrum", "--seq", '{"coeffs":[2,-1],"init":[1,2]}',
+                             "--n", "131072", "--top", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "root tables" in err
+
+
+def test_prefix_windows_take_n_from_their_values(capsys, monkeypatch):
+    assert SequenceWindow._fields == ("spec", "values")
+    seen = []
+    scan = walk.mixing_time
+
+    def recording(window, epsilon):
+        seen.append(window)
+        return scan(window, epsilon)
+
+    monkeypatch.setattr(cli.walk, "mixing_time", recording)
+    assert run_cli(capsys, "table", "--nmax", "5")[0] == 0
+    assert [w.n for w in seen] == [1, 2, 3, 4, 5] * 3
+    prefixes = [w for _, w in verify._preset_windows(dict(PRESETS), 6)]
+    assert [w.n for w in prefixes] == [2, 3, 4, 5, 6] * 3
+    for window in seen + prefixes:
+        assert window.n == len(window.values)
+        assert window == generate(window.spec, window.n)
 
 
 def test_scans_past_int64_take_the_paper_bound_not_the_engine(capsys, monkeypatch):

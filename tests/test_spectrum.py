@@ -191,11 +191,23 @@ def test_k_rows_refuse_past_int64_range():
 
 
 def test_dense_cap_enforced():
-    window = generate(PRESETS["pow2"], 12)
+    window = generate(PRESETS["pow2"], 26)  # N = 2^25 > DEFAULT_N_MAX
     with pytest.raises(StateSpaceTooLarge):
-        half_spectrum(window, n_max_states=1024)
+        half_spectrum(window)
     with pytest.raises(StateSpaceTooLarge):
-        full_spectrum(window, n_max_states=1024)
+        full_spectrum(window)
+
+
+def test_engine_root_tables_refused_past_dense_cap():
+    # G_i = i has N = n, so the n - 1 tables of row_width(N) entries grow
+    # with n: 65,535 tables of 256 fit 2^24, 131,071 of 512 would be 2^26
+    spectrum.require_tables(65_536, 65_536)
+    with pytest.raises(StateSpaceTooLarge, match="root tables"):
+        spectrum.require_tables(131_072, 131_072)
+    spectrum.require_tables(32, 2**31)  # the presets' most: pow2 n = 32
+    window = generate(RecurrenceSpec((2, -1), (1, 2)), 131_072)
+    with pytest.raises(StateSpaceTooLarge, match="root tables"):
+        next(spectrum.iter_eigenvalue_chunks(window))
 
 
 def test_against_naive_angle_oracle():

@@ -102,9 +102,9 @@ def test_step_distribution_single_state():
 
 
 def test_step_distribution_respects_cap():
-    window = generate(PRESETS["pow2"], 12)
+    window = generate(PRESETS["pow2"], 26)  # N = 2^25 > DEFAULT_N_MAX
     with pytest.raises(StateSpaceTooLarge):
-        step_distribution(window, n_max_states=1024)
+        step_distribution(window)
 
 
 def test_evolve_zero_steps_is_point_mass():
@@ -214,6 +214,21 @@ def test_mixing_scan_holds_no_step_law():
     finally:
         tracemalloc.stop()
     assert peak < 28 * window.modulus
+
+
+def test_mixing_scan_memory_does_not_grow_with_tiles_times_steps():
+    # G_i = i: n = N = 2^15, every step inside the one tile.  The scan
+    # holds 16 N bytes of counts, 8 N of scratch and the n steps; a stored
+    # per-tile plan of the adds at both count widths took 12 MiB (384 N)
+    window = generate(RecurrenceSpec((2, -1), (1, 2)), 1 << 15)
+    tracemalloc.start()
+    try:
+        res = mixing_time(window, 0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.t_mix == 1  # every residue is one step from 0
+    assert peak < 64 * window.modulus
 
 
 @pytest.mark.parametrize("name, n", [("pow2", 17), ("fib-odd", 12)])
