@@ -23,7 +23,7 @@ from . import __version__
 from .errors import SUITE_NAMES, DomainError, RecwalkError
 from .recurrence import PRESETS, RecurrenceSpec, SequenceWindow, generate
 from .spectrum import _INT64_SAFE_N, DEFAULT_N_MAX, full_spectrum
-from .montecarlo import SimConfig, simulate_tv
+from .montecarlo import MAX_N, SimConfig, simulate_tv
 from . import walk
 from .walk import MAX_ROWS
 
@@ -281,7 +281,7 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     name, spec = _single_sequence(args)
-    window = generate(spec, args.n)
+    window = generate(spec, args.n, limit=MAX_N, limit_name="simulation limit")
     curve = simulate_tv(
         SimConfig(
             window=window,

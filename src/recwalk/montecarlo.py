@@ -1,20 +1,21 @@
 """Seeded trajectory simulation and empirical TV curves.
 
 Cross-validates the exact engine and reaches state spaces beyond the
-dense cap.  The empirical TV at t depends on the T walkers only through
-their occupancy histogram h_t, itself a Markov chain: the h_t(x) walkers
-at x split Multinomial(h_t(x); 1/n, ..., 1/n) among the n steps.  With at
-least R = _HISTOGRAM_RATIO walkers per state and step (N n R <= T) that
-chain is advanced, one rng.multinomial draw per t (at most N (n - 1)
-binomials), in 8 N n <= T/2 bytes.  Otherwise all trajectories advance
-together, one step per t, each t's histogram reduced to TV before the
-next step.  Within a t the trajectories move in blocks of _BLOCK (at
-least N wide when N <= T, so that each block's histogram costs
-O(block)), so memory is the T positions, in the narrowest unsigned type
-that holds 2N - 1 (one byte a trajectory up to N = 128), one block's
-temporaries and either an N-entry histogram (N <= T) or a sorted copy of
-the positions (N > T); the curve is O(t_max).  T, T * t_max and the
-curve's t_max + 1 rows are capped before anything is allocated.
+dense cap, up to N = MAX_N = 2^62 - 1.  The empirical TV at t depends on
+the T walkers only through their occupancy histogram h_t, itself a
+Markov chain: the h_t(x) walkers at x split Multinomial(h_t(x); 1/n,
+..., 1/n) among the n steps.  With at least R = _HISTOGRAM_RATIO walkers
+per state and step (N n R <= T) that chain is advanced, one
+rng.multinomial draw per t (at most N (n - 1) binomials), in 8 N n <=
+T/2 bytes.  Otherwise all trajectories advance together, one step per t,
+each t's histogram reduced to TV before the next step.  Within a t the
+trajectories move in blocks of _BLOCK (at least N wide when N <= T, so
+that each block's histogram costs O(block)), so memory is the T
+positions, in the narrowest unsigned type that holds 2N - 1 (one byte a
+trajectory up to N = 128, eight at most), one block's temporaries and
+either an N-entry histogram (N <= T) or a sorted copy of the positions
+(N > T); the curve is O(t_max).  N, T, T * t_max and the curve's
+t_max + 1 rows are capped before anything is allocated.
 The RNG is one Philox stream (counter-based).  The walkers draw T
 indices per t: bounded draws take the stream's 32-bit words index by
 index (one each, bar rare rejections) and keep nothing back between
@@ -31,13 +32,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import StateSpaceTooLarge
 from .recurrence import SequenceWindow
 from .walk import MAX_ROWS, _tv_excess
 
-# Positions are the narrowest unsigned integers that hold pos + step <=
-# 2N - 2 while N < _OBJECT_POSITIONS (one byte up to N = 128, two up to
-# 2^15, four up to 2^31), and Python ints from there on.
-_OBJECT_POSITIONS = 1 << 62
+# Largest N simulated.  Positions are the narrowest unsigned integers that
+# hold pos + step <= 2N - 2 (one byte up to N = 128, two up to 2^15, four
+# up to 2^31, eight up to MAX_N).  Past it the at most _MAX_TRAJECTORIES
+# walkers occupy at most 2^24 states, so every row is TV >= 1 - 2^-38.
+MAX_N = (1 << 62) - 1
 
 # Trajectories per block: a block's int64 draws and gathered steps, 9 to
 # 16 bytes a trajectory, stay in L2.
@@ -61,39 +64,24 @@ _BLOCK = 1 << 16
 # 0.048 s) and rises below 2^16, where a run takes milliseconds either way.
 _HISTOGRAM_RATIO = 16
 
-# Largest T accepted on unsigned positions.  The positions (1 to 8 bytes
-# a trajectory) are the one T-entry array live through a step; the sorted
-# copy taken when N > T doubles them.  Child peak RSS with this many
-# trajectories: `simulate --seq pow3 --n 3` 35 MiB (the histogram; 52
-# MiB on uint8 positions), `--n 14 --tmax 3` (uint32) 135 MiB, `--n 20
-# --tmax 2` (uint32) 179 MiB, `--seq pow2 --n 33 --tmax 2` (uint64) 307 MiB.
+# Largest T accepted.  The positions (1 to 8 bytes a trajectory) are the
+# one T-entry array live through a step; the sorted copy taken when N > T
+# doubles them.  Child peak RSS with this many trajectories: `simulate
+# --seq pow3 --n 3` 35 MiB (the histogram; 52 MiB on uint8 positions),
+# `--n 14 --tmax 3` (uint32) 135 MiB, `--n 20 --tmax 2` (uint32) 179 MiB,
+# `--seq pow2 --n 33 --tmax 2` (uint64) 307 MiB.
 _MAX_TRAJECTORIES = 1 << 24
 
-# Most trajectory-steps T * t_max on unsigned positions: each costs 8-33
-# ns (one x86-64 CPU; the most at N = T = 2^24, whose histogram leaves
-# the cache), so a run stays under about a minute.
+# Most trajectory-steps T * t_max: each costs 8-33 ns (one x86-64 CPU;
+# the most at N = T = 2^24, whose histogram leaves the cache), so a run
+# stays under about a minute.
 _MAX_WORK = 1 << 31
-
-# The same two caps on Python-int positions (N >= 2^62), measured at a
-# 70-bit N, which CPython stores in _OBJECT_DIGITS digits of 30 bits.  An
-# int's size and the cost of adding and hashing it grow with its digits,
-# so both caps shrink in proportion past that.  At 70 bits positions take
-# about 120 bytes a trajectory (the int objects and the set of distinct
-# positions): `simulate --seq pow2 --n 70 --tmax 6` peaks at 292 MiB with
-# 2^21 trajectories, under the uint64 path's 307 MiB at
-# _MAX_TRAJECTORIES.  A trajectory-step costs 230-440 ns, so 2^27 of them
-# take about a minute.
-_MAX_OBJECT_TRAJECTORIES = 1 << 21
-_MAX_OBJECT_WORK = 1 << 27
-_OBJECT_DIGITS = 3
 
 
 def _position_type(N: int):
-    """The positions' dtype on Z_N: unsigned and wide enough for 2N - 1
-    below N = 2^62, object (exact Python ints) from there on."""
-    if N < _OBJECT_POSITIONS:
-        return np.min_scalar_type(2 * N - 1)
-    return object
+    """The positions' dtype on Z_N, N <= MAX_N: unsigned and wide enough
+    for 2N - 1."""
+    return np.min_scalar_type(2 * N - 1)
 
 
 # typing.NamedTuple refuses a __new__, so the checks live in the subclass's
@@ -105,28 +93,29 @@ class _SimFields(NamedTuple):
 
 
 class SimConfig(_SimFields):
+    """One seeded run: T = num_trajectories walkers on Z_N, N <= MAX_N,
+    for t = 0..t_max.  N, T and T * t_max are checked here, before
+    anything is allocated."""
+
     __slots__ = ()
 
     def __new__(cls, window, t_max, num_trajectories, seed):
-        N = window.modulus
-        most, most_work, past = _MAX_TRAJECTORIES, _MAX_WORK, ""
-        if _position_type(N) is object:
-            digits = -(-N.bit_length() // 30)
-            most = _MAX_OBJECT_TRAJECTORIES * _OBJECT_DIGITS // digits
-            most_work = _MAX_OBJECT_WORK * _OBJECT_DIGITS // digits
-            past = f" when N >= 2^62 (here {digits} 30-bit digits)"
+        if window.modulus > MAX_N:
+            raise StateSpaceTooLarge(
+                f"N = {window.modulus} exceeds the simulation limit {MAX_N}"
+            )
         if num_trajectories < 1:
             raise ValueError("need at least one trajectory")
-        if num_trajectories > most:
+        if num_trajectories > _MAX_TRAJECTORIES:
             raise ValueError(
-                f"at most {most} trajectories{past}, got {num_trajectories}"
+                f"at most {_MAX_TRAJECTORIES} trajectories, got {num_trajectories}"
             )
         if not 0 <= t_max < MAX_ROWS:  # a curve of at most MAX_ROWS rows
             raise ValueError(f"t_max must be in 0..{MAX_ROWS - 1}, got {t_max}")
         work = num_trajectories * t_max
-        if work > most_work:
+        if work > _MAX_WORK:
             raise ValueError(
-                f"trajectories * t_max must be at most {most_work}{past}, got {work}"
+                f"trajectories * t_max must be at most {_MAX_WORK}, got {work}"
             )
         return super().__new__(cls, window, t_max, num_trajectories, seed)
 
@@ -162,10 +151,9 @@ def simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
     Deterministic for a given config.  When N n R <= T each t draws one
     multinomial split of the histogram from a Philox stream
     (_histogram_step).  Otherwise t = 1..t_max each draw T step indices
-    from that stream, block by block.  Positions are the
-    narrowest unsigned integers that hold 2N - 1 while N < 2^62 (uint8
-    up to N = 128) and Python ints (an object array, exact at any N) past
-    that.  When N <= T, each block's counts come from np.bincount into
+    from that stream, block by block.  Positions are the narrowest
+    unsigned integers that hold 2N - 1 (uint8 up to N = 128, uint64 up to
+    MAX_N).  When N <= T, each block's counts come from np.bincount into
     one N-entry histogram.  Either histogram's TV is _histogram_tv's.
     When N > T, every occupied state holds at least 1/T > 1/N of the
     mass, so the TV is exactly 1 - occupied/N: only the distinct
@@ -199,10 +187,8 @@ def simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
                 block += steps.take(
                     rng.integers(0, window.n, size=len(block)), mode="clip"
                 )
-                if dtype is object:
-                    block %= N
-                else:  # pos < 2N, and pos - N wraps above pos where pos < N
-                    np.minimum(block, block - N, out=block)
+                # pos < 2N, and pos - N wraps above pos where pos < N
+                np.minimum(block, block - N, out=block)
             if N > T:
                 continue
             if hist is None:
@@ -212,14 +198,11 @@ def simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
         if N <= T:
             out.append((t, _histogram_tv(hist, T)))
             continue
-        if dtype is object:
-            occupied = len(set(pos.tolist()))
-        else:
-            ordered = np.sort(pos)
-            occupied = 1
-            for lo in range(1, T, _BLOCK):  # one block's mask at a time
-                hi = min(lo + _BLOCK, T)
-                occupied += int(np.count_nonzero(ordered[lo:hi] != ordered[lo - 1 : hi - 1]))
-            del ordered  # not live through the next step
+        ordered = np.sort(pos)
+        occupied = 1
+        for lo in range(1, T, _BLOCK):  # one block's mask at a time
+            hi = min(lo + _BLOCK, T)
+            occupied += int(np.count_nonzero(ordered[lo:hi] != ordered[lo - 1 : hi - 1]))
+        del ordered  # not live through the next step
         out.append((t, (N - occupied) / N))
     return out

@@ -182,16 +182,21 @@ def estimate_growth(window: SequenceWindow) -> GrowthEstimate:
     L = i*r_i - (i-1)*r_{i-1}, exact for both geometric ratios (constant r)
     and polynomial families (r_i = 1 + O(1/i)).
 
-    eta1_lower is the minimum ratio over the trailing half of the window.
+    eta1_lower is the minimum ratio over the trailing half of the window,
+    found by comparing the ratios cross-multiplied in integers, so only
+    the last two ratios and the minimum's become Fractions.
     """
     if window.n < 3:
         raise WindowTooShort("growth estimation needs at least 3 terms")
     v = window.values
-    ratios = [Fraction(v[i + 1], v[i]) for i in range(window.n - 1)]
 
-    i = len(ratios)  # 1-based position of the last ratio
-    extrapolated = float(i * ratios[-1] - (i - 1) * ratios[-2])
+    i = window.n - 1  # 1-based position of the last ratio
+    extrapolated = float(i * Fraction(v[-1], v[-2]) - (i - 1) * Fraction(v[-2], v[-3]))
     exponential = extrapolated >= 1.0 + GROWTH_DELTA
 
-    eta1 = float(min(ratios[len(ratios) // 2 :]))
+    low = i // 2  # r_j = v[j+1]/v[j] over j = i//2..i-1; keep the first minimum
+    for j in range(low + 1, i):
+        if v[j + 1] * v[low] < v[low + 1] * v[j]:
+            low = j
+    eta1 = float(Fraction(v[low + 1], v[low]))
     return GrowthEstimate(is_exponential=exponential, eta1_lower=eta1)

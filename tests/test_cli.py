@@ -592,36 +592,37 @@ def test_simulate_work_past_cap_is_usage_error(capsys, monkeypatch):
     assert "trajectories * t_max must be at most 2147483648" in err
 
 
-def test_simulate_python_int_trajectories_past_cap_is_usage_error(capsys, monkeypatch):
-    # N = 2^69: Python-int positions have their own, smaller cap on T
+def test_simulate_refuses_n_past_limit_while_generating(capsys, monkeypatch):
+    # N = 2^62 at n = 63: the window stops there rather than making
+    # 100,000 terms, which once took 1.46 s and a 682 MiB peak
     def no_steps(*args, **kwargs):
         raise AssertionError("the walk was simulated")
 
     monkeypatch.setattr(cli, "simulate_tv", no_steps)
+    start = time.perf_counter()
     code, out, err = run_cli(
         capsys,
-        "simulate", "--seq", "pow2", "--n", "70", "--tmax", "1",
-        "--trajectories", str(2**21 + 1),
+        "simulate", "--seq", "pow2", "--n", "100000", "--trajectories", "10",
     )
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
-    assert "at most 2097152 trajectories when N >= 2^62" in err
+    assert ("G_63 = 4611686018427387904 exceeds the simulation limit "
+            "4611686018427387903 on N = G_100000") in err
 
 
-def test_simulate_python_int_cap_shrinks_with_digits(capsys, monkeypatch):
-    # N = 2^1999 has 67 30-bit digits, and its positions take about 315
-    # bytes a trajectory: 2^21 of them would take about 660 MB
-    def no_steps(*args, **kwargs):
-        raise AssertionError("the walk was simulated")
-
-    monkeypatch.setattr(cli, "simulate_tv", no_steps)
+def test_simulate_limit_is_two_to_the_62_minus_one(capsys):
+    spec = '{"coeffs": [1, 1], "init": [1, 4611686018427387903]}'
     code, out, err = run_cli(
-        capsys,
-        "simulate", "--seq", "pow2", "--n", "2000", "--trajectories", "2097152",
+        capsys, "simulate", "--seq", spec, "--n", "2", "--tmax", "1",
+        "--trajectories", "10",
     )
+    assert code == 0
+    assert out.splitlines()[1:] == ["0,1.0,10,0", "1,1.0,10,0"]
+    code, out, err = run_cli(capsys, "simulate", "--seq", spec, "--n", "3")
     assert code == 2
     assert out == ""
-    assert "at most 93902 trajectories when N >= 2^62 (here 67 30-bit digits)" in err
+    assert "G_3 = 4611686018427387904 exceeds the simulation limit" in err
 
 
 @pytest.mark.parametrize("cap", [2**24 + 1, 0])

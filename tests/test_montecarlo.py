@@ -14,6 +14,7 @@ from recwalk import (
     PRESETS,
     RecurrenceSpec,
     SimConfig,
+    StateSpaceTooLarge,
     generate,
     simulate_tv,
 )
@@ -73,15 +74,15 @@ def test_empirical_tracks_exact_distribution():
 
 
 def test_big_state_space_fallback():
-    """N = 2^63 forces the exact big-integer path.
+    """N = 2^61, the largest preset window accepted, on uint64 positions.
 
-    With 500 walkers in a 9e18-state space every occupied state holds
+    With 500 walkers in a 2.3e18-state space every occupied state holds
     one walker, so the empirical TV must sit just under 1 and be seeded
     deterministically.
     """
     spec = RecurrenceSpec((2,), (1,))
-    window = generate(spec, 64)
-    assert window.modulus == 2 ** 63
+    window = generate(spec, 62)
+    assert window.modulus == 2 ** 61
     config = SimConfig(window=window, t_max=3, num_trajectories=500, seed=5)
     curve = simulate_tv(config)
     assert curve == simulate_tv(config)
@@ -100,9 +101,8 @@ def _blocked_simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
 
     Trajectories ran in blocks of 2^20, each block drawing all of its
     steps before the next; one Counter per t gathered the histograms.
-    Below N = 2^62 positions were int64, past it a list of Python ints.
-    The TV is taken exactly from the histogram and correctly rounded, as
-    simulate_tv now reports it.
+    Positions were int64.  The TV is taken exactly from the histogram and
+    correctly rounded, as simulate_tv now reports it.
     """
     block = 1 << 20
     window = config.window
@@ -111,26 +111,14 @@ def _blocked_simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
     rng = np.random.Generator(np.random.Philox(config.seed))
     counters = [Counter() for _ in range(config.t_max + 1)]
     counters[0][0] = T
-    if N < 1 << 62:
-        steps = np.array([g % N for g in window.values], dtype=np.int64)
-        for lo in range(0, T, block):
-            size = min(block, T - lo)
-            pos = np.zeros(size, dtype=np.int64)
-            for t in range(1, config.t_max + 1):
-                pos = (pos + steps[rng.integers(0, window.n, size=size)]) % N
-                vals, cnts = np.unique(pos, return_counts=True)
-                counters[t].update(dict(zip(vals.tolist(), cnts.tolist())))
-    else:
-        steps_big = [g % N for g in window.values]
-        for lo in range(0, T, block):
-            size = min(block, T - lo)
-            pos_big = [0] * size
-            for t in range(1, config.t_max + 1):
-                idx = rng.integers(0, window.n, size=size)
-                pos_big = [
-                    (p + steps_big[i]) % N for p, i in zip(pos_big, idx.tolist())
-                ]
-                counters[t].update(pos_big)
+    steps = np.array([g % N for g in window.values], dtype=np.int64)
+    for lo in range(0, T, block):
+        size = min(block, T - lo)
+        pos = np.zeros(size, dtype=np.int64)
+        for t in range(1, config.t_max + 1):
+            pos = (pos + steps[rng.integers(0, window.n, size=size)]) % N
+            vals, cnts = np.unique(pos, return_counts=True)
+            counters[t].update(dict(zip(vals.tolist(), cnts.tolist())))
     return [(t, _exact_tv(list(c.values()), T, N)) for t, c in enumerate(counters)]
 
 
@@ -147,8 +135,8 @@ def _exact_tv(counts, T, N):
         (PRESETS["pow3"], 3, 12, 100_000, 1),  # N = 9 < T
         (PRESETS["pow3"], 10, 12, 5_000, 2),  # N = 19683 > T
         (PRESETS["fib-odd"], 6, 3, 1 << 20, 7),  # one full former block
-        (RecurrenceSpec((2,), (1,)), 64, 6, 500, 5),  # N = 2^63, Python ints
-        (RecurrenceSpec((2,), (1,)), 63, 6, 2_000, 3),  # N = 2^62, smallest on the Python-int path
+        (RecurrenceSpec((2,), (1,)), 62, 6, 500, 5),  # N = 2^61, largest preset accepted
+        (RecurrenceSpec((2,), (1,)), 62, 6, 2_000, 3),  # the same with more walkers
         (RecurrenceSpec((2,), (1,)), 30, 6, 2_000, 8),  # N = 2^29, int32
         (RecurrenceSpec((2,), (1,)), 31, 6, 2_000, 9),  # N = 2^30, largest on int32
         (RecurrenceSpec((2,), (1,)), 32, 6, 2_000, 10),  # N = 2^31, smallest on int64
@@ -158,13 +146,13 @@ def _exact_tv(counts, T, N):
     ]
     + [
         # T = _BLOCK - 1, _BLOCK and _BLOCK + 1: one block short of, at and
-        # past its edge, on N <= T, N > T, int64 and Python-int positions
+        # past its edge, on N <= T, N > T, uint32 and uint64 positions
         (spec, n, 3, montecarlo._BLOCK + d, 20 + d)
         for spec, n in [
             (PRESETS["pow3"], 3),
             (PRESETS["pow3"], 14),
             (PRESETS["pow3"], 20),
-            (RecurrenceSpec((2,), (1,)), 64),
+            (RecurrenceSpec((2,), (1,)), 62),
         ]
         for d in (-1, 0, 1)
     ]
@@ -321,41 +309,33 @@ def test_trajectory_count_capped():
     "N, dtype",
     [(1, np.uint8), (128, np.uint8), (129, np.uint16), (1 << 15, np.uint16),
      ((1 << 15) + 1, np.uint32), (1 << 31, np.uint32), ((1 << 31) + 1, np.uint64),
-     ((1 << 62) - 1, np.uint64), (1 << 62, object)],
+     ((1 << 62) - 1, np.uint64)],
 )
 def test_position_type_holds_two_n_minus_two(N, dtype):
     # pos + step <= 2N - 2 before the wrap
     assert montecarlo._position_type(N) == dtype
 
 
-def test_python_int_caps_shrink_with_digits():
-    # N = 2^1999 has 67 30-bit digits, against 3 at N = 2^69
-    window = generate(PRESETS["pow2"], 2000)
-    cap = montecarlo._MAX_OBJECT_TRAJECTORIES * 3 // 67
-    work = montecarlo._MAX_OBJECT_WORK * 3 // 67
-    SimConfig(window=window, t_max=1, num_trajectories=cap, seed=1)
-    with pytest.raises(ValueError, match=f"at most {cap} trajectories"):
-        SimConfig(window=window, t_max=1, num_trajectories=cap + 1, seed=1)
-    SimConfig(window=window, t_max=work // 1000, num_trajectories=1000, seed=1)
-    with pytest.raises(ValueError, match=f"t_max must be at most {work}"):
-        SimConfig(window=window, t_max=work // 1000 + 1, num_trajectories=1000, seed=1)
-
-
-def test_python_int_trajectory_count_capped():
-    # N = 2^69 >= 2^62: Python-int positions take about 120 bytes each
-    window = generate(PRESETS["pow2"], 70)
-    cap = montecarlo._MAX_OBJECT_TRAJECTORIES
-    SimConfig(window=window, t_max=5, num_trajectories=cap, seed=1)
-    with pytest.raises(ValueError, match=f"at most {cap} trajectories when N >= 2"):
-        SimConfig(window=window, t_max=5, num_trajectories=cap + 1, seed=1)
+def test_state_space_past_limit_refused():
+    # N = 2^62 - 1 at n = 2 and 2^62 at n = 3: the largest N simulated and
+    # the smallest refused
+    spec = RecurrenceSpec((1, 1), (1, (1 << 62) - 1))
+    window = generate(spec, 2)
+    assert window.modulus == montecarlo.MAX_N
+    config = SimConfig(window=window, t_max=2, num_trajectories=100, seed=1)
+    assert len(simulate_tv(config)) == 3
+    window = generate(spec, 3)
+    assert window.modulus == 1 << 62
+    with pytest.raises(StateSpaceTooLarge, match="exceeds the simulation limit"):
+        SimConfig(window=window, t_max=2, num_trajectories=100, seed=1)
 
 
 @pytest.mark.parametrize(
     "name, n, cap",
     [
-        ("pow3", 3, montecarlo._MAX_WORK),  # int32 positions
-        ("pow3", 20, montecarlo._MAX_WORK),  # int64 positions
-        ("pow2", 70, montecarlo._MAX_OBJECT_WORK),  # Python ints
+        ("pow3", 3, montecarlo._MAX_WORK),  # uint8 positions
+        ("pow3", 20, montecarlo._MAX_WORK),  # uint32 positions
+        ("pow2", 62, montecarlo._MAX_WORK),  # uint64 positions, N = 2^61
     ],
 )
 def test_work_capped(name, n, cap):
@@ -376,10 +356,11 @@ def test_curve_rows_capped():
 
 
 def test_sparse_tv_never_exceeds_one():
-    # N = 2^69 > T: the float sum of the histogram terms once gave
-    # 1.0000000000000002; 1 - occupied/N, correctly rounded, is 1.0 here
-    window = generate(PRESETS["pow2"], 70)
-    config = SimConfig(window=window, t_max=3, num_trajectories=1000, seed=0)
+    # N = 2^61 > T: the float sum of the histogram terms once gave
+    # 1.0000000000000002 at t = 2 and 3; 1 - occupied/N, correctly
+    # rounded, is 1.0 here
+    window = generate(PRESETS["pow2"], 62)
+    config = SimConfig(window=window, t_max=3, num_trajectories=125, seed=0)
     assert simulate_tv(config) == [(t, 1.0) for t in range(4)]
 
 

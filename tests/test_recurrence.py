@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from recwalk import (
     GrowthEstimate,
@@ -24,9 +26,11 @@ from recwalk import (
     s_value,
 )
 
-from recwalk.recurrence import first_terms
+from recwalk.errors import RecwalkError
+from recwalk.recurrence import GROWTH_DELTA, first_terms
 
 from expected_values import SEQUENCE_VALUES
+from test_walk import PROPERTY_SETTINGS
 
 
 def test_preset_windows_match_frozen_values():
@@ -184,6 +188,48 @@ def test_ratios_are_exact_rationals():
     est = estimate_growth(window)
     assert est.eta1_lower == 3.0
     assert window.values[-1] == 3 ** 39
+
+
+def _fraction_growth(window: SequenceWindow) -> GrowthEstimate:
+    """The former estimate_growth, one Fraction per ratio, kept as an oracle."""
+    v = window.values
+    ratios = [Fraction(v[i + 1], v[i]) for i in range(window.n - 1)]
+    i = len(ratios)  # 1-based position of the last ratio
+    extrapolated = float(i * ratios[-1] - (i - 1) * ratios[-2])
+    eta1 = float(min(ratios[len(ratios) // 2 :]))
+    return GrowthEstimate(extrapolated >= 1.0 + GROWTH_DELTA, eta1)
+
+
+@st.composite
+def growth_windows(draw):
+    """Windows of 3 to 80 terms of random order <= 3 specs; specs that
+    generate rejects are skipped."""
+    d = draw(st.integers(1, 3))
+    coeffs = draw(st.lists(st.integers(-3, 4), min_size=d, max_size=d))
+    init = [1] + draw(st.lists(st.integers(1, 40), min_size=d - 1, max_size=d - 1))
+    try:
+        return generate(RecurrenceSpec(tuple(coeffs), tuple(init)), draw(st.integers(3, 80)))
+    except RecwalkError:
+        assume(False)
+
+
+@PROPERTY_SETTINGS
+@given(window=growth_windows())
+def test_growth_estimate_matches_fraction_oracle_property(window):
+    assert estimate_growth(window) == _fraction_growth(window)
+
+
+def test_growth_estimate_keeps_no_ratio_list():
+    # G_i = i at n = 2^17: a Fraction per ratio once peaked at 15.57 MiB
+    window = generate(RecurrenceSpec((2, -1), (1, 2)), 1 << 17)
+    tracemalloc.start()
+    try:
+        est = estimate_growth(window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est == _fraction_growth(window)
+    assert peak < 1 << 20
 
 
 _WINDOW = generate(PRESETS["pow2"], 4)
