@@ -20,9 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .errors import SUITE_NAMES, DomainError, RecwalkError
-from .recurrence import PRESETS, RecurrenceSpec, SequenceWindow, generate
-from .spectrum import _INT64_SAFE_N, DEFAULT_N_MAX, full_spectrum
+from .errors import SUITE_NAMES, DomainError, RecwalkError, StateSpaceTooLarge
+from .recurrence import PRESETS, RecurrenceSpec, SequenceWindow, first_terms, generate
+from .spectrum import _INT64_SAFE_N, DEFAULT_N_MAX, TABLES_N_MAX, full_spectrum
 from .montecarlo import MAX_N, SimConfig, simulate_tv
 from . import walk
 from .walk import MAX_ROWS
@@ -245,6 +245,16 @@ def cmd_bounds(args) -> int:
     from .bounds import build_report  # loaded by the one command that runs it
 
     name, spec = _single_sequence(args)
+    if args.n > TABLES_N_MAX:
+        # the engine's tables refuse every such n; unless one of the first
+        # TABLES_N_MAX + 1 terms leaves the int64 range, whose refusal comes
+        # first, refuse here rather than make the whole window
+        head = first_terms(spec, TABLES_N_MAX + 1, limit=_INT64_SAFE_N)
+        if head[-1] <= _INT64_SAFE_N:
+            raise StateSpaceTooLarge(
+                f"n = {args.n} exceeds {TABLES_N_MAX}, the most steps whose engine "
+                f"root tables fit the dense cap {DEFAULT_N_MAX}"
+            )
     # past the engine's int64 range the report has no spectrum to read
     window = generate(
         spec, args.n, limit=_INT64_SAFE_N, limit_name="exact int64 reduction range"

@@ -63,35 +63,17 @@ def _roots(N: int, r: np.ndarray) -> np.ndarray:
     return np.exp((2j * np.pi / N) * np.where(2 * r > N, r - N, r))
 
 
-def _eigenvalue_block(
-    qs: np.ndarray,
-    B: int,
-    factors: list[tuple[np.ndarray, int]],
-    N: int,
-    acc: np.ndarray,
-    term: np.ndarray,
-) -> None:
-    """Write lambda_k for k = q*B + j into acc, one row per q in qs, j = 0..B-1.
-
-    A step g in G_1..G_{n-1} contributes xi_N^(q*(B*g mod N)) * xi_N^(j*g mod N):
-    one root per row times its (table, B*g mod N) pair in factors, added
-    in window order, and the hold adds exactly 1 last.  Every operation is
-    elementwise over k, so lambda_k is the same whatever block it is in.
-    acc and term are (len(qs), B) complex arrays; term is scratch.
-    """
-    for i, (table, bg) in enumerate(factors):
-        out = acc if i == 0 else term  # the sum starts at step 1's term, not 0
-        np.multiply(_roots(N, qs * bg % N)[:, None], table, out=out)
-        if i:
-            acc += term
-    acc += 1.0
-    acc *= 1.0 / (len(factors) + 1)  # numpy's acc /= n scales by 1/n too, 3x slower
-
-
 def require_dense(N: int, n_max_states: int) -> None:
     """Refuse a dense N-entry array past the cap n_max_states."""
     if N > n_max_states:
         raise StateSpaceTooLarge(f"N = {N} exceeds the dense cap {n_max_states}")
+
+
+# The most steps require_tables can admit.  Every window has G_n >= n and
+# row_width never falls as N grows, so n steps need at least
+# (n - 1) * row_width(n) table entries: 65,536 tables of 256 fill
+# DEFAULT_N_MAX exactly, and every n past this is refused whatever N is.
+TABLES_N_MAX = 65_537
 
 
 def require_tables(n: int, N: int) -> None:
@@ -151,13 +133,19 @@ def iter_eigenvalue_chunks(
 
     The step law is real, so lambda_{N-k} = conj(lambda_k) and these
     determine every nontrivial eigenvalue; k = N/2 (N even) is its own
-    mirror and is computed directly.  k = q*B + j splits each root as
-    xi_N^(k*g) = xi_N^(q*B*g) * xi_N^(j*g), with B = row_width(N).
-    Storage-free except for one block at a time and one B-entry table per
-    step, so it works beyond the dense cap; half_spectrum and the
-    streaming SLEM are both built on this.  The tables hold (n - 1) B
-    entries in all, and require_tables refuses more than DEFAULT_N_MAX
-    before any is built.
+    mirror and is computed directly.  k = q*B + j with 0 <= j < B and
+    B = row_width(N) splits the root of a step g in G_1..G_{n-1} as
+
+        xi_N^(k*g) = xi_N^(q*(B*g mod N)) * xi_N^(j*g mod N):
+
+    one root per row times one B-entry table per step, multiplied into a
+    block and added in window order, and the hold adds exactly 1 last.
+    Every operation is elementwise over k, so lambda_k is the same
+    whatever block computes it.  Storage-free except for one block at a
+    time, one scratch block per pass and the tables, so it works beyond
+    the dense cap; half_spectrum and the streaming SLEM are both built on
+    this.  The tables hold (n - 1) B entries in all, and require_tables
+    refuses more than DEFAULT_N_MAX before any is built.
 
     out, when given, is a complex array of N//2 + B entries indexed by k:
     each block's rows are computed in place in out[q*B : (q + rows)*B],
@@ -172,16 +160,22 @@ def iter_eigenvalue_chunks(
     js = np.arange(B, dtype=np.int64)
     # N > 1 means n > 1, so G_1 = 1 gives at least one table
     factors = [(_roots(N, js * g % N), B * g % N) for g in window.steps[:-1]]
+    scale = 1.0 / window.n  # numpy's acc /= n scales by 1/n too, 3x slower
     term = None  # scratch, as large as the first block, the largest
     for qs, keep in blocks:
-        if term is None:
-            term = np.empty((len(qs), B), dtype=np.complex128)
-        k0 = int(qs[0]) * B
+        shape = (len(qs), B)
         if out is None:
-            acc = np.empty((len(qs), B), dtype=np.complex128)
+            acc = np.empty(shape, dtype=np.complex128)
         else:
-            acc = out[k0 : k0 + len(qs) * B].reshape(len(qs), B)
-        _eigenvalue_block(qs, B, factors, N, acc, term[: len(qs)])
+            acc = out[B * qs[0] : B * (qs[-1] + 1)].reshape(shape)
+        term = np.empty_like(acc) if term is None else term[: len(qs)]
+        for i, (table, bg) in enumerate(factors):
+            # the sum starts at step 1's term, not at 0
+            np.multiply(_roots(N, qs * bg % N)[:, None], table, out=term if i else acc)
+            if i:
+                acc += term
+        acc += 1.0
+        acc *= scale
         yield acc.ravel()[keep]
 
 
@@ -234,12 +228,7 @@ def slem_streaming(window: SequenceWindow) -> float:
     """SLEM in one pass over k <= N/2 without storing the spectrum (any N)."""
     if window.modulus < 2:
         raise DegenerateStateSpace("N = 1 has no nontrivial eigenvalue")
-    worst = 0.0
-    for block in iter_eigenvalue_chunks(window):
-        m = float(np.max(np.abs(block)))
-        if m > worst:
-            worst = m
-    return worst
+    return max(float(np.max(np.abs(block))) for block in iter_eigenvalue_chunks(window))
 
 
 def unnormalized_values(c: int, n: int) -> np.ndarray:

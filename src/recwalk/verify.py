@@ -44,9 +44,13 @@ _DOMINATION_BASES = (2, 3, 4)
 _CAP = 10**5
 
 # Engine terms sum (N//2)(n - 1) over its windows that a streamed suite may
-# take, about 5 s of work each: eigmod-bound's complex terms cost 2.1-2.9
-# ns, angle-cover's int64 terms 4.0-4.6 ns (one x86-64 CPU, pow2 n <= 26,
-# pow3 n <= 17, fib-odd n <= 16).
+# take.  Sized on the presets, where eigmod-bound's complex terms cost
+# 2.1-2.9 ns and angle-cover's int64 terms 4.0-4.6 ns (one x86-64 CPU,
+# pow2 n <= 26, pow3 n <= 17, fib-odd n <= 16), it is about 5 s of work
+# each there.  It undercounts windows whose n is large against log N,
+# where each step's numpy calls cost more than its terms: on G_i = i,
+# eigmod-bound at --nmax 2344 ran 84.1 s and angle-cover at --nmax 1860
+# 31.4 s, both inside it (ROADMAP item 2).
 _TERM_BUDGET = {"eigmod-bound": 1 << 31, "angle-cover": 1 << 30}
 
 

@@ -13,6 +13,7 @@ from there on, so no range limit applies.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count, islice
 from typing import Iterator
 
@@ -41,8 +42,15 @@ def iter_tv(window) -> Iterator[Fraction]:
 
 
 def tv_curve(window, t_max: int) -> list[Fraction]:
-    """TV(0), ..., TV(t_max)."""
-    return list(islice(iter_tv(window), t_max + 1))
+    """TV(0), ..., TV(t_max), as a fresh list the caller may change."""
+    return list(_tv_curve(window, t_max))
+
+
+@lru_cache(maxsize=None)
+def _tv_curve(window, t_max: int) -> tuple[Fraction, ...]:
+    """tv_curve, computed once per (window, t_max): the tests ask for the
+    same curves across many parametrizations."""
+    return tuple(islice(iter_tv(window), t_max + 1))
 
 
 def t_mix(window, epsilon: Fraction) -> int:

@@ -444,6 +444,26 @@ def test_engine_tables_past_dense_cap_refused_fast(capsys):
     assert "root tables" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # G_i = i: the whole window was made, 3.5 s and 167 MiB (one pinned
+        # CPU), before the engine's table check refused it
+        (["--seq", '{"coeffs":[2,-1],"init":[1,2]}', "--n", "3000000"],
+         "n = 3000000 exceeds 65537, the most steps whose engine root tables"),
+        # a window that leaves the int64 range first keeps that refusal
+        (["--seq", "pow2", "--n", "100000"],
+         "G_33 = 4294967296 exceeds the exact int64 reduction range 3037000499"),
+    ],
+)
+def test_bounds_refuses_steps_past_the_tables_before_the_window(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bounds", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_prefix_windows_take_n_from_their_values(capsys, monkeypatch):
     assert SequenceWindow._fields == ("spec", "values")
     seen = []

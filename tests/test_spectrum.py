@@ -19,7 +19,17 @@ from recwalk import (
 
 from recwalk import spectrum
 from recwalk import verify
-from recwalk.spectrum import _CHUNK, _INT64_SAFE_N, _ROW_MAX, _roots, iter_k_rows, row_width
+from recwalk.spectrum import (
+    _CHUNK,
+    _INT64_SAFE_N,
+    _ROW_MAX,
+    _WIDE_FROM,
+    DEFAULT_N_MAX,
+    TABLES_N_MAX,
+    _roots,
+    iter_k_rows,
+    row_width,
+)
 from recwalk.verify import lifting_suite
 
 from expected_values import SLEMS
@@ -210,6 +220,19 @@ def test_engine_root_tables_refused_past_dense_cap():
         next(spectrum.iter_eigenvalue_chunks(window))
 
 
+def test_tables_bound_derived_from_row_width_and_dense_cap():
+    # row_width never falls as N grows (it is _ROW_MAX from 2 * _WIDE_FROM
+    # on) and every window has G_n >= n, so (n - 1) * row_width(n) is the
+    # fewest table entries n steps need
+    widths = [row_width(N) for N in range(1, 4 * _WIDE_FROM)]
+    assert widths == sorted(widths) and widths[-1] == _ROW_MAX
+    fits = [n for n in range(1, len(widths) + 1) if (n - 1) * widths[n - 1] <= DEFAULT_N_MAX]
+    assert fits[-1] == TABLES_N_MAX
+    spectrum.require_tables(TABLES_N_MAX, TABLES_N_MAX)
+    with pytest.raises(StateSpaceTooLarge, match="root tables"):
+        spectrum.require_tables(TABLES_N_MAX + 1, TABLES_N_MAX + 1)
+
+
 def test_against_naive_angle_oracle():
     """Cross-check the exact-reduction path against naive float angles.
 
@@ -326,19 +349,37 @@ def test_upper_half_is_exact_conjugate_of_lower_half():
     assert any(N % 2 for N in moduli) and any(N % 2 == 0 for N in moduli)
 
 
+def _peak_bytes(f, window) -> int:
+    tracemalloc.start()
+    try:
+        f(window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 @pytest.mark.parametrize("name, n", [("pow2", 21), ("fib-odd", 12)])
 def test_full_spectrum_mirrors_into_its_result(name, n):
     # live arrays: the half spectrum's buffer, 8 N bytes, and the N-entry
     # result, 16 N; a conjugated upper half concatenated with the lower
     # made it 32 N
     window = generate(PRESETS[name], n)
-    tracemalloc.start()
-    try:
-        full_spectrum(window)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 28 * window.modulus
+    assert _peak_bytes(full_spectrum, window) < 28 * window.modulus
+
+
+def test_half_spectrum_holds_its_buffer_and_one_scratch_block():
+    # pow2 n = 21: the N//2 + B entry buffer is 8 N bytes; the tables, the
+    # scratch block and one step's row roots add the rest (10.4 N measured)
+    window = generate(PRESETS["pow2"], 21)
+    assert _peak_bytes(half_spectrum, window) < 12 * window.modulus
+
+
+def test_streaming_slem_holds_blocks_not_the_spectrum():
+    # pow2 n = 23, N = 2^22: the dense half spectrum alone would take
+    # 32 MiB; the stream holds the tables, a block and its scratch (4.41 MiB)
+    window = generate(PRESETS["pow2"], 23)
+    assert _peak_bytes(slem_streaming, window) < 16 * 2**20
 
 
 def test_eigenvalues_match_per_term_exp_oracle():
