@@ -204,7 +204,8 @@ def build_report(
     eta1_override: float | None = None,
     n_max_states: int = DEFAULT_N_MAX,
 ) -> BoundReport:
-    """Evaluate every applicable bound for one window.
+    """Evaluate every applicable bound for one window, for epsilon in
+    (0, 1/2), which is refused (DomainError) before any bound is evaluated.
 
     First-order bounds appear only for pow-c specs.  The general upper
     bound and its kappa need G_{j+1} <= s G_j for every j (ratio_bounded)
@@ -219,6 +220,8 @@ def build_report(
     if n < 2:
         raise DomainError("bound reports need n >= 2")
     eps = float(epsilon)
+    if not 0.0 < eps < 0.5:  # relaxation_lower, in every report, needs it
+        raise DomainError(f"epsilon must be in (0, 1/2), got {eps}")
     s = s_value(window.spec)
     unbounded_j = first_unbounded_j(window)
     bounded = unbounded_j is None

@@ -161,9 +161,21 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _dense_window(args, spec: RecurrenceSpec, n: int) -> SequenceWindow:
-    """The window of n terms, refused at its first term past --nmax-states."""
-    return generate(spec, n, limit=args.nmax_states, limit_name="dense cap")
+def _dense_window(spec: RecurrenceSpec, n: int) -> SequenceWindow:
+    """The window of n terms, refused at its first term past the dense cap."""
+    return generate(spec, n, limit=DEFAULT_N_MAX, limit_name="dense cap")
+
+
+def _refuse_past_tables(spec: RecurrenceSpec, n: int, limit: int) -> None:
+    """Refuse n > TABLES_N_MAX, which the engine's tables refuse whatever N
+    is, after making at most TABLES_N_MAX + 1 terms, not the whole window.
+    If one of those terms passes limit, the command's own limit on N, return
+    instead: that refusal, made with the window, comes first."""
+    if n > TABLES_N_MAX and first_terms(spec, TABLES_N_MAX + 1, limit=limit)[-1] <= limit:
+        raise StateSpaceTooLarge(
+            f"n = {n} exceeds {TABLES_N_MAX}, the most steps whose engine "
+            f"root tables fit the dense cap {DEFAULT_N_MAX}"
+        )
 
 
 def cmd_table(args) -> int:
@@ -172,7 +184,7 @@ def cmd_table(args) -> int:
     sequences = _resolve_sequences(args.seq)
     # one window per spec, made before any scan and refused at its first term
     # past the cap, so a huge --nmax stops there; the rows are its prefixes
-    longest = [(name, _dense_window(args, spec, args.nmax)) for name, spec in sequences]
+    longest = [(name, _dense_window(spec, args.nmax)) for name, spec in sequences]
     per_seq = {}
     for name, last in longest:
         per_seq[name] = []
@@ -194,7 +206,8 @@ def cmd_spectrum(args) -> int:
     name, spec = _single_sequence(args)
     if args.top is not None and args.top < 1:
         raise DomainError(f"--top must be at least 1, got {args.top}")
-    window = _dense_window(args, spec, args.n)
+    _refuse_past_tables(spec, args.n, DEFAULT_N_MAX)
+    window = _dense_window(spec, args.n)
     listed = window.modulus if args.top is None else min(args.top, window.modulus)
     if listed > MAX_ROWS:
         raise DomainError(f"N = {window.modulus}: a listing holds at most {MAX_ROWS} "
@@ -226,7 +239,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_mix(args) -> int:
     name, spec = _single_sequence(args)
-    window = _dense_window(args, spec, args.n)
+    window = _dense_window(spec, args.n)
     result = walk.mixing_time(window, args.epsilon)
     payload = {
         "sequence": name,
@@ -245,16 +258,7 @@ def cmd_bounds(args) -> int:
     from .bounds import build_report  # loaded by the one command that runs it
 
     name, spec = _single_sequence(args)
-    if args.n > TABLES_N_MAX:
-        # the engine's tables refuse every such n; unless one of the first
-        # TABLES_N_MAX + 1 terms leaves the int64 range, whose refusal comes
-        # first, refuse here rather than make the whole window
-        head = first_terms(spec, TABLES_N_MAX + 1, limit=_INT64_SAFE_N)
-        if head[-1] <= _INT64_SAFE_N:
-            raise StateSpaceTooLarge(
-                f"n = {args.n} exceeds {TABLES_N_MAX}, the most steps whose engine "
-                f"root tables fit the dense cap {DEFAULT_N_MAX}"
-            )
+    _refuse_past_tables(spec, args.n, _INT64_SAFE_N)
     # past the engine's int64 range the report has no spectrum to read
     window = generate(
         spec, args.n, limit=_INT64_SAFE_N, limit_name="exact int64 reduction range"
@@ -274,13 +278,8 @@ def cmd_verify(args) -> int:
     from .verify import run_suites  # loaded by the one command that runs it
 
     sequences = _resolve_sequences(args.seq)
-    results = run_suites(
-        args.suite,
-        specs=dict(sequences),
-        n_max=args.nmax,
-        epsilon=args.epsilon,
-        n_max_states=args.nmax_states,
-    )
+    results = run_suites(args.suite, specs=dict(sequences), n_max=args.nmax,
+                         epsilon=args.epsilon)
     ok = all(r.passed for r in results)
     payload = {"passed": ok, "suites": [r.to_dict() for r in results]}
     rows = [("suite", "passed", "metric", "worst_slack")]
@@ -327,12 +326,13 @@ def _output_options(default_format: str) -> argparse.ArgumentParser:
 
 def _build_parser() -> argparse.ArgumentParser:
     csv_out, json_out = _output_options("csv"), _output_options("json")
+    # bounds' alone; as a parent it keeps its place in bounds' manifest
     dense = argparse.ArgumentParser(add_help=False)
     dense.add_argument(
         "--nmax-states",
         type=_parse_nmax_states,
         default=DEFAULT_N_MAX,
-        help=f"dense state-space cap, 1..{DEFAULT_N_MAX} (default {DEFAULT_N_MAX})",
+        help=f"dense report up to this N, 1..{DEFAULT_N_MAX} (default {DEFAULT_N_MAX})",
     )
     threshold = argparse.ArgumentParser(add_help=False)
     threshold.add_argument(
@@ -349,19 +349,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("table", parents=[csv_out, threshold, dense],
+    p = sub.add_parser("table", parents=[csv_out, threshold],
                        help="mixing-time table over n = 1..nmax")
     p.add_argument("--nmax", type=int, default=9)
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("spectrum", parents=[csv_out, dense], help="eigenvalue table")
+    p = sub.add_parser("spectrum", parents=[csv_out], help="eigenvalue table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--top", type=int, default=None,
                    help=f"keep only the top-m eigenvalues by modulus "
                    f"(needed when N > {MAX_ROWS})")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("mix", parents=[csv_out, threshold, dense],
+    p = sub.add_parser("mix", parents=[csv_out, threshold],
                        help="mixing time and TV curve")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_mix)
@@ -373,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override lower growth base for the general lower bound")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("verify", parents=[json_out, threshold, dense],
+    p = sub.add_parser("verify", parents=[json_out, threshold],
                        help="inequality verification suites")
     p.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
     p.add_argument("--nmax", type=int, default=8)

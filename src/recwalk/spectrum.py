@@ -63,10 +63,10 @@ def _roots(N: int, r: np.ndarray) -> np.ndarray:
     return np.exp((2j * np.pi / N) * np.where(2 * r > N, r - N, r))
 
 
-def require_dense(N: int, n_max_states: int) -> None:
-    """Refuse a dense N-entry array past the cap n_max_states."""
-    if N > n_max_states:
-        raise StateSpaceTooLarge(f"N = {N} exceeds the dense cap {n_max_states}")
+def require_dense(N: int) -> None:
+    """Refuse a dense N-entry array past the cap DEFAULT_N_MAX."""
+    if N > DEFAULT_N_MAX:
+        raise StateSpaceTooLarge(f"N = {N} exceeds the dense cap {DEFAULT_N_MAX}")
 
 
 # The most steps require_tables can admit.  Every window has G_n >= n and
@@ -188,7 +188,7 @@ def half_spectrum(window: SequenceWindow) -> np.ndarray:
     N//2 + row_width(N) entries, and the result is a view of it.
     """
     N = window.modulus
-    require_dense(N, DEFAULT_N_MAX)
+    require_dense(N)
     half = N // 2
     by_k = np.empty(half + row_width(N), dtype=np.complex128)
     for _ in iter_eigenvalue_chunks(window, out=by_k):

@@ -20,7 +20,6 @@ from .recurrence import PRESETS, RecurrenceSpec, SequenceWindow, first_terms
 from .recurrence import first_unbounded_j, s_value
 from .spectrum import (
     _INT64_SAFE_N,
-    DEFAULT_N_MAX,
     eigenvalue_bound,
     half_spectrum,
     iter_k_rows,
@@ -253,7 +252,6 @@ def run_suites(
     specs: dict[str, RecurrenceSpec] | None = None,
     n_max: int = 8,
     epsilon: Fraction | float = 0.25,
-    n_max_states: int = DEFAULT_N_MAX,
 ) -> list[SuiteResult]:
     """Run one named suite, or all of them.
 
@@ -263,15 +261,14 @@ def run_suites(
     suite starts.  Then the streamed suites' engine terms are summed over
     those windows, until the sum passes every selected _TERM_BUDGET, and
     a suite past its budget is refused (WorkTooLarge).  Both passes read
-    only each window's n and N; n_max_states is the cap ubl-consistency's
-    windows are checked against here.
+    only each window's n and N.
     """
     if specs is None:
         specs = dict(PRESETS)
     checks = {
         "eigmod-bound": lambda name, spec, n, N: require_int64_safe(N),
         "angle-cover": _require_angle_range,
-        "ubl-consistency": lambda name, spec, n, N: require_dense(N, n_max_states),
+        "ubl-consistency": lambda name, spec, n, N: require_dense(N),
     }
     runners = {
         "eigmod-bound": lambda: eigmod_bound_suite(specs, n_max=n_max),

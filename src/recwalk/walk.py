@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InsideErrorBand, ScanTooLong
 from .recurrence import SequenceWindow, ratio_bounded, s_value
-from .spectrum import DEFAULT_N_MAX, eigenvalue_bound, half_spectrum, require_dense
+from .spectrum import eigenvalue_bound, half_spectrum, require_dense
 from .spectrum import slem_streaming
 
 # Path counts, and sums of up to two totals of them, stay exact in int64
@@ -83,7 +83,7 @@ def step_distribution(window: SequenceWindow) -> np.ndarray:
     """Step law: p[x] = 1/n for each x in window.steps, 0 elsewhere, for
     N = G_n <= DEFAULT_N_MAX."""
     N = window.modulus
-    require_dense(N, DEFAULT_N_MAX)
+    require_dense(N)
     p = np.zeros(N)
     p[list(window.steps)] = 1.0 / window.n
     return p
@@ -330,7 +330,7 @@ def mixing_time(window: SequenceWindow, epsilon: Fraction | float) -> MixingResu
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     p, q = eps.numerator, eps.denominator
     N, n = window.modulus, window.n
-    require_dense(N, DEFAULT_N_MAX)
+    require_dense(N)
     t_low = scan_lower_bound(window, eps)
     if t_low >= MAX_ROWS:
         raise ScanTooLong(

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from recwalk import cli, verify, walk
+from recwalk import bounds, cli, verify, walk
 from recwalk.cli import main
 from recwalk.recurrence import PRESETS, SequenceWindow, generate
 
@@ -199,9 +199,7 @@ def test_nan_eta1_rejected(capsys):
 
 
 def test_state_space_cap_exit_code(capsys):
-    code, _, err = run_cli(
-        capsys, "mix", "--seq", "pow2", "--n", "12", "--nmax-states", "1024"
-    )
+    code, _, err = run_cli(capsys, "mix", "--seq", "pow2", "--n", "26")  # N = 2^25
     assert code == 2
     assert "exceeds" in err
 
@@ -368,9 +366,9 @@ def _no_suite_may_run(monkeypatch):
         # pow3 n = 21 has N = 3^20, past the engine's int64 reductions; the
         # suites streamed for 43.6 s before the refusal came mid-run
         (["--nmax", "26"], "int64 reduction range"),
-        # only ubl-consistency, the last suite, is capped: pow3 n = 14 has
-        # N = 3^13, past 2^20
-        (["--nmax", "20", "--nmax-states", str(2**20)], "dense cap"),
+        # only ubl-consistency, the last suite, is capped: pow3 n = 17 has
+        # N = 3^16, past 2^24
+        (["--nmax", "17"], "dense cap"),
         # angle-cover, the second suite, refuses the n = 3 window, N = 1000
         (
             ["--seq", '{"coeffs":[10000000000000000,-19999999999999000],"init":[1,2]}',
@@ -462,6 +460,45 @@ def test_bounds_refuses_steps_past_the_tables_before_the_window(capsys, argv, me
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # G_i = i: the whole window of 2^24 terms was made, 17.9 s and
+        # 799 MiB (one pinned CPU), before the engine's table check refused it
+        (["--seq", '{"coeffs":[2,-1],"init":[1,2]}', "--n", "16777216", "--top", "1"],
+         "n = 16777216 exceeds 65537, the most steps whose engine root tables"),
+        # a window that passes the dense cap first keeps that refusal
+        (["--seq", "pow2", "--n", "100000", "--top", "3"],
+         "G_26 = 33554432 exceeds the dense cap 16777216"),
+    ],
+)
+def test_spectrum_refuses_steps_past_the_tables_before_the_window(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "spectrum", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("seq, n", [("pow2", "5"), ("fib-odd", "2")])
+@pytest.mark.parametrize("epsilon", ["1/2", "3/4"])
+def test_bounds_refuses_epsilon_past_one_half_before_any_spectrum(
+    capsys, monkeypatch, seq, n, epsilon
+):
+    # which bound refused, and with which interval, hung on the spec and n:
+    # pow2 n = 5 at 3/4 read "(0, 1/2]", and fib-odd n = 2 first ran the scan
+    def nothing_may_run(*args, **kwargs):
+        raise AssertionError("a spectrum or scan ran")
+
+    for name in ("half_spectrum", "slem_streaming"):
+        monkeypatch.setattr(bounds, name, nothing_may_run)
+    monkeypatch.setattr(walk, "mixing_time", nothing_may_run)
+    code, out, err = run_cli(capsys, "bounds", "--seq", seq, "--n", n, "--epsilon", epsilon)
+    assert (code, out) == (2, "")
+    want = "0.5" if epsilon == "1/2" else "0.75"
+    assert f"error: epsilon must be in (0, 1/2), got {want}\n" == err
 
 
 def test_prefix_windows_take_n_from_their_values(capsys, monkeypatch):
@@ -647,14 +684,14 @@ def test_simulate_limit_is_two_to_the_62_minus_one(capsys):
 
 @pytest.mark.parametrize("cap", [2**24 + 1, 0])
 def test_nmax_states_outside_dense_cap_is_usage_error(capsys, monkeypatch, cap):
-    def no_spectrum(*args, **kwargs):
-        raise AssertionError("the spectrum was computed")
+    def no_report(*args, **kwargs):
+        raise AssertionError("the report was computed")
 
-    monkeypatch.setattr(cli, "full_spectrum", no_spectrum)
+    monkeypatch.setattr(bounds, "build_report", no_report)
     tracemalloc.start()
     try:
         with pytest.raises(SystemExit) as exc:
-            main(["spectrum", "--seq", "pow2", "--n", "3",
+            main(["bounds", "--seq", "pow2", "--n", "3",
                   "--nmax-states", str(cap)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -666,14 +703,14 @@ def test_nmax_states_outside_dense_cap_is_usage_error(capsys, monkeypatch, cap):
     assert peak < 2**20
 
 
-# The options each command declares, by argparse destination: 39 in all,
+# The options each command declares, by argparse destination: 35 in all,
 # where every command once took seven shared options (52).
 DECLARED = {
-    "table": {"seq", "out", "format", "epsilon", "nmax_states", "nmax"},
-    "spectrum": {"seq", "out", "format", "nmax_states", "n", "top"},
-    "mix": {"seq", "out", "format", "epsilon", "nmax_states", "n"},
+    "table": {"seq", "out", "format", "epsilon", "nmax"},
+    "spectrum": {"seq", "out", "format", "n", "top"},
+    "mix": {"seq", "out", "format", "epsilon", "n"},
     "bounds": {"seq", "out", "format", "epsilon", "nmax_states", "n", "eta1"},
-    "verify": {"seq", "out", "format", "epsilon", "nmax_states", "suite", "nmax"},
+    "verify": {"seq", "out", "format", "epsilon", "suite", "nmax"},
     "simulate": {"seq", "out", "format", "n", "tmax", "trajectories", "seed"},
 }
 
@@ -715,14 +752,18 @@ def test_manifest_parameters_are_the_declared_options(capsys, command):
     [
         ["table", "--eta1", "3"],
         ["table", "--seed", "1"],
+        ["table", "--nmax-states", "5"],
         ["spectrum", "--seq", "pow2", "--n", "3", "--epsilon", "1/8"],
         ["spectrum", "--seq", "pow2", "--n", "3", "--eta1", "3"],
         ["spectrum", "--seq", "pow2", "--n", "3", "--seed", "1"],
+        ["spectrum", "--seq", "pow2", "--n", "3", "--nmax-states", "5"],
         ["mix", "--seq", "pow2", "--n", "3", "--eta1", "3"],
         ["mix", "--seq", "pow2", "--n", "3", "--seed", "1"],
+        ["mix", "--seq", "pow2", "--n", "3", "--nmax-states", "5"],
         ["bounds", "--seq", "pow2", "--n", "3", "--seed", "1"],
         ["verify", "--eta1", "3"],
         ["verify", "--seed", "1"],
+        ["verify", "--nmax-states", "5"],
         ["simulate", "--seq", "pow3", "--n", "2", "--epsilon", "1/8"],
         ["simulate", "--seq", "pow3", "--n", "2", "--eta1", "3"],
         ["simulate", "--seq", "pow3", "--n", "2", "--nmax-states", "5"],
