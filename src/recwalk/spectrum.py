@@ -14,14 +14,19 @@ float conversion; naive floating angles lose all precision once k*G_i
 approaches 2^53.  The index splits as k = q*B + j with 0 <= j < B, as
 the four-step FFT splits its index, so that
 
-    xi_N^(k*g) = xi_N^(q*(B*g mod N)) * xi_N^(j*g mod N):
+    xi_N^(k*g) = xi_N^(q*(B*g mod N)) * xi_N^(j*g mod N),
 
-one table of B roots per step serves every row q, each row adds one root
-per step, and a term costs one broadcast multiply and one add.  B is
-2^12 once N//2 >= 2^17, and a power of two at least sqrt(N//2 + 1)
-below that.  Each root is one exp of a signed angle in (-pi, pi]; the eigenvalues stay
-within 9.5e-16 of one exp per term in every case measured (c = 5, n = 6
-is the worst), and the tests bound the gap by 1e-15.
+and each tile of rows q is one complex matrix product (a BLAS zgemm): the
+rows' roots xi_N^(q*(B*G_i mod N)) times one table of B roots
+xi_N^(j*G_i mod N) per step, with no exp, remainder or gather per term.
+B is 2^12 once N//2 >= 2^17, and a power of two at least sqrt(N//2 + 1)
+below that.  Each root is one exp of a signed angle in (-pi, pi]; the
+eigenvalues stay within 9.0e-16 of one exp per term in every case
+measured (c = 5, n = 6 is the worst), and the tests bound the gap by
+1e-15.  BLAS orders each product's sums by its kernel, which it picks by
+CPU, so from n = 4 on the last digits can differ between CPUs and BLAS
+builds; on one host every product has one fixed shape, so lambda_k does
+not depend on the block that asks for it or on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -40,17 +45,24 @@ DEFAULT_N_MAX = 2**24
 # (N-1)^2 must stay below 2^63 for the vectorized int64 reduction.
 _INT64_SAFE_N = 3_037_000_499
 
-# Entries per block: the engine's two 1 MiB block buffers stay in L2.
+# Entries per block, the streamed SLEM's unit of memory: 1 MiB, as is the
+# engine's one scratch tile at B = _ROW_MAX.
 _CHUNK = 1 << 16
 
 # Row width B of the factored engine, k = q*B + j with 0 <= j < B.  Each
-# step costs B + (N//2)/B roots, one complex exp apiece (the costliest op),
-# so below N//2 = _WIDE_FROM B is a power of two near sqrt(N//2), at least
-# sqrt(N//2 + 1).  From there on B = _ROW_MAX: numpy 2.4 ran the broadcast
-# multiply about 3x faster on rows of 4096 than on rows of 2048 or fewer
-# (those go through its buffered iterator), which outweighs the tables.
+# step costs B + (N//2)/B roots, one complex exp apiece, so below
+# N//2 = _WIDE_FROM B is a power of two near sqrt(N//2), at least
+# sqrt(N//2 + 1).  From there on B = _ROW_MAX.  half_spectrum at fib-odd
+# n = 16 took 7.6, 6.2, 6.2, 7.1 and 13.5 ms at B = 2^9..2^13 (one x86-64
+# CPU, OpenBLAS 0.3.31): 2^12 keeps the tables at 64 KiB a step, within
+# 1 ms of the fastest.
 _ROW_MAX = 1 << 12
 _WIDE_FROM = 1 << 17
+
+# Rows q of each engine product, a tile, which starts at q = 0 mod
+# _TILE_ROWS: 2^16 entries at B = _ROW_MAX.  Each tile is a constant
+# number of numpy calls, however many steps the window has.
+_TILE_ROWS = 16
 
 
 def _roots(N: int, r: np.ndarray) -> np.ndarray:
@@ -136,16 +148,19 @@ def iter_eigenvalue_chunks(
     mirror and is computed directly.  k = q*B + j with 0 <= j < B and
     B = row_width(N) splits the root of a step g in G_1..G_{n-1} as
 
-        xi_N^(k*g) = xi_N^(q*(B*g mod N)) * xi_N^(j*g mod N):
+        xi_N^(k*g) = xi_N^(q*(B*g mod N)) * xi_N^(j*g mod N),
 
-    one root per row times one B-entry table per step, multiplied into a
-    block and added in window order, and the hold adds exactly 1 last.
-    Every operation is elementwise over k, so lambda_k is the same
-    whatever block computes it.  Storage-free except for one block at a
-    time, one scratch block per pass and the tables, so it works beyond
+    so rows q of lambda are one matrix product, row roots R[q, i] =
+    xi_N^(q*(B*G_i mod N)) times the (n - 1) x B tables T[i, j] =
+    xi_N^(j*G_i mod N), and the hold adds exactly 1 last.  Every product
+    has one shape, a tile of _TILE_ROWS rows starting at q = 0 mod
+    _TILE_ROWS, the last tile padded, so BLAS sums lambda_k the same way
+    whatever block asks for it; a block that covers a tile only in part
+    copies its rows out of a scratch tile.  Storage-free except for one
+    block at a time, the scratch tile and the tables, so it works beyond
     the dense cap; half_spectrum and the streaming SLEM are both built on
-    this.  The tables hold (n - 1) B entries in all, and require_tables
-    refuses more than DEFAULT_N_MAX before any is built.
+    this.  The tables hold (n - 1) B entries, and require_tables refuses
+    more than DEFAULT_N_MAX before they are built.
 
     out, when given, is a complex array of N//2 + B entries indexed by k:
     each block's rows are computed in place in out[q*B : (q + rows)*B],
@@ -157,23 +172,31 @@ def iter_eigenvalue_chunks(
     B = row_width(N)
     blocks = iter_k_rows(N, B)  # the int64 guard on N: products stay below N^2
     require_tables(window.n, N)
-    js = np.arange(B, dtype=np.int64)
     # N > 1 means n > 1, so G_1 = 1 gives at least one table
-    factors = [(_roots(N, js * g % N), B * g % N) for g in window.steps[:-1]]
+    gs = np.array(window.steps[:-1], dtype=np.int64)
+    js = np.arange(B, dtype=np.int64)
+    tables = np.empty((len(gs), B), dtype=np.complex128)
+    per_call = max(1, _CHUNK // B)  # steps: a block's temporaries, not the tables'
+    for i in range(0, len(gs), per_call):
+        tables[i : i + per_call] = _roots(N, gs[i : i + per_call, None] * js % N)
+    bgs = B * gs % N
     scale = 1.0 / window.n  # numpy's acc /= n scales by 1/n too, 3x slower
-    term = None  # scratch, as large as the first block, the largest
+    R = _TILE_ROWS
+    tile = np.empty((R, B), dtype=np.complex128)
     for qs, keep in blocks:
-        shape = (len(qs), B)
+        q0, q1 = int(qs[0]), int(qs[-1]) + 1
         if out is None:
-            acc = np.empty(shape, dtype=np.complex128)
+            acc = np.empty((q1 - q0, B), dtype=np.complex128)
         else:
-            acc = out[B * qs[0] : B * (qs[-1] + 1)].reshape(shape)
-        term = np.empty_like(acc) if term is None else term[: len(qs)]
-        for i, (table, bg) in enumerate(factors):
-            # the sum starts at step 1's term, not at 0
-            np.multiply(_roots(N, qs * bg % N)[:, None], table, out=term if i else acc)
-            if i:
-                acc += term
+            acc = out[B * q0 : B * q1].reshape(q1 - q0, B)
+        for t in range(q0 - q0 % R, q1, R):
+            lo, hi = max(t, q0), min(t + R, q1)
+            part = acc[lo - q0 : hi - q0]
+            dst = part if hi - lo == R else tile
+            row_roots = _roots(N, np.arange(t, t + R, dtype=np.int64)[:, None] * bgs % N)
+            np.matmul(row_roots, tables, out=dst)
+            if dst is tile:
+                part[...] = tile[lo - t : hi - t]
         acc += 1.0
         acc *= scale
         yield acc.ravel()[keep]

@@ -43,13 +43,16 @@ _DOMINATION_BASES = (2, 3, 4)
 _CAP = 10**5
 
 # Engine terms sum (N//2)(n - 1) over its windows that a streamed suite may
-# take.  Sized on the presets, where eigmod-bound's complex terms cost
-# 2.1-2.9 ns and angle-cover's int64 terms 4.0-4.6 ns (one x86-64 CPU,
-# pow2 n <= 26, pow3 n <= 17, fib-odd n <= 16), it is about 5 s of work
-# each there.  It undercounts windows whose n is large against log N,
-# where each step's numpy calls cost more than its terms: on G_i = i,
-# eigmod-bound at --nmax 2344 ran 84.1 s and angle-cover at --nmax 1860
-# 31.4 s, both inside it (ROADMAP item 2).
+# take.  Sized on the presets (pow2 n <= 26, pow3 n <= 17, fib-odd n <= 16)
+# when eigmod-bound's complex terms cost 2.1-2.9 ns and angle-cover's int64
+# terms 4.0-4.6 ns (one x86-64 CPU), it was about 5 s of work each there.
+# Since the engine takes each tile of rows as one matrix product, a
+# constant number of numpy calls, not about 4(n - 1), eigmod-bound's terms
+# cost 0.56-1.17 ns there (OpenBLAS 0.3.31, one thread), about 2 s of its
+# budget.  It still undercounts windows whose n is large against log N,
+# where angle-cover's per-step numpy calls cost more than its terms: on
+# G_i = i, angle-cover at --nmax 1860 ran 31.4 s inside it, and
+# eigmod-bound at --nmax 2344 ran 8.6 s, down from 84.1 s (ROADMAP item 2).
 _TERM_BUDGET = {"eigmod-bound": 1 << 31, "angle-cover": 1 << 30}
 
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -441,3 +445,63 @@ def test_wide_rows_match_oracle_at_large_n():
         got = full_spectrum(window)[ks - 1]
         gap = float(np.max(np.abs(got - per_term_exp_eigenvalues(window, ks))))
         assert gap <= 1e-15, (name, n)
+
+
+# G_i = i: N = n and the steps are every residue of Z_N
+_EVERY_RESIDUE = RecurrenceSpec((2, -1), (1, 2))
+
+
+def test_engine_error_within_bound_where_every_eigenvalue_is_zero():
+    # lambda_k = 0 exactly for k = 1..N-1, so |lambda_k| is the engine's
+    # whole error: a sum of n unit terms, scaled by 1/n, within (n + 2) u
+    n = 4096
+    lam = half_spectrum(generate(_EVERY_RESIDUE, n))
+    assert float(np.abs(lam[1:]).max()) <= (n + 2) * 2.0**-53
+
+
+def _run_child(args, **env):
+    src = str(Path(spectrum.__file__).parent.parent)
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+# The sha256 of half_spectrum's bytes on three windows, one hex line each.
+_HASH_PROBE = """
+import hashlib
+from recwalk import PRESETS, RecurrenceSpec, generate, half_spectrum
+for spec, n in ((PRESETS["pow2"], 21), (PRESETS["fib-odd"], 14),
+                (RecurrenceSpec((2, -1), (1, 2)), 4096)):
+    print(hashlib.sha256(half_spectrum(generate(spec, n)).tobytes()).hexdigest())
+"""
+
+
+def test_engine_bytes_do_not_depend_on_blas_threads():
+    # BLAS splits a product's rows and columns among threads, never a sum
+    one, two = (_run_child(["-c", _HASH_PROBE], OPENBLAS_NUM_THREADS=threads)
+                for threads in ("1", "2"))
+    assert len(one.split()) == 3
+    assert one == two
+
+
+def _has_avx2() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__.get("AVX2", False) and __cpu_features__.get("FMA3", False)
+
+
+@pytest.mark.skipif(not _has_avx2(), reason="the Haswell kernel needs AVX2 and FMA")
+def test_engine_streams_exactly_under_the_avx2_blas_kernel():
+    # BLAS picks its kernel by CPU; on an AVX-512 host this covers the AVX2
+    # one, under which products shaped by their block broke these checks
+    tests = [f"{__file__}::{name}" for name in (
+        "test_streaming_slem_is_exactly_dense",
+        "test_streaming_slem_exact_for_uneven_chunks",
+        "test_narrow_rows_match_oracle_and_stream_exactly",
+    )]
+    out = _run_child(["-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+                     OPENBLAS_CORETYPE="Haswell")
+    assert "3 passed" in out
