@@ -156,21 +156,60 @@ def ubl_sums(sq: np.ndarray, N: int) -> Iterator[float]:
 
 
 def ubl_implied_t(sq: np.ndarray, N: int, epsilon: float) -> int:
-    """Smallest t with (1/4) sum_{k<N} |lambda_k|^(2t) <= epsilon^2.
+    """Smallest t with (1/4) sum_{k<N} |lambda_k|^(2t) <= epsilon^2, the
+    sum as ubl_sums computes it: the first t whose ubl_sums value is at
+    most float(epsilon)**2.
 
-    sq is as in ubl_sums.  Scans forward; the sum is strictly decreasing
-    in t whenever slem < 1.
+    sq is as in ubl_sums.  Most t are decided from the m entries at least
+    tau = max(sq)/4, in O(N + m t) rather than ubl_sums' O(N t).  With
+    A_t the sum over those entries alone (ubl_sums run on them, each k
+    still counted with its mirror) and c the count of the other k, each
+    with sq below tau, the exact sum S_t lies in [A_t, A_t + c tau^t / 4].
+    A float sum of such powers, summed in any order, is within rho times
+    the exact one plus U: Higham's gamma_K = K u / (1 - K u), u = 2^-53,
+    with K = t + N + 8, covers the t - 1 repeated products and a sum of
+    at most N//2 terms (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Sec. 3.1 and 4.2), and U = (t + 1) N 2^-1074
+    covers products that underflow.  So, with A the float A_t, ubl_sums'
+    value lies in
+
+        [(A - U)(1 - 4 rho) - U,  (A + c tau^t / 4 + 2 U)(1 + 5 rho) + U];
+
+    the margins need 2 rho and 3.1 rho, and the rest absorbs the rounding
+    of the bracket itself.  A t whose bracket lies clear of epsilon^2
+    takes its verdict from it.  A t inside it advances one ubl_sums pass,
+    started at the first such t, to t and decides as ubl_sums does, so
+    every t returned is ubl_sums' own.  The sum is strictly decreasing in
+    t whenever slem < 1.
     """
     if N < 2:
         raise DegenerateStateSpace("N = 1 has no nontrivial eigenvalue")
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must be in (0, 1), got {epsilon}")
-    if float(sq.max()) >= 1.0:
+    top = float(sq.max())
+    if top >= 1.0:
         raise DomainError("slem >= 1: the scan would not terminate")
     target = float(epsilon) ** 2
-    for t, total in enumerate(ubl_sums(sq, N)):
-        if total <= target:
+    tau = top / 4.0
+    large = sq >= tau
+    mid = int(N % 2 == 0 and large[-1])  # k = N/2, its own mirror, is large
+    base = sq[large]
+    rest = 0.25 * (N - 1 - 2 * len(base) + mid)  # c / 4, exact
+    small = 1.0  # tau^t
+    sums = None  # the ubl_sums pass, started at the first t in the band
+    for t, part in enumerate(ubl_sums(base, 2 * len(base) + 1 - mid)):
+        rho = walk._gamma(t + N + 8)
+        under = math.ldexp((t + 1) * N, -1074)
+        low = (part - under) * (1.0 - 4.0 * rho) - under
+        high = (part + rest * small + 2.0 * under) * (1.0 + 5.0 * rho) + under
+        if high <= target:
             return t
+        if low <= target:  # epsilon^2 inside the bracket: ubl_sums decides
+            if sums is None:
+                sums = enumerate(ubl_sums(sq, N))
+            if next(total for i, total in sums if i == t) <= target:
+                return t
+        small *= tau
 
 
 def seq2bound_multiset(c: int, n: int) -> list[tuple[float, int]]:

@@ -23,7 +23,6 @@ from . import __version__
 from .errors import SUITE_NAMES, DomainError, RecwalkError, StateSpaceTooLarge
 from .recurrence import PRESETS, RecurrenceSpec, SequenceWindow, first_terms, generate
 from .spectrum import _INT64_SAFE_N, DEFAULT_N_MAX, TABLES_N_MAX, full_spectrum
-from .montecarlo import MAX_N, SimConfig, simulate_tv
 from . import walk
 from .walk import MAX_ROWS
 
@@ -288,7 +287,16 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def simulate_tv(config):
+    """montecarlo.simulate_tv, loaded only when simulate runs it."""
+    from .montecarlo import simulate_tv
+
+    return simulate_tv(config)
+
+
 def cmd_simulate(args) -> int:
+    from .montecarlo import MAX_N, SimConfig  # loaded by the one command that runs it
+
     name, spec = _single_sequence(args)
     window = generate(spec, args.n, limit=MAX_N, limit_name="simulation limit")
     curve = simulate_tv(

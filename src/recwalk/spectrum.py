@@ -157,10 +157,11 @@ def iter_eigenvalue_chunks(
     _TILE_ROWS, the last tile padded, so BLAS sums lambda_k the same way
     whatever block asks for it; a block that covers a tile only in part
     copies its rows out of a scratch tile.  Storage-free except for one
-    block at a time, the scratch tile and the tables, so it works beyond
-    the dense cap; half_spectrum and the streaming SLEM are both built on
-    this.  The tables hold (n - 1) B entries, and require_tables refuses
-    more than DEFAULT_N_MAX before they are built.
+    block at a time, the scratch tile, the tables and one array of a
+    tile's row roots, filled a bounded number of steps a call, so it
+    works beyond the dense cap; half_spectrum and the streaming SLEM are
+    both built on this.  The tables hold (n - 1) B entries, and
+    require_tables refuses more than DEFAULT_N_MAX before they are built.
 
     out, when given, is a complex array of N//2 + B entries indexed by k:
     each block's rows are computed in place in out[q*B : (q + rows)*B],
@@ -183,6 +184,8 @@ def iter_eigenvalue_chunks(
     scale = 1.0 / window.n  # numpy's acc /= n scales by 1/n too, 3x slower
     R = _TILE_ROWS
     tile = np.empty((R, B), dtype=np.complex128)
+    row_roots = np.empty((R, len(gs)), dtype=np.complex128)
+    per_root = max(1, _CHUNK // R)  # steps: the roots' temporaries stay a block's size
     for qs, keep in blocks:
         q0, q1 = int(qs[0]), int(qs[-1]) + 1
         if out is None:
@@ -193,7 +196,9 @@ def iter_eigenvalue_chunks(
             lo, hi = max(t, q0), min(t + R, q1)
             part = acc[lo - q0 : hi - q0]
             dst = part if hi - lo == R else tile
-            row_roots = _roots(N, np.arange(t, t + R, dtype=np.int64)[:, None] * bgs % N)
+            q = np.arange(t, t + R, dtype=np.int64)[:, None]
+            for i in range(0, len(gs), per_root):
+                row_roots[:, i : i + per_root] = _roots(N, q * bgs[i : i + per_root] % N)
             np.matmul(row_roots, tables, out=dst)
             if dst is tile:
                 part[...] = tile[lo - t : hi - t]

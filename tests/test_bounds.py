@@ -1,10 +1,11 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, strategies as st
+from hypothesis import assume, given, reject, strategies as st
 
 from recwalk import (
     BoundReport,
@@ -36,6 +37,7 @@ from recwalk import (
     s_value,
 )
 
+from recwalk import bounds
 from expected_values import EXACT_TMIX, UBL_IMPLIED_T
 from test_walk import PROPERTY_SETTINGS, small_windows
 
@@ -181,6 +183,88 @@ def test_ubl_rejects_degenerate_inputs():
         ubl_implied_t(np.empty(0), 1, 0.25)
     with pytest.raises(DomainError):
         ubl_implied_t(np.array([1.0]), 2, 0.25)
+
+
+def _ubl_sums_t(sq, N, epsilon):
+    """The first t at which ubl_sums' own value is at most epsilon^2."""
+    return next(t for t, s in enumerate(ubl_sums(sq, N)) if s <= epsilon**2)
+
+
+def _squared_moduli(window):
+    return np.abs(half_spectrum(window)[1:]) ** 2
+
+
+# just under 1/2 and 1/4, the round values themselves (where pow2 sums hit
+# epsilon^2 exactly), and small ones
+_UBL_EPSILONS = (math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.25, 0.0), 0.25,
+                 1e-3, 1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(window=small_windows(),
+       epsilon=st.one_of(st.sampled_from(_UBL_EPSILONS),
+                         st.floats(1e-12, 0.5, exclude_max=True)))
+def test_ubl_implied_t_is_the_ubl_sums_t_property(window, epsilon):
+    N = window.modulus
+    assume(N >= 2)
+    sq = _squared_moduli(window)
+    top = float(sq.max())
+    # the upper-bound lemma's own t on the largest modulus bounds the answer;
+    # keep the ubl_sums reference to at most a few thousand passes
+    assume(top == 0.0 or math.log(4 * epsilon**2 / (N - 1)) / math.log(top) < 4000)
+    assert ubl_implied_t(sq, N, epsilon) == _ubl_sums_t(sq, N, epsilon)
+
+
+@pytest.mark.parametrize("sq, N", [
+    (np.array([0.0]), 2),  # lambda_1 = 0
+    (_squared_moduli(generate(RecurrenceSpec((2, -1), (1, 2)), 64)), 64),  # G_i = i
+    *((_squared_moduli(generate(PRESETS["pow2"], n)), 2 ** (n - 1)) for n in (2, 3, 4)),
+])
+def test_ubl_implied_t_is_the_ubl_sums_t_on_ties_and_zero_spectra(sq, N):
+    # on G_i = i every nontrivial lambda is 0 up to the engine's rounding;
+    # at pow2 n <= 4 the sums reach 1/4 exactly
+    for epsilon in _UBL_EPSILONS:
+        assert ubl_implied_t(sq, N, epsilon) == _ubl_sums_t(sq, N, epsilon), epsilon
+
+
+def test_ubl_implied_t_at_epsilon_squared_equal_to_each_ubl_sums_value():
+    # 32 moduli at least max/4 between 32 of 1e-20: at t = 8 the sum over
+    # the 32 alone rounds one ulp above the sum over all 64
+    sq = np.full(64, 1e-20)
+    sq[::2] = np.random.default_rng(0).uniform(0.25, 0.6, 32)
+    for total in itertools.islice(ubl_sums(sq, 129), 12):
+        epsilon = math.sqrt(total)
+        if epsilon < 1.0:
+            assert ubl_implied_t(sq, 129, epsilon) == _ubl_sums_t(sq, 129, epsilon)
+
+
+def test_ubl_implied_t_decides_from_the_large_moduli(monkeypatch):
+    window = generate(PRESETS["pow2"], 17)
+    sq = _squared_moduli(window)
+    want = _ubl_sums_t(sq, window.modulus, 0.25)
+
+    def no_full_pass(moduli, N):
+        if moduli is sq:
+            raise AssertionError("ubl_sums ran over every modulus")
+        return ubl_sums(moduli, N)
+
+    monkeypatch.setattr(bounds, "ubl_sums", no_full_pass)
+    assert ubl_implied_t(sq, window.modulus, 0.25) == want
+
+
+def test_ubl_implied_t_falls_back_to_ubl_sums_on_a_tie(monkeypatch):
+    # N = 3, |lambda_1|^2 = 1/2: the sum is 1/2^(t+1), exactly 1/4 at t = 1,
+    # so no bracket around it clears epsilon^2 = 1/4
+    sq = np.array([0.5])
+    full_passes = []
+
+    def counted(moduli, N):
+        full_passes.append(moduli is sq)
+        return ubl_sums(moduli, N)
+
+    monkeypatch.setattr(bounds, "ubl_sums", counted)
+    assert ubl_implied_t(sq, 3, 0.5) == 1
+    assert full_passes.count(True) == 1
 
 
 def test_ubl_sums_count_mirrors_once_each():

@@ -14,14 +14,18 @@ import recwalk
 _SRC = str(Path(recwalk.__file__).parent.parent)
 
 # Run in a fresh interpreter: which modules are loaded after importing the
-# CLI, after a CSV command on stdout, and after a JSON bounds report.
+# CLI, after a CSV command on stdout, after a JSON bounds report and after
+# a short simulate run.
 _PROBE = """
 import contextlib, io, json, sys
 import recwalk.cli
-names = ("recwalk.bounds", "recwalk.verify", "dataclasses", "hashlib")
+names = ("recwalk.bounds", "recwalk.verify", "recwalk.montecarlo", "dataclasses",
+         "hashlib")
 seen = {"import": [m for m in names if m in sys.modules]}
 for label, argv in (("mix", ["mix", "--seq", "pow2", "--n", "5"]),
-                    ("bounds", ["bounds", "--seq", "pow2", "--n", "5"])):
+                    ("bounds", ["bounds", "--seq", "pow2", "--n", "5"]),
+                    ("simulate", ["simulate", "--seq", "pow2", "--n", "3",
+                                  "--trajectories", "10", "--tmax", "2"])):
     with contextlib.redirect_stdout(io.StringIO()):
         assert recwalk.cli.main(argv) == 0
     seen[label] = [m for m in names if m in sys.modules]
@@ -39,6 +43,8 @@ def test_cli_start_up_loads_only_what_the_command_runs():
     assert "hashlib" not in seen["mix"]  # CSV on stdout builds no manifest
     assert {"recwalk.bounds", "hashlib"} <= set(seen["bounds"])
     assert "recwalk.verify" not in seen["bounds"]
+    assert "recwalk.montecarlo" not in seen["bounds"]
+    assert "recwalk.montecarlo" in seen["simulate"]
 
 
 def test_all_names_resolve_to_their_module_objects():

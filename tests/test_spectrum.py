@@ -150,7 +150,8 @@ def test_streaming_slem_agrees_with_dense(monkeypatch):
 
 
 def test_streaming_slem_is_exactly_dense(monkeypatch):
-    # each lambda_k is computed elementwise, so chunking cannot change it
+    # every tile is one product of one fixed shape, so chunking cannot change
+    # lambda_k
     windows = [generate(PRESETS[name], n) for name in PRESETS for n in range(2, 10)]
     dense = [dense_slem(window) for window in windows]
     monkeypatch.setattr(spectrum, "_CHUNK", 64)
@@ -384,6 +385,17 @@ def test_streaming_slem_holds_blocks_not_the_spectrum():
     # 32 MiB; the stream holds the tables, a block and its scratch (4.41 MiB)
     window = generate(PRESETS["pow2"], 23)
     assert _peak_bytes(slem_streaming, window) < 16 * 2**20
+
+
+def test_half_spectrum_builds_row_roots_a_block_at_a_time():
+    # G_i = i at n = 8193, B = 128: past the tables (16 MiB), the buffer and
+    # one tile's row roots (16 (n - 1) entries, 2 MiB) the engine holds only
+    # a block's temporaries (2.7 MiB measured), whatever n is
+    window = generate(RecurrenceSpec((2, -1), (1, 2)), 8193)
+    n, N = window.n, window.modulus
+    B = row_width(N)
+    held = 16 * ((n - 1) * B + N // 2 + B + spectrum._TILE_ROWS * (n - 1))
+    assert _peak_bytes(half_spectrum, window) - held < 56 * _CHUNK
 
 
 def test_eigenvalues_match_per_term_exp_oracle():
