@@ -107,7 +107,8 @@ def upper_first_order(c: int, n: int, epsilon: float) -> float:
     if not 0.0 < epsilon < 0.5:
         raise DomainError(f"epsilon must be in (0, 1/2), got {epsilon}")
     k = kappa_first_order(c)
-    inner = math.log(4.0 * epsilon * epsilon + 1.0)
+    # log1p: 4 eps^2 + 1 rounds to 1.0, and its log to 0, once eps <= about 1e-9
+    inner = math.log1p(4.0 * epsilon * epsilon)
     return k * n * math.log((n - 1) * (c - 1)) - k * n * math.log(inner)
 
 

@@ -4,8 +4,9 @@ Cross-validates the exact engine and reaches state spaces beyond the
 dense cap, up to N = MAX_N = 2^62 - 1.  The empirical TV at t depends on
 the T walkers only through their occupancy histogram h_t, itself a
 Markov chain: the h_t(x) walkers at x split Multinomial(h_t(x); 1/n,
-..., 1/n) among the n steps.  With at least R = _HISTOGRAM_RATIO walkers
-per state and step (N n R <= T) that chain is advanced, one
+..., 1/n) among the n steps, a repeated step once per repeat.  With at
+least R = _HISTOGRAM_RATIO walkers per state and step (N n R <= T) that
+chain is advanced, one
 rng.multinomial draw per t (at most N (n - 1) binomials), in 8 N n <=
 T/2 bytes.  Otherwise all trajectories advance together, one step per t,
 each t's histogram reduced to TV before the next step.  Within a t the
@@ -33,7 +34,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StateSpaceTooLarge
-from .recurrence import SequenceWindow
 from .walk import MAX_ROWS, _tv_excess
 
 # Largest N simulated.  Positions are the narrowest unsigned integers that
@@ -86,7 +86,7 @@ def _position_type(N: int):
 
 # typing.NamedTuple refuses a __new__, so the checks live in the subclass's
 class _SimFields(NamedTuple):
-    window: SequenceWindow
+    window: object  # a recurrence.Walk or SequenceWindow: modulus, n and steps
     t_max: int
     num_trajectories: int
     seed: int

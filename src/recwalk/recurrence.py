@@ -5,11 +5,15 @@ A sequence spec is the pair (coefficients, initial terms) of
     G_i = a_1 G_{i-1} + a_2 G_{i-2} + ... + a_d G_{i-d},   G_1 = 1,
 
 generated in exact integer arithmetic.  The window G_1..G_n doubles as
-the step set of the walk on Z_{G_n}; SequenceWindow.steps states it mod N.
+the step multiset of the walk on Z_{G_n}; SequenceWindow.steps states it
+mod N.  A Walk is any such walk, fixed by its modulus and step multiset
+alone; the scan, the eigenvalue engine and the simulator read only those
+and an optional eigenvalue bound, which a window and a Walk both carry.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import NamedTuple
@@ -85,6 +89,51 @@ class SequenceWindow(NamedTuple):
         hold G_n = 0 mod N.  Each is taken with probability 1/n."""
         return self.values[:-1] + (0,)
 
+    @property
+    def eigenvalue_bound(self) -> float | None:
+        """The paper's bound on every nontrivial |lambda_k| where s exists
+        and G_{j+1} <= s G_j for every j < n, and None otherwise."""
+        if max(self.spec.coeffs) <= 0 or not ratio_bounded(self):
+            return None
+        return eigenvalue_bound(self.n, s_value(self.spec))
+
+
+# typing.NamedTuple refuses a __new__, so the checks live in the subclass's
+class _WalkFields(NamedTuple):
+    modulus: int
+    steps: tuple[int, ...]
+    eigenvalue_bound: float | None = None
+
+
+class Walk(_WalkFields):
+    """The walk X_{t+1} = X_t + z_t mod N, z_t uniform on the step multiset
+    steps (residues 0..N-1, in any order, repeats counted), started at 0.
+
+    n = len(steps).  eigenvalue_bound, when given, is a bound on every
+    nontrivial |lambda_k| that the caller vouches for; the mixing scan
+    may take its last float step from it.  A SequenceWindow has the same
+    four attributes, so every walk-level function takes either.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, modulus, steps, eigenvalue_bound=None):
+        steps = tuple(steps)
+        if isinstance(modulus, bool) or any(isinstance(g, bool) for g in steps):
+            raise TypeError("modulus and steps must be integers, not booleans")
+        modulus = operator.index(modulus)
+        steps = tuple(map(operator.index, steps))
+        if not steps:
+            raise ValueError("a walk needs at least one step")
+        if not all(0 <= g < modulus for g in steps):
+            raise ValueError(f"steps must be residues 0..{modulus - 1}: {steps}")
+        return super().__new__(cls, modulus, steps, eigenvalue_bound)
+
+    @property
+    def n(self) -> int:
+        """Number of steps, counted with multiplicity."""
+        return len(self.steps)
+
 
 class GrowthEstimate(NamedTuple):
     """Numerical growth summary of a window.
@@ -154,6 +203,19 @@ def s_value(spec: RecurrenceSpec) -> int:
     if s <= 0:
         raise NoPositiveCoefficient(f"no positive coefficient in {spec.coeffs}")
     return s
+
+
+def eigenvalue_bound(n: int, s: int) -> float:
+    """The paper's bound 1 - (2/n)(1 - |cos(pi/(s+1))|) on every nontrivial
+    |lambda_k| of an n-term window with G_{j+1} <= s G_j for every j < n.
+
+    Some root xi_N^(k G_j), j < n, has k G_j / N mod 1 in [1/(s+1),
+    s/(s+1)]: where k/N < 1/(s+1) (k and N - k share a modulus) it is the
+    first j at which k G_j / N reaches 1/(s+1), and G_j <= s G_{j-1} keeps
+    it below s/(s+1).  That root and the hold's 1 sum to at most
+    2 cos(pi/(s+1)) in modulus, the other n - 2 roots to at most n - 2.
+    """
+    return 1.0 - (2.0 / n) * (1.0 - abs(math.cos(math.pi / (s + 1))))
 
 
 def first_unbounded_j(window: SequenceWindow) -> int | None:

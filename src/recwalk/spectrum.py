@@ -1,28 +1,32 @@
 """Eigenvalues of the walk's circulant transition matrix.
 
-For the walk on Z_N with step set {G_1..G_n}, N = G_n, the transition
+For the walk on Z_N whose steps are the multiset g_1..g_n of residues
+mod N (a SequenceWindow's G_1..G_{n-1}, 0, or any Walk), the transition
 matrix is circulant and its eigenvalues are
 
-    lambda_k = (1/n) * sum_i xi_N^(k*G_i),   xi_N = exp(2*pi*i/N),
+    lambda_k = (1/n) * sum_i xi_N^(k*g_i),   xi_N = exp(2*pi*i/N),
 
-indexed by k mod N, with lambda_0 = lambda_N = 1.  The hold G_n = 0 mod N
-adds 1.  The step law is real, so lambda_{N-k} = conj(lambda_k), and
+indexed by k mod N, with lambda_0 = lambda_N = 1.  Each hold g_i = 0
+adds exactly 1.  The step law is real, so lambda_{N-k} = conj(lambda_k), and
 lambda_0..lambda_{N//2} (half_spectrum) are the whole spectrum; only
 k = 1..N//2 are evaluated, and full_spectrum mirrors them.
 Exponents are reduced mod N in exact integer arithmetic before any
-float conversion; naive floating angles lose all precision once k*G_i
+float conversion; naive floating angles lose all precision once k*g_i
 approaches 2^53.  The index splits as k = q*B + j with 0 <= j < B, as
 the four-step FFT splits its index, so that
 
     xi_N^(k*g) = xi_N^(q*(B*g mod N)) * xi_N^(j*g mod N),
 
 and each tile of rows q is one complex matrix product (a BLAS zgemm): the
-rows' roots xi_N^(q*(B*G_i mod N)) times one table of B roots
-xi_N^(j*G_i mod N) per step, with no exp, remainder or gather per term.
+rows' roots xi_N^(q*(B*g_i mod N)) times one table of B roots
+xi_N^(j*g_i mod N) per nonzero step, with no exp, remainder or gather per
+term.
 B is 2^12 once N//2 >= 2^17, and a power of two at least sqrt(N//2 + 1)
 below that.  Each root is one exp of a signed angle in (-pi, pi]; the
-eigenvalues stay within 9.0e-16 of one exp per term in every case
-measured (c = 5, n = 6 is the worst), and the tests bound the gap by
+eigenvalues stay within 9.0e-16 of one exp of the unsigned angle per
+term on every window measured (c = 5, n = 6 is the worst), and within
+8.5e-16 of one exp of the signed angle per distinct step on step
+multisets that repeat a step up to 16 times; the tests bound the gap by
 1e-15.  BLAS orders each product's sums by its kernel, which it picks by
 CPU, so from n = 4 on the last digits can differ between CPUs and BLAS
 builds; on one host every product has one fixed shape, so lambda_k does
@@ -31,13 +35,12 @@ not depend on the block that asks for it or on the BLAS thread count.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 import numpy as np
 
 from .errors import DegenerateStateSpace, NotFirstOrder, StateSpaceTooLarge
-from .recurrence import RecurrenceSpec, SequenceWindow, generate
+from .recurrence import RecurrenceSpec, Walk, generate
 
 # Dense full-spectrum storage cap (entries). Larger N must stream.
 DEFAULT_N_MAX = 2**24
@@ -61,7 +64,7 @@ _WIDE_FROM = 1 << 17
 
 # Rows q of each engine product, a tile, which starts at q = 0 mod
 # _TILE_ROWS: 2^16 entries at B = _ROW_MAX.  Each tile is a constant
-# number of numpy calls, however many steps the window has.
+# number of numpy calls, however many steps the walk has.
 _TILE_ROWS = 16
 
 
@@ -81,21 +84,22 @@ def require_dense(N: int) -> None:
         raise StateSpaceTooLarge(f"N = {N} exceeds the dense cap {DEFAULT_N_MAX}")
 
 
-# The most steps require_tables can admit.  Every window has G_n >= n and
-# row_width never falls as N grows, so n steps need at least
-# (n - 1) * row_width(n) table entries: 65,536 tables of 256 fill
-# DEFAULT_N_MAX exactly, and every n past this is refused whatever N is.
+# The most window terms require_tables can admit.  Every window has
+# G_n >= n and row_width never falls as N grows, so its n - 1 nonzero steps
+# need at least (n - 1) * row_width(n) table entries: 65,536 tables of 256
+# fill DEFAULT_N_MAX exactly, and every n past this is refused whatever N is.
 TABLES_N_MAX = 65_537
 
 
-def require_tables(n: int, N: int) -> None:
-    """Refuse an engine run whose n - 1 root tables of row_width(N) entries
-    would hold more than DEFAULT_N_MAX entries in all, the dense cap's own
-    count: they are built before the first block and grow with n, not N."""
-    entries = (n - 1) * row_width(N)
+def require_tables(tables: int, N: int) -> None:
+    """Refuse an engine run whose root tables, one of row_width(N) entries
+    per nonzero step, would hold more than DEFAULT_N_MAX entries in all,
+    the dense cap's own count: they are built before the first block and
+    grow with the steps, not N."""
+    entries = tables * row_width(N)
     if entries > DEFAULT_N_MAX:
         raise StateSpaceTooLarge(
-            f"n = {n}: the engine's {n - 1} root tables of {row_width(N)} "
+            f"{tables} nonzero steps: the engine's root tables of {row_width(N)} "
             f"entries would hold {entries}, past the dense cap {DEFAULT_N_MAX}"
         )
 
@@ -139,20 +143,21 @@ def iter_k_rows(N: int, B: int) -> Iterator[tuple[np.ndarray, slice]]:
 
 
 def iter_eigenvalue_chunks(
-    window: SequenceWindow, out: np.ndarray | None = None
+    walk: Walk, out: np.ndarray | None = None
 ) -> Iterator[np.ndarray]:
     """Yield lambda_1..lambda_{N//2} in k order, max(1, _CHUNK // B) rows a block.
 
     The step law is real, so lambda_{N-k} = conj(lambda_k) and these
     determine every nontrivial eigenvalue; k = N/2 (N even) is its own
     mirror and is computed directly.  k = q*B + j with 0 <= j < B and
-    B = row_width(N) splits the root of a step g in G_1..G_{n-1} as
+    B = row_width(N) splits the root of a nonzero step g as
 
         xi_N^(k*g) = xi_N^(q*(B*g mod N)) * xi_N^(j*g mod N),
 
     so rows q of lambda are one matrix product, row roots R[q, i] =
-    xi_N^(q*(B*G_i mod N)) times the (n - 1) x B tables T[i, j] =
-    xi_N^(j*G_i mod N), and the hold adds exactly 1 last.  Every product
+    xi_N^(q*(B*g_i mod N)) times the m x B tables T[i, j] =
+    xi_N^(j*g_i mod N) of the m nonzero steps g_i, in the walk's order,
+    and each of the n - m holds adds exactly 1 after it.  Every product
     has one shape, a tile of _TILE_ROWS rows starting at q = 0 mod
     _TILE_ROWS, the last tile padded, so BLAS sums lambda_k the same way
     whatever block asks for it; a block that covers a tile only in part
@@ -160,7 +165,7 @@ def iter_eigenvalue_chunks(
     block at a time, the scratch tile, the tables and one array of a
     tile's row roots, filled a bounded number of steps a call, so it
     works beyond the dense cap; half_spectrum and the streaming SLEM are
-    both built on this.  The tables hold (n - 1) B entries, and
+    both built on this.  The tables hold m B entries, and
     require_tables refuses more than DEFAULT_N_MAX before they are built.
 
     out, when given, is a complex array of N//2 + B entries indexed by k:
@@ -169,19 +174,20 @@ def iter_eigenvalue_chunks(
     is a view of out.  Row 0 also writes k = 0, and the last row k past
     N//2; those entries are left as the engine computes them.
     """
-    N = window.modulus
+    N = walk.modulus
     B = row_width(N)
     blocks = iter_k_rows(N, B)  # the int64 guard on N: products stay below N^2
-    require_tables(window.n, N)
-    # N > 1 means n > 1, so G_1 = 1 gives at least one table
-    gs = np.array(window.steps[:-1], dtype=np.int64)
+    # with no nonzero step the tables are empty and every product is 0
+    gs = np.array([g for g in walk.steps if g], dtype=np.int64)
+    require_tables(len(gs), N)
+    holds = walk.n - len(gs)
     js = np.arange(B, dtype=np.int64)
     tables = np.empty((len(gs), B), dtype=np.complex128)
     per_call = max(1, _CHUNK // B)  # steps: a block's temporaries, not the tables'
     for i in range(0, len(gs), per_call):
         tables[i : i + per_call] = _roots(N, gs[i : i + per_call, None] * js % N)
     bgs = B * gs % N
-    scale = 1.0 / window.n  # numpy's acc /= n scales by 1/n too, 3x slower
+    scale = 1.0 / walk.n  # numpy's acc /= n scales by 1/n too, 3x slower
     R = _TILE_ROWS
     tile = np.empty((R, B), dtype=np.complex128)
     row_roots = np.empty((R, len(gs)), dtype=np.complex128)
@@ -202,36 +208,36 @@ def iter_eigenvalue_chunks(
             np.matmul(row_roots, tables, out=dst)
             if dst is tile:
                 part[...] = tile[lo - t : hi - t]
-        acc += 1.0
+        acc += holds
         acc *= scale
         yield acc.ravel()[keep]
 
 
-def half_spectrum(window: SequenceWindow) -> np.ndarray:
-    """lambda_0..lambda_{N//2} for N = G_n <= DEFAULT_N_MAX (StateSpaceTooLarge
+def half_spectrum(walk: Walk) -> np.ndarray:
+    """lambda_0..lambda_{N//2} for N <= DEFAULT_N_MAX (StateSpaceTooLarge
     past it): index k holds lambda_k, and lambda_0 = 1 exactly.
 
     With lambda_{N-k} = conj(lambda_k) these are the whole spectrum.  The
     engine writes each block straight into its slots of one buffer of
     N//2 + row_width(N) entries, and the result is a view of it.
     """
-    N = window.modulus
+    N = walk.modulus
     require_dense(N)
     half = N // 2
     by_k = np.empty(half + row_width(N), dtype=np.complex128)
-    for _ in iter_eigenvalue_chunks(window, out=by_k):
+    for _ in iter_eigenvalue_chunks(walk, out=by_k):
         pass
     by_k[0] = 1.0
     return by_k[: half + 1]
 
 
-def full_spectrum(window: SequenceWindow) -> np.ndarray:
-    """lambda_1..lambda_N for N = G_n <= DEFAULT_N_MAX, as half_spectrum
+def full_spectrum(walk: Walk) -> np.ndarray:
+    """lambda_1..lambda_N for N <= DEFAULT_N_MAX, as half_spectrum
     refuses past it: index k-1 holds lambda_k.  The upper half holds the
     exact conjugates lambda_{N-k} = conj(lambda_k) of half_spectrum, and
     lambda_N = 1."""
-    lam = half_spectrum(window)
-    N, half = window.modulus, window.modulus // 2
+    lam = half_spectrum(walk)
+    N, half = walk.modulus, walk.modulus // 2
     eig = np.empty(N, dtype=np.complex128)
     eig[:half] = lam[1:]
     np.conj(lam[N - half - 1 : 0 : -1], out=eig[half:-1])  # k = N//2+1..N-1
@@ -239,24 +245,11 @@ def full_spectrum(window: SequenceWindow) -> np.ndarray:
     return eig
 
 
-def eigenvalue_bound(n: int, s: int) -> float:
-    """The paper's bound 1 - (2/n)(1 - |cos(pi/(s+1))|) on every nontrivial
-    |lambda_k| of an n-term window with G_{j+1} <= s G_j for every j < n.
-
-    Some root xi_N^(k G_j), j < n, has k G_j / N mod 1 in [1/(s+1),
-    s/(s+1)]: where k/N < 1/(s+1) (k and N - k share a modulus) it is the
-    first j at which k G_j / N reaches 1/(s+1), and G_j <= s G_{j-1} keeps
-    it below s/(s+1).  That root and the hold's 1 sum to at most
-    2 cos(pi/(s+1)) in modulus, the other n - 2 roots to at most n - 2.
-    """
-    return 1.0 - (2.0 / n) * (1.0 - abs(math.cos(math.pi / (s + 1))))
-
-
-def slem_streaming(window: SequenceWindow) -> float:
+def slem_streaming(walk: Walk) -> float:
     """SLEM in one pass over k <= N/2 without storing the spectrum (any N)."""
-    if window.modulus < 2:
+    if walk.modulus < 2:
         raise DegenerateStateSpace("N = 1 has no nontrivial eigenvalue")
-    return max(float(np.max(np.abs(block))) for block in iter_eigenvalue_chunks(window))
+    return max(float(np.max(np.abs(block))) for block in iter_eigenvalue_chunks(walk))
 
 
 def unnormalized_values(c: int, n: int) -> np.ndarray:

@@ -17,10 +17,9 @@ import numpy as np
 
 from .errors import SUITE_NAMES, DomainError, UnknownSuite, WorkTooLarge
 from .recurrence import PRESETS, RecurrenceSpec, SequenceWindow, first_terms
-from .recurrence import first_unbounded_j, s_value
+from .recurrence import eigenvalue_bound, first_unbounded_j, s_value
 from .spectrum import (
     _INT64_SAFE_N,
-    eigenvalue_bound,
     half_spectrum,
     iter_k_rows,
     require_dense,

@@ -1,9 +1,11 @@
 """Exact distribution evolution, TV distance, and mixing times.
 
-The walk is X_{t+1} = X_t + z_t mod N with z_t uniform on the n
-distinct steps window.steps = (G_1, ..., G_{n-1}, 0), started from the
-point mass at 0.  Laws are dense float64 arrays over Z_N: entry x is
-the mass at x, and N is the array's length.  The mixing scan works on
+The walk is X_{t+1} = X_t + z_t mod N with z_t uniform on the step
+multiset walk.steps of n residues mod N, repeats counted, started from
+the point mass at 0.  Every function here takes a recurrence.Walk or a
+SequenceWindow (whose steps are G_1, ..., G_{n-1}, 0) and reads only its
+modulus, n, steps and eigenvalue_bound.  Laws are dense float64 arrays
+over Z_N: entry x is the mass at x, and N is the array's length.  The mixing scan works on
 path counts instead: P^t(x) = c_x / n^t, where the integer c_x counts
 the step sequences of length t that end at x.  It holds them in uint32
 while n times the largest fits, then in int64 while n^t does, and then
@@ -19,9 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InsideErrorBand, ScanTooLong
-from .recurrence import SequenceWindow, ratio_bounded, s_value
-from .spectrum import eigenvalue_bound, half_spectrum, require_dense
-from .spectrum import slem_streaming
+from .spectrum import half_spectrum, require_dense, slem_streaming
 
 # Path counts, and sums of up to two totals of them, stay exact in int64
 # (those sums taken mod 2^64) while the total n^t is below this.
@@ -79,14 +79,12 @@ def point_mass(N: int) -> np.ndarray:
     return p
 
 
-def step_distribution(window: SequenceWindow) -> np.ndarray:
-    """Step law: p[x] = 1/n for each x in window.steps, 0 elsewhere, for
-    N = G_n <= DEFAULT_N_MAX."""
-    N = window.modulus
+def step_distribution(walk) -> np.ndarray:
+    """Step law: p[x] = (times x occurs in walk.steps) / n, for
+    N <= DEFAULT_N_MAX."""
+    N = walk.modulus
     require_dense(N)
-    p = np.zeros(N)
-    p[list(window.steps)] = 1.0 / window.n
-    return p
+    return np.bincount(walk.steps, minlength=N) / walk.n
 
 
 # Output entries per tile of the shift-and-add of 8-byte counts: every
@@ -106,35 +104,40 @@ _TILE = 1 << 16
 _GAP = 512
 
 
+def _add_to(dst: np.ndarray, part: np.ndarray) -> None:
+    dst += part
+
+
 def _convolve_tiles(src: np.ndarray, out: np.ndarray, shifts):
     """Fill out with the sum over the steps x of src shifted by x, a tile
     at a time, and yield each tile as soon as it is complete, while it is
     still in cache.
 
-    out[j] takes src[(j - x) mod N] for each step x.  The hold, step 0,
-    becomes the tile's copy of src; then each other step, in shifts in
-    increasing order, adds once, split at j = x where it falls inside the
-    tile, since the source index wraps there.  A tile is 512 KiB:
-    _TILE * 8 // src.itemsize entries.
+    out[j] takes src[(j - x) mod N] for each step x in shifts, sorted, a
+    repeated step once per repeat.  The first step is the tile's copy of
+    src shifted by it, and each other step adds once; either is split at
+    j = x where it falls inside the tile, since the source index wraps
+    there.  A tile is 512 KiB: _TILE * 8 // src.itemsize entries.
     """
     N = len(src)
     width = _TILE * 8 // src.itemsize
     for lo in range(0, N, width):
         hi = min(lo + width, N)
         tile = out[lo:hi]
-        np.copyto(tile, src[lo:hi])
+        put = np.copyto
         for x in shifts:
             if x <= lo:
-                tile += src[lo - x : hi - x]
+                put(tile, src[lo - x : hi - x])
             elif x >= hi:
-                tile += src[lo - x + N : hi - x + N]
+                put(tile, src[lo - x + N : hi - x + N])
             else:
-                out[lo:x] += src[lo - x + N : N]
-                out[x:hi] += src[: hi - x]
+                put(out[lo:x], src[lo - x + N : N])
+                put(out[x:hi], src[: hi - x])
+            put = _add_to
         yield tile
 
 
-def evolve(window: SequenceWindow, t: int) -> np.ndarray:
+def evolve(walk, t: int) -> np.ndarray:
     """Law of X_t: the step law convolved t times with the point mass at 0.
 
     Powers half_spectrum's lambda_0..lambda_{N//2} and inverts with one
@@ -142,13 +145,13 @@ def evolve(window: SequenceWindow, t: int) -> np.ndarray:
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    N = window.modulus
+    N = walk.modulus
     if t == 0:
         return point_mass(N)
     # lam[m] = lambda_m for m <= N//2 and lambda_{N-m} = conj(lambda_m), so
     # irfft of conj(lam)^t is (1/N) sum_m lambda_m^t xi_N^(-m x) = P(X_t = x).
     # Clamping the moduli at 1 keeps rounding from growing |lambda^t| with t.
-    lam = half_spectrum(window)
+    lam = half_spectrum(walk)
     lam /= np.maximum(np.abs(lam), 1.0)
     return np.fft.irfft(np.conj(lam) ** t, N)
 
@@ -215,35 +218,33 @@ def _ubl_last_step(N: int, slem: float, eps: Fraction) -> int:
     return max(math.ceil(t), 0) + 1
 
 
-def _bound_last_step(window: SequenceWindow, eps: Fraction) -> int | None:
-    """_ubl_last_step at the paper's eigenvalue_bound, which is at least the
+def _bound_last_step(walk, eps: Fraction) -> int | None:
+    """_ubl_last_step at walk.eigenvalue_bound, which is at least the
     engine's SLEM, so this t is never below the engine's; None where the
-    bound does not hold (no s, or some G_{j+1} > s G_j) or is 1 within
-    _SLEM_ERROR."""
-    if max(window.spec.coeffs) <= 0 or not ratio_bounded(window):
+    walk carries no bound (for a window: no s, or some G_{j+1} > s G_j)
+    or the bound is 1 within _SLEM_ERROR."""
+    bound = walk.eigenvalue_bound
+    if bound is None or bound + _SLEM_ERROR >= 1.0:
         return None
-    bound = eigenvalue_bound(window.n, s_value(window.spec))
-    if bound + _SLEM_ERROR >= 1.0:
-        return None
-    return _ubl_last_step(window.modulus, bound, eps)
+    return _ubl_last_step(walk.modulus, bound, eps)
 
 
-def scan_lower_bound(window: SequenceWindow, epsilon: Fraction) -> int:
+def scan_lower_bound(walk, epsilon: Fraction) -> int:
     """t_low = ceil(log(1/(2 eps)) / log(1/|lambda_1|)) <= t_mix(eps).
 
     One character bounds the TV from below (Diaconis, Group
     Representations in Probability and Statistics, 1988, Ch. 3): since
     |chi| = 1, 2 TV(t) >= |sum_x (P^t(x) - 1/N) chi(x)| = |lambda_1|^t,
-    with lambda_1 = (1/n) sum_i xi_N^(G_i).  So TV(t) > eps for every
-    t < t_low.  |lambda_1| is rounded down by _LAMBDA1_ERROR first.  For
-    the steps {1, 0}, |lambda_1| = cos(pi/N) is the SLEM, so the bound
-    is tight on the slowest walks.
+    with lambda_1 = (1/n) sum_i xi_N^(g_i) over the steps g_i.  So
+    TV(t) > eps for every t < t_low.  |lambda_1| is rounded down by
+    _LAMBDA1_ERROR first.  For the steps {1, 0}, |lambda_1| = cos(pi/N)
+    is the SLEM, so the bound is tight on the slowest walks.
     """
-    N, n = window.modulus, window.n
+    N, n = walk.modulus, walk.n
     p, q = epsilon.numerator, epsilon.denominator
     if N == 1 or 2 * p >= q:
         return 0  # at N = 1, lambda_1 is the trivial eigenvalue 1
-    angles = [math.tau * (g / N) for g in window.steps]
+    angles = [math.tau * (g / N) for g in walk.steps]
     re = math.fsum(map(math.cos, angles)) / n
     im = math.fsum(map(math.sin, angles)) / n
     lam = math.hypot(re, im) - _LAMBDA1_ERROR
@@ -257,16 +258,16 @@ def scan_lower_bound(window: SequenceWindow, epsilon: Fraction) -> int:
     return math.ceil(log_inv_2eps / -math.log(lam))
 
 
-def mixing_time(window: SequenceWindow, epsilon: Fraction | float) -> MixingResult:
+def mixing_time(walk, epsilon: Fraction | float) -> MixingResult:
     """Smallest t with TV(P^t, uniform) <= epsilon, by forward scan from 0,
-    for N = G_n <= DEFAULT_N_MAX (StateSpaceTooLarge past it).
+    for N <= DEFAULT_N_MAX (StateSpaceTooLarge past it).
 
     epsilon is taken exactly, as a Fraction (a float by its binary
     value).  A curve holds at most MAX_ROWS rows, t = 0..MAX_ROWS - 1:
     ScanTooLong is raised before any step when scan_lower_bound puts
-    t_mix at MAX_ROWS or later, and at t = MAX_ROWS - 1 if the scan is
-    still undecided there.  The scan advances the path counts c_x, whose
-    total is M = n^t, in three phases:
+    t_mix at MAX_ROWS or later, or when a single step never mixes, and at
+    t = MAX_ROWS - 1 if the scan is still undecided there.  The scan
+    advances the path counts c_x, whose total is M = n^t, in three phases:
 
     - Sparse start.  After t steps at most C(n+t-1, t) residues are
       occupied, so while s occupied residues give s * n <= N/4 candidates
@@ -293,10 +294,11 @@ def mixing_time(window: SequenceWindow, epsilon: Fraction | float) -> MixingResu
       delta around the float TV, and raises InsideErrorBand when epsilon
       is inside it.
       The last t it may need comes from a bound on the SLEM:
-      4 TV(t)^2 <= (N - 1) slem^(2t).  That t is taken from the paper's
-      eigenvalue_bound where G_{j+1} <= s G_j for every j, and from the
-      engine's SLEM (slem_streaming) only where the bound does not hold
-      or leaves epsilon inside the band at its t; the bound is at least
+      4 TV(t)^2 <= (N - 1) slem^(2t).  That t is taken from
+      walk.eigenvalue_bound (for a window, the paper's bound where
+      G_{j+1} <= s G_j for every j), and from the engine's SLEM
+      (slem_streaming) only where the walk carries no bound or it leaves
+      epsilon inside the band at its t; the bound is at least
       the SLEM, so its t is never the smaller.  When epsilon is below the
       band at the engine's t, or the SLEM is 1 within the engine's error,
       InsideErrorBand is raised before any float step, so a slow walk at
@@ -329,9 +331,14 @@ def mixing_time(window: SequenceWindow, epsilon: Fraction | float) -> MixingResu
     if not 0 < eps < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     p, q = eps.numerator, eps.denominator
-    N, n = window.modulus, window.n
+    N, n = walk.modulus, walk.n
     require_dense(N)
-    t_low = scan_lower_bound(window, eps)
+    if n == 1 and q * (N - 1) > p * N:  # M = n^t would never leave int64
+        raise ScanTooLong(
+            f"a single step moves the point mass whole, so TV(t) = 1 - 1/{N} "
+            f"> epsilon = {eps} for every t"
+        )
+    t_low = scan_lower_bound(walk, eps)
     if t_low >= MAX_ROWS:
         raise ScanTooLong(
             f"t_mix({eps}) >= {t_low}, by TV(t) >= |lambda_1|^t / 2, but a "
@@ -349,7 +356,7 @@ def mixing_time(window: SequenceWindow, epsilon: Fraction | float) -> MixingResu
     def result(t: int) -> MixingResult:
         return MixingResult(n=n, N=N, t_mix=t, tv_curve=tuple(curve))
 
-    steps = np.array(window.steps, dtype=np.int64)
+    steps = np.array(walk.steps, dtype=np.int64)
     pos = np.zeros(1, dtype=np.int64)
     cnt = np.ones(1, dtype=np.int64)
     t, M = 0, 1
@@ -370,7 +377,7 @@ def mixing_time(window: SequenceWindow, epsilon: Fraction | float) -> MixingResu
     cur, spare = (a.view(dtype)[:N] for a in wide)
     cur[pos] = cnt
     del pos, cnt, over, steps
-    shifts = sorted(window.steps)[1:]  # the hold, step 0, is each tile's copy
+    shifts = sorted(walk.steps)
     # one 512 KiB tile of scratch; its first bytes double as the tile's mask
     # once the tile's sum has been taken
     scratch = np.empty(min(N, _TILE), dtype=np.int64)
@@ -398,9 +405,9 @@ def mixing_time(window: SequenceWindow, epsilon: Fraction | float) -> MixingResu
             return result(t)
 
     t0 = t
-    t_last = _bound_last_step(window, eps)
+    t_last = _bound_last_step(walk, eps)
     if t_last is None or eps <= _band(n, max(t_last - t0, 0)):
-        t_last = _ubl_last_step(N, slem_streaming(window), eps)
+        t_last = _ubl_last_step(N, slem_streaming(walk), eps)
     floor = _band(n, max(t_last - t0, 0))
     if eps <= floor:
         raise InsideErrorBand(

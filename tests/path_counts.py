@@ -5,8 +5,9 @@ integer, and the counts total n^t, so
 
     TV(t) = sum_x |N c_x - n^t| / (2 N n^t)
 
-exactly.  Counts are shifted with np.roll by each G_i mod N and summed,
-in int64 while n^(t+1) < 2^63 and as Python integers in an object array
+exactly.  Counts are shifted with np.roll by each step of the walk's
+multiset (a repeated step once per repeat; a window's steps are its G_i
+mod N) and summed, in int64 while n^(t+1) < 2^63 and as Python integers in an object array
 from there on, so no range limit applies.
 """
 
@@ -29,7 +30,7 @@ def iter_counts(window) -> Iterator[np.ndarray]:
         yield counts
         if n ** (t + 1) >= 2**63:
             counts = counts.astype(object)
-        counts = sum(np.roll(counts, g % N) for g in window.values)
+        counts = sum(np.roll(counts, g) for g in window.steps)
 
 
 def iter_tv(window) -> Iterator[Fraction]:

@@ -127,6 +127,14 @@ def test_upper_first_order_anchors():
         upper_first_order(2, 5, 0.5)
 
 
+def test_upper_first_order_at_small_epsilon():
+    # 4 eps^2 + 1 rounds to 1 at eps = 1e-9, where log(1.0) = 0 had no log;
+    # log1p(4 eps^2) is 4 eps^2 to double precision there
+    k = kappa_first_order(2)
+    want = 5 * k * (math.log(4) - math.log(4e-18))
+    assert upper_first_order(2, 5, 1e-9) == pytest.approx(want, rel=1e-12)
+
+
 def test_gamma_first_order_values():
     assert gamma_first_order(4) == pytest.approx(1.0)
     assert gamma_first_order(3) == pytest.approx(2 / 3)

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 import tracemalloc
 from pathlib import Path
@@ -238,6 +239,19 @@ def test_bounds_json_report(capsys):
     assert report["c"] == 2
     assert report["ubl_implied_t"] == 3
     assert doc["manifest"]["parameters"]["n"] == 5
+
+
+def test_bounds_at_tiny_epsilon_reports_first_order_upper(capsys):
+    # log(4 eps^2 + 1) rounded to 0 here, and the command exited 2 with
+    # "math domain error"
+    code, out, _ = run_cli(
+        capsys, "bounds", "--seq", "pow2", "--n", "5", "--epsilon", "1/1000000000",
+        "--format", "json",
+    )
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert math.isfinite(report["upper_first_order"])
+    assert report["exact_t_mix"] <= report["upper_first_order"]
 
 
 def test_bounds_csv_two_rows(capsys):

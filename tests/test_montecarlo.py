@@ -15,6 +15,7 @@ from recwalk import (
     RecurrenceSpec,
     SimConfig,
     StateSpaceTooLarge,
+    Walk,
     generate,
     simulate_tv,
 )
@@ -71,6 +72,21 @@ def test_empirical_tracks_exact_distribution():
     exact = path_counts.tv_curve(window, 4)
     for t, emp in curve:
         assert emp == pytest.approx(float(exact[t]), abs=5e-3), t
+
+
+@pytest.mark.parametrize("walkers", [False, True])
+def test_repeated_step_walk_tracks_exact_curve(monkeypatch, walkers):
+    # steps 1 twice, 3 and two holds on Z_9: 10^6 trajectories stay within
+    # 5e-3 of the exact curve at every t <= 20, as the acceptance test asks
+    # of pow3 n = 3, by the histogram chain and by moving every walker
+    if walkers:
+        monkeypatch.setattr(montecarlo, "_HISTOGRAM_RATIO", 10**9)
+    walk = Walk(9, (1, 0, 3, 1, 0))
+    config = SimConfig(window=walk, t_max=20, num_trajectories=10**6, seed=0)
+    assert montecarlo._advances_histogram(9, walk.n, 10**6) is not walkers
+    curve = simulate_tv(config)
+    exact = path_counts.tv_curve(walk, 20)
+    assert max(abs(emp - float(exact[t])) for t, emp in curve) <= 5e-3
 
 
 def test_big_state_space_fallback():

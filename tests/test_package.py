@@ -1,5 +1,6 @@
 """The package's public names and what a command loads at start-up."""
 
+import ast
 import importlib
 import json
 import os
@@ -73,3 +74,33 @@ def test_unknown_name_is_attribute_error_and_submodules_still_import():
     from recwalk import verify
     assert verify is sys.modules["recwalk.verify"]
     assert verify.SUITE_NAMES is recwalk.SUITE_NAMES
+
+
+
+def _imported_modules(tree):
+    """Every module an import in tree names, a relative one within recwalk."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["recwalk" * (node.level > 0), node.module]))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_walk_level_code_reads_no_recurrence():
+    # the scan, the engine and the simulator take any Walk: walk.py and
+    # montecarlo.py import nothing from recwalk.recurrence, and no function
+    # of theirs or of spectrum.py reads a window's .spec or .values
+    src = Path(recwalk.__file__).parent
+    trees = {name: ast.parse((src / f"{name}.py").read_text())
+             for name in ("walk", "montecarlo", "spectrum")}
+    for name in ("walk", "montecarlo"):
+        assert "recwalk.recurrence" not in set(_imported_modules(trees[name])), name
+    for name, tree in trees.items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute):
+                    assert node.attr not in ("spec", "values"), (name, node.lineno)

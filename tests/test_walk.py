@@ -1,3 +1,4 @@
+import math
 import re
 import time
 import tracemalloc
@@ -7,7 +8,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from recwalk import (
     InsideErrorBand,
@@ -20,6 +21,7 @@ from recwalk import (
     evolve,
     full_spectrum,
     generate,
+    half_spectrum,
     mixing_time,
     point_mass,
     ratio_bounded,
@@ -28,12 +30,13 @@ from recwalk import (
     slem_streaming,
     step_distribution,
     tv_to_uniform,
+    Walk,
 )
 
 from recwalk import walk
 
 import path_counts
-from expected_values import EXACT_TMIX
+from expected_values import EXACT_TMIX, REFERENCE_TABLE
 from test_spectrum import per_term_exp_eigenvalues
 
 
@@ -77,10 +80,10 @@ def _assert_curve_matches_oracle(window, epsilon):
         t0 += 1
     for (t, tv), want in zip(res.tv_curve, exact):
         if n**t < walk._INT64_PATHS:
-            assert tv == float(want), (window.values, t)
+            assert tv == float(want), (window.steps, t)
         else:
             band = walk._band(n, t - t0)
-            assert abs(Fraction(tv) - want) <= band, (window.values, t)
+            assert abs(Fraction(tv) - want) <= band, (window.steps, t)
     eps = Fraction(epsilon)
     assert exact[-1] <= eps and all(tv > eps for tv in exact[:-1])  # the oracle's t_mix
     return res
@@ -160,6 +163,34 @@ def test_mixing_times_match_exact_oracle():
         for n in range(1, 10):
             res = mixing_time(generate(PRESETS[name], n), 0.25)
             assert res.t_mix == expected[n - 1], (name, n)
+
+
+def test_reference_table_mismatches_carry_exact_certificates():
+    # test_acceptance_table_reproduction stays red: 15 of its 27 reference
+    # cells are not this walk's t_mix(1/4), and the integer oracle
+    # certifies each.  In 14 the exact TV at the reference t is above 1/4,
+    # so t_mix is larger; at pow2 n = 3, TV(1) = 1/4 exactly, so t_mix is
+    # 1, not the reference's 2.
+    quarter = Fraction(1, 4)
+    above, below, matched = {}, {}, 0
+    for name, row in REFERENCE_TABLE.items():
+        for n, ref in enumerate(row, start=1):
+            window = generate(PRESETS[name], n)
+            t_mix = path_counts.t_mix(window, quarter)
+            assert t_mix == EXACT_TMIX[name][n - 1], (name, n)
+            curve = path_counts.tv_curve(window, max(ref, t_mix))
+            if ref < t_mix:
+                above[name, n] = curve[ref]
+            elif ref > t_mix:
+                below[name, n] = (t_mix, curve[t_mix])
+            else:
+                matched += 1
+    assert (matched, len(above), len(below)) == (12, 14, 1)
+    assert all(tv > quarter for tv in above.values())
+    assert above["pow2", 7] == Fraction(11, 32)
+    assert above["pow3", 9] == Fraction(626, 729)
+    assert above["fib-odd", 9] == Fraction(14228225, 16953624)
+    assert below == {("pow2", 3): (1, quarter)}
 
 
 def test_mixing_result_threshold_bracketing():
@@ -408,6 +439,149 @@ def test_step_set_and_evolution_match_roll_oracle_property(window):
     assert np.array_equal(step_distribution(window), _counting_step_law(window))
     _assert_curve_matches_oracle(window, 0.25)
     assert float(np.max(np.abs(evolve(window, 24) - _roll_evolve(window, 24)))) <= 1e-9
+
+
+@st.composite
+def small_walks(draw):
+    """Walks on Z_N, N <= 2^12: 1..16 nonzero steps drawn with repeats from
+    a pool of at most four residues, and 1..3 holds, in any order."""
+    N = draw(st.integers(2, 2**12))
+    pool = draw(st.lists(st.integers(1, N - 1), min_size=1, max_size=4))
+    moves = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16))
+    holds = [0] * draw(st.integers(1, 3))
+    return Walk(N, draw(st.permutations(moves + holds)))
+
+
+def test_walk_checks_its_steps():
+    walk_ = Walk(6, [5, 0, 5, 2, 0])
+    assert walk_ == (6, (5, 0, 5, 2, 0), None) and walk_.n == 5
+    assert Walk(6, (1, 0), eigenvalue_bound=0.5).eigenvalue_bound == 0.5
+    for steps in ((), (6,), (-1, 0)):
+        with pytest.raises(ValueError):
+            Walk(6, steps)
+    with pytest.raises(TypeError):
+        Walk(6, (True, 0))
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_window_and_its_walk_agree(name):
+    # the walk-level functions read modulus, n, steps and eigenvalue_bound,
+    # so a window and the Walk of those four give the same bytes
+    for n in range(1, 9):
+        window = generate(PRESETS[name], n)
+        walk_ = Walk(window.modulus, window.steps, window.eigenvalue_bound)
+        assert mixing_time(walk_, 0.01) == mixing_time(window, 0.01)
+        assert half_spectrum(walk_).tobytes() == half_spectrum(window).tobytes()
+        assert step_distribution(walk_).tobytes() == step_distribution(window).tobytes()
+
+
+def test_scan_takes_its_last_step_from_the_walks_bound():
+    window = generate(PRESETS["pow2"], 9)
+    eps, bound = Fraction(1, 1000), eigenvalue_bound(9, 2)
+    assert window.eigenvalue_bound == bound
+    assert walk._bound_last_step(window, eps) == walk._ubl_last_step(256, bound, eps)
+    assert walk._bound_last_step(Walk(256, window.steps), eps) is None
+    carried = Walk(256, window.steps, eigenvalue_bound=0.9)
+    assert walk._bound_last_step(carried, eps) == walk._ubl_last_step(256, 0.9, eps)
+    # no positive coefficient, so no s; and G_2 = 7 > s G_1 = 3
+    assert generate(RecurrenceSpec((0, 0, 0), (1, 19, 1)), 2).eigenvalue_bound is None
+    assert generate(RecurrenceSpec((3, 0), (1, 7)), 2).eigenvalue_bound is None
+
+
+def test_step_distribution_of_a_multiset():
+    assert step_distribution(Walk(5, (1, 0, 1))) == pytest.approx([1 / 3, 2 / 3, 0, 0, 0])
+
+
+def test_walks_without_a_hold_or_with_only_holds():
+    # with no hold the scan's first shift is a nonzero step; with only
+    # holds the engine has no table and every lambda_k is 1
+    for walk_ in (Walk(9, (1, 2)), Walk(11, (3, 7, 3)), Walk(64, (5, 1, 2, 1))):
+        got = half_spectrum(walk_)
+        want = per_term_exp_eigenvalues(walk_, np.arange(walk_.modulus // 2 + 1))
+        assert float(np.max(np.abs(got - want))) <= 1e-15
+        _assert_curve_matches_oracle(walk_, Fraction(1, 4))
+    assert np.array_equal(half_spectrum(Walk(6, (0, 0))), np.ones(4))
+    assert slem_streaming(Walk(6, (0, 0, 0))) == 1.0
+
+
+def test_single_step_walk_never_mixes():
+    # one step moves the point mass whole: TV(t) = 1 - 1/N for every t
+    assert mixing_time(Walk(5, (1,)), Fraction(4, 5)).t_mix == 0
+    with pytest.raises(ScanTooLong, match="every t"):
+        mixing_time(Walk(5, (1,)), Fraction(3, 5))
+
+
+@pytest.mark.parametrize(
+    "walk_, t_mix",
+    [
+        (Walk(27, (1, 3, 9, 0, 0)), 5),  # pow3 n = 5 on Z_27
+        (Walk(18, (1, 17, 0, 1, 0)), 28),  # G = 1, 17, 18, 19, 36 on Z_18
+        (Walk(64, (1, 1, 5, 0, 0, 0)), 62),
+    ],
+)
+def test_repeated_step_walks_match_integer_oracle(walk_, t_mix):
+    # the last two leave int64 (5^28, 6^25 >= 2^63) before they mix
+    assert _assert_curve_matches_oracle(walk_, Fraction(1, 4)).t_mix == t_mix
+    lam = half_spectrum(walk_)
+    want = per_term_exp_eigenvalues(walk_, np.arange(walk_.modulus // 2 + 1))
+    assert float(np.max(np.abs(lam - want))) <= 1e-15
+
+
+@PROPERTY_SETTINGS
+@given(walk_=small_walks())
+def test_mixing_time_on_step_multisets_matches_integer_oracle_property(walk_):
+    # Steps that share a factor with N, or that all differ by one, never mix:
+    # the SLEM is 1, and the scan refuses them.  Otherwise 2 TV(t) >=
+    # slem^t, one character at a time, puts t_mix at t_slow or later; the
+    # oracle's work is about n N t additions, and walks past 2^22 are
+    # skipped before the scan, which would take seconds for them.
+    eps = Fraction(1, 4)
+    n, N = walk_.n, walk_.modulus
+    slem = slem_streaming(walk_)
+    if slem + walk._SLEM_ERROR >= 1.0:
+        with pytest.raises((ScanTooLong, InsideErrorBand)):
+            mixing_time(walk_, eps)
+        return
+    t_slow = math.log(2 * eps) / math.log(slem)
+    if n * N * t_slow <= 2**22:
+        res = _assert_curve_matches_oracle(walk_, eps)
+        assert res.t_mix >= t_slow - 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(walk_=small_walks())
+def test_half_spectrum_of_step_multisets_matches_per_term_exps_property(walk_):
+    got = half_spectrum(walk_)
+    want = per_term_exp_eigenvalues(walk_, np.arange(walk_.modulus // 2 + 1))
+    assert float(np.max(np.abs(got - want))) <= 1e-15
+
+
+@PROPERTY_SETTINGS
+@given(window=small_windows())
+# G = 1, 17, 18, 19, 36: its image (1, 17, 0, 1, 0) on Z_18 leaves int64
+@example(window=generate(RecurrenceSpec((1, 0, 1), (1, 17, 18)), 5))
+def test_quotient_walks_mix_no_slower_property(window):
+    # x -> x mod d maps the walk on Z_N onto the walk on Z_d whose steps are
+    # the G_i mod d, repeats and holds counted, and uniform onto uniform;
+    # TV cannot grow under a map, so TV_d(t) <= TV_N(t) at every t and
+    # t_mix on Z_d is at most t_mix on Z_N.  The oracle's work is about
+    # n N t additions per curve, checked below 2^22.
+    eps = Fraction(1, 4)
+    N, n = window.modulus, window.n
+    try:
+        t_mix = mixing_time(window, eps).t_mix
+    except (ScanTooLong, InsideErrorBand):
+        return
+    if n * N * t_mix > 2**22:
+        return
+    curve = path_counts.tv_curve(window, t_mix)
+    for d in range(2, N):
+        if N % d:
+            continue
+        image = Walk(d, tuple(g % d for g in window.steps))
+        image_curve = path_counts.tv_curve(image, t_mix)
+        assert all(a <= b for a, b in zip(image_curve, curve)), (window.values, d)
+        assert mixing_time(image, eps).t_mix <= t_mix, (window.values, d)
 
 
 def test_tie_probe_decided_exactly():
