@@ -8,7 +8,7 @@ generated in exact integer arithmetic.  The window G_1..G_n doubles as
 the step multiset of the walk on Z_{G_n}; SequenceWindow.steps states it
 mod N.  A Walk is any such walk, fixed by its modulus and step multiset
 alone; the scan, the eigenvalue engine and the simulator read only those
-and an optional eigenvalue bound, which a window and a Walk both carry.
+and eigenvalue_bound, the paper's bound for a window and None for a Walk.
 """
 
 from __future__ import annotations
@@ -102,22 +102,20 @@ class SequenceWindow(NamedTuple):
 class _WalkFields(NamedTuple):
     modulus: int
     steps: tuple[int, ...]
-    eigenvalue_bound: float | None = None
 
 
 class Walk(_WalkFields):
     """The walk X_{t+1} = X_t + z_t mod N, z_t uniform on the step multiset
     steps (residues 0..N-1, in any order, repeats counted), started at 0.
 
-    n = len(steps).  eigenvalue_bound, when given, is a bound on every
-    nontrivial |lambda_k| that the caller vouches for; the mixing scan
-    may take its last float step from it.  A SequenceWindow has the same
-    four attributes, so every walk-level function takes either.
+    n = len(steps).  A SequenceWindow has the same four attributes,
+    modulus, n, steps and eigenvalue_bound, so every walk-level function
+    takes either.
     """
 
     __slots__ = ()
 
-    def __new__(cls, modulus, steps, eigenvalue_bound=None):
+    def __new__(cls, modulus, steps):
         steps = tuple(steps)
         if isinstance(modulus, bool) or any(isinstance(g, bool) for g in steps):
             raise TypeError("modulus and steps must be integers, not booleans")
@@ -127,12 +125,18 @@ class Walk(_WalkFields):
             raise ValueError("a walk needs at least one step")
         if not all(0 <= g < modulus for g in steps):
             raise ValueError(f"steps must be residues 0..{modulus - 1}: {steps}")
-        return super().__new__(cls, modulus, steps, eigenvalue_bound)
+        return super().__new__(cls, modulus, steps)
 
     @property
     def n(self) -> int:
         """Number of steps, counted with multiplicity."""
         return len(self.steps)
+
+    @property
+    def eigenvalue_bound(self) -> None:
+        """None: a Walk vouches for no bound on |lambda_k|, so the mixing
+        scan takes its last float step from the engine's SLEM."""
+        return None
 
 
 class GrowthEstimate(NamedTuple):

@@ -23,12 +23,13 @@ xi_N^(j*g_i mod N) per nonzero step, with no exp, remainder or gather per
 term.
 B is 2^12 once N//2 >= 2^17, and a power of two at least sqrt(N//2 + 1)
 below that.  Each root is one exp of a signed angle in (-pi, pi]; the
-eigenvalues stay within 9.0e-16 of one exp of the unsigned angle per
-term on every window measured (c = 5, n = 6 is the worst), and within
-8.5e-16 of one exp of the signed angle per distinct step on step
-multisets that repeat a step up to 16 times; the tests bound the gap by
-1e-15.  BLAS orders each product's sums by its kernel, which it picks by
-CPU, so from n = 4 on the last digits can differ between CPUs and BLAS
+eigenvalues stay within 3.0e-16 of a long-double sum of per-term cos and
+sin on the presets with N <= 2^17, and 4.0e-16 at c = 5, n = 6; the
+tests bound the gap by 1e-15.  A step repeated c times carries its
+root's rounding c times, which does not average out: on 2000 random
+walks with N <= 2^12 and one to four distinct steps, repeated up to 16
+times, the gap reached 1.4e-15.  BLAS orders each product's sums by its
+kernel, which it picks by CPU, so from n = 4 on the last digits can differ between CPUs and BLAS
 builds; on one host every product has one fixed shape, so lambda_k does
 not depend on the block that asks for it or on the BLAS thread count.
 """

@@ -34,7 +34,8 @@ _INT64_PATHS = 1 << 63
 _NARROW = np.uint32
 
 # Margin on a SLEM when it bounds the scan: ten times the 1e-15 the tests
-# allow between the engine and one exp per term.
+# allow between the engine and a long-double sum per term, seven times the
+# 1.4e-15 seen on walks that repeat a step.
 _SLEM_ERROR = 1e-14
 
 # Unit roundoff of float64.
@@ -221,8 +222,8 @@ def _ubl_last_step(N: int, slem: float, eps: Fraction) -> int:
 def _bound_last_step(walk, eps: Fraction) -> int | None:
     """_ubl_last_step at walk.eigenvalue_bound, which is at least the
     engine's SLEM, so this t is never below the engine's; None where the
-    walk carries no bound (for a window: no s, or some G_{j+1} > s G_j)
-    or the bound is 1 within _SLEM_ERROR."""
+    walk carries no bound (a Walk; a window with no s, or with some
+    G_{j+1} > s G_j) or the bound is 1 within _SLEM_ERROR."""
     bound = walk.eigenvalue_bound
     if bound is None or bound + _SLEM_ERROR >= 1.0:
         return None
@@ -297,9 +298,9 @@ def mixing_time(walk, epsilon: Fraction | float) -> MixingResult:
       4 TV(t)^2 <= (N - 1) slem^(2t).  That t is taken from
       walk.eigenvalue_bound (for a window, the paper's bound where
       G_{j+1} <= s G_j for every j), and from the engine's SLEM
-      (slem_streaming) only where the walk carries no bound or it leaves
-      epsilon inside the band at its t; the bound is at least
-      the SLEM, so its t is never the smaller.  When epsilon is below the
+      (slem_streaming) only where the walk carries none (a Walk never
+      does) or the bound leaves epsilon inside the band at its t; the
+      bound is at least the SLEM, so its t is never the smaller.  When epsilon is below the
       band at the engine's t, or the SLEM is 1 within the engine's error,
       InsideErrorBand is raised before any float step, so a slow walk at
       a small epsilon is refused at once, not after millions of float

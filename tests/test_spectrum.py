@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -70,26 +69,32 @@ def slem_for(name, n):
     return dense_slem(generate(PRESETS[name], n))
 
 
-def per_term_exp_eigenvalues(window, ks=None):
-    """lambda_k (default k = 1..N) with one np.exp per distinct step and k,
-    from the exact reduction r = k * g mod N: the formula the phase tables
-    replace.  Takes a window or a Walk.
+# pi to long-double precision (a 64-bit significand on x86-64); np.pi is
+# the double
+_PI_LONG = np.arccos(np.longdouble(-1))
 
-    The angle 2 pi r / N is taken in (-pi, pi], as the engine takes it, so
-    it rounds by half an ulp of pi, not of 2 pi, and a step that occurs c
-    times adds c times its root once.  Against a long-double evaluation
-    this stays within 4.8e-16 on the examples of small_walks; one exp of
-    the unsigned angle per repeat was 9.1e-16 off at steps (362,) * 16 + (0,)
-    on Z_397.
+
+def per_term_exp_eigenvalues(window, ks=None):
+    """lambda_k (default k = 1..N) with one long-double cos and sin per
+    step and k, from the exact reduction k * g mod N: the formula the
+    phase tables replace, with none of the engine's tables or angle
+    reduction.  Takes a window or a Walk.
+
+    Its error is a few long-double ulps and the last rounding to
+    complex128, so a gap to it is the engine's own error.
     """
     N = window.modulus
     if ks is None:
         ks = np.arange(1, N + 1, dtype=np.int64)
-    lam = np.zeros(len(ks), dtype=np.complex128)
-    for g, c in Counter(window.steps).items():
-        r = (ks * g) % N
-        lam += c * np.exp((2j * np.pi / N) * np.where(2 * r > N, r - N, r))
-    return lam / window.n
+    re = np.zeros(len(ks), dtype=np.longdouble)
+    im = np.zeros(len(ks), dtype=np.longdouble)
+    for g in window.steps:
+        angle = (2 * _PI_LONG / N) * ((ks * g) % N).astype(np.longdouble)
+        re += np.cos(angle)
+        im += np.sin(angle)
+    lam = np.empty(len(ks), dtype=np.complex128)
+    lam.real, lam.imag = re / window.n, im / window.n
+    return lam
 
 
 def tilde_oracle(c, n, k):

@@ -454,8 +454,12 @@ def small_walks(draw):
 
 def test_walk_checks_its_steps():
     walk_ = Walk(6, [5, 0, 5, 2, 0])
-    assert walk_ == (6, (5, 0, 5, 2, 0), None) and walk_.n == 5
-    assert Walk(6, (1, 0), eigenvalue_bound=0.5).eigenvalue_bound == 0.5
+    assert walk_ == (6, (5, 0, 5, 2, 0)) and walk_.n == 5
+    assert walk_.eigenvalue_bound is None
+    with pytest.raises(AttributeError):
+        walk_.eigenvalue_bound = 0.5
+    with pytest.raises(TypeError):
+        Walk(6, (1, 0), 0.5)
     for steps in ((), (6,), (-1, 0)):
         with pytest.raises(ValueError):
             Walk(6, steps)
@@ -465,14 +469,30 @@ def test_walk_checks_its_steps():
 
 @pytest.mark.parametrize("name", list(PRESETS))
 def test_window_and_its_walk_agree(name):
-    # the walk-level functions read modulus, n, steps and eigenvalue_bound,
-    # so a window and the Walk of those four give the same bytes
+    # the walk-level functions read modulus, n, steps and eigenvalue_bound;
+    # the bound only picks where the scan's last float step comes from, so
+    # a window and the Walk of its steps give the same bytes
     for n in range(1, 9):
         window = generate(PRESETS[name], n)
-        walk_ = Walk(window.modulus, window.steps, window.eigenvalue_bound)
+        walk_ = Walk(window.modulus, window.steps)
         assert mixing_time(walk_, 0.01) == mixing_time(window, 0.01)
         assert half_spectrum(walk_).tobytes() == half_spectrum(window).tobytes()
         assert step_distribution(walk_).tobytes() == step_distribution(window).tobytes()
+    # past int64 the window's last step comes from the paper's bound and the
+    # Walk's from the engine: the same t_mix at 1e-10, the same refusal at
+    # 1e-12
+    window = generate(PRESETS[name], 10)
+    walk_ = Walk(window.modulus, window.steps)
+    eps = Fraction(1, 10**10)
+    assert walk._bound_last_step(window, eps) is not None
+    got = mixing_time(walk_, eps)
+    assert 10**got.t_mix > walk._INT64_PATHS and got == mixing_time(window, eps)
+    refusals = []
+    for w in (window, walk_):
+        with pytest.raises(InsideErrorBand) as exc:
+            mixing_time(w, Fraction(1, 10**12))
+        refusals.append(str(exc.value))
+    assert refusals[0] == refusals[1]
 
 
 def test_scan_takes_its_last_step_from_the_walks_bound():
@@ -481,8 +501,6 @@ def test_scan_takes_its_last_step_from_the_walks_bound():
     assert window.eigenvalue_bound == bound
     assert walk._bound_last_step(window, eps) == walk._ubl_last_step(256, bound, eps)
     assert walk._bound_last_step(Walk(256, window.steps), eps) is None
-    carried = Walk(256, window.steps, eigenvalue_bound=0.9)
-    assert walk._bound_last_step(carried, eps) == walk._ubl_last_step(256, 0.9, eps)
     # no positive coefficient, so no s; and G_2 = 7 > s G_1 = 3
     assert generate(RecurrenceSpec((0, 0, 0), (1, 19, 1)), 2).eigenvalue_bound is None
     assert generate(RecurrenceSpec((3, 0), (1, 7)), 2).eigenvalue_bound is None
