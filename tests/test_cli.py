@@ -738,6 +738,15 @@ CHEAP_RUNS = {
     "verify": ["--suite", "eigmod-bound", "--nmax", "2"],
     "simulate": ["--seq", "pow3", "--n", "2", "--tmax", "2", "--trajectories", "100"],
 }
+# The simulator's walker measurements, which CHEAP_RUNS's simulate (a
+# histogram chain) does not reach: a histogram of the walkers (N <= T) and
+# a count of their distinct positions (N > T).
+WALKER_RUNS = {
+    "simulate-walkers": ["--seq", "pow3", "--n", "9", "--trajectories", "20000",
+                         "--tmax", "5"],
+    "simulate-sparse": ["--seq", "pow3", "--n", "14", "--trajectories", "3000",
+                        "--tmax", "5"],
+}
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -815,12 +824,22 @@ def test_spectrum_listing_past_row_limit_needs_top(capsys, monkeypatch):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", sorted(CHEAP_RUNS))
 def test_output_bytes_are_pinned(capsys, command, fmt):
-    code, out, _ = run_cli(capsys, command, *CHEAP_RUNS[command], "--format", fmt)
+    _assert_pinned(capsys, [command, *CHEAP_RUNS[command]], command, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(WALKER_RUNS))
+def test_walker_output_bytes_are_pinned(capsys, name, fmt):
+    _assert_pinned(capsys, ["simulate", *WALKER_RUNS[name]], name, fmt)
+
+
+def _assert_pinned(capsys, argv, name, fmt):
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
     assert code == 0
     lines = out.splitlines(keepends=True)
     kept = [line for line in lines if '"timestamp": ' not in line]
     assert len(lines) - len(kept) == (fmt == "json")
-    assert "".join(kept) == (GOLDEN / f"{command}.{fmt}").read_text()
+    assert "".join(kept) == (GOLDEN / f"{name}.{fmt}").read_text()
 
 
 @pytest.mark.parametrize("fmt, per_row", [("csv", 96), ("json", 512)])
