@@ -41,10 +41,7 @@ _EXPORTS = {
         "DEFAULT_N_MAX", "full_spectrum", "half_spectrum", "slem_streaming",
         "unnormalized_values",
     ),
-    "walk": (
-        "MixingResult", "evolve", "mixing_time", "point_mass", "scan_lower_bound",
-        "step_distribution", "tv_to_uniform",
-    ),
+    "walk": ("MixingResult", "evolve", "mixing_time", "scan_lower_bound"),
     "bounds": (
         "BoundReport", "build_report", "first_order_base", "gamma_first_order",
         "gamma_general", "kappa_first_order", "kappa_general", "lower_first_order",

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StateSpaceTooLarge
-from .walk import MAX_ROWS, _tv_excess
+from .walk import MAX_ROWS, _above, _tv_excess
 
 # Largest N simulated.  Positions are the narrowest unsigned integers that
 # hold pos + step <= 2N - 2 (one byte up to N = 128, two up to 2^15, four
@@ -135,16 +135,6 @@ def _histogram_step(hist: np.ndarray, steps, rng) -> np.ndarray:
     return sum(np.roll(split[:, i], g) for i, g in enumerate(steps))
 
 
-def _histogram_tv(hist: np.ndarray, T: int) -> float:
-    """The TV of T walkers with counts hist on Z_N, from the mixing
-    scan's integer N T TV (walk._tv_excess) over N T, which rounds it
-    correctly.  hist is overwritten."""
-    N = len(hist)
-    hist -= T // N
-    np.maximum(hist, 0, out=hist)
-    return _tv_excess(N, T, int(hist.sum()), int(np.count_nonzero(hist))) / (N * T)
-
-
 def simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
     """Empirical TV to uniform at every t = 0..t_max.
 
@@ -154,30 +144,34 @@ def simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
     from that stream, block by block.  Positions are the narrowest
     unsigned integers that hold 2N - 1 (uint8 up to N = 128, uint64 up to
     MAX_N).  When N <= T, each block's counts come from np.bincount into
-    one N-entry histogram.  Either histogram's TV is _histogram_tv's.
-    When N > T, every occupied state holds at least 1/T > 1/N of the
-    mass, so the TV is exactly 1 - occupied/N: only the distinct
-    positions are counted, and (N - occupied) / N in integers rounds that
-    fraction correctly.
+    one N-entry histogram.  When N > T, every occupied state holds
+    1/T > 1/N of the mass or more, so k = T // N = 0, and the sums that
+    walk._above would take are T and the number of occupied states: only
+    the distinct positions are counted.  Every row is the mixing scan's
+    integer N T TV (walk._tv_excess) over N T, which rounds it correctly.
     """
     window = config.window
     N = window.modulus
     T = config.num_trajectories
     rng = np.random.Generator(np.random.Philox(config.seed))
+
+    def tv(above: int, count: int) -> float:
+        return _tv_excess(N, T, above, count) / (N * T)
+
+    out = []
     if _advances_histogram(N, window.n, T):
         hist = np.zeros(N, dtype=np.int64)
         hist[0] = T
-        out = [(0, _histogram_tv(hist.copy(), T))]
-        for t in range(1, config.t_max + 1):
-            hist = _histogram_step(hist, window.steps, rng)
-            out.append((t, _histogram_tv(hist.copy(), T)))
+        for t in range(config.t_max + 1):
+            if t:
+                hist = _histogram_step(hist, window.steps, rng)
+            out.append((t, tv(*_above(hist, T // N))))
         return out
     dtype = _position_type(N)
     steps = np.array(window.steps, dtype=dtype)
     pos = np.zeros(T, dtype=dtype)
     # a block at least N wide keeps each bincount O(block)
     width = max(_BLOCK, N) if N <= T else _BLOCK
-    out = []
     for t in range(config.t_max + 1):
         hist = None  # the last t's histogram is not live through this step
         for lo in range(0, T, width):
@@ -196,7 +190,7 @@ def simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
             else:
                 hist += np.bincount(block, minlength=N)
         if N <= T:
-            out.append((t, _histogram_tv(hist, T)))
+            out.append((t, tv(*_above(hist, T // N, out=hist))))
             continue
         ordered = np.sort(pos)
         occupied = 1
@@ -204,5 +198,5 @@ def simulate_tv(config: SimConfig) -> list[tuple[int, float]]:
             hi = min(lo + _BLOCK, T)
             occupied += int(np.count_nonzero(ordered[lo:hi] != ordered[lo - 1 : hi - 1]))
         del ordered  # not live through the next step
-        out.append((t, (N - occupied) / N))
+        out.append((t, tv(T, occupied)))
     return out

@@ -4,12 +4,13 @@ The walk is X_{t+1} = X_t + z_t mod N with z_t uniform on the step
 multiset walk.steps of n residues mod N, repeats counted, started from
 the point mass at 0.  Every function here takes a recurrence.Walk or a
 SequenceWindow (whose steps are G_1, ..., G_{n-1}, 0) and reads only its
-modulus, n, steps and eigenvalue_bound.  Laws are dense float64 arrays
-over Z_N: entry x is the mass at x, and N is the array's length.  The mixing scan works on
-path counts instead: P^t(x) = c_x / n^t, where the integer c_x counts
+modulus, n, steps and eigenvalue_bound.  evolve returns a law as a dense
+float64 array over Z_N: entry x is the mass at x.  The mixing scan works
+on path counts instead: P^t(x) = c_x / n^t, where the integer c_x counts
 the step sequences of length t that end at x.  It holds them in uint32
 while n times the largest fits, then in int64 while n^t does, and then
-in float64.
+in float64.  Every exact TV from integer counts, the scan's and the
+simulator's, is _tv_excess of the two sums _above takes.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 from .errors import InsideErrorBand, ScanTooLong
 from .spectrum import half_spectrum, require_dense, slem_streaming
 
-# Path counts, and sums of up to two totals of them, stay exact in int64
-# (those sums taken mod 2^64) while the total n^t is below this.
+# Path counts, and sums of them, stay exact in int64 while their total n^t
+# is below this.
 _INT64_PATHS = 1 << 63
 
 # The dense scan holds its path counts in this unsigned type, not int64,
@@ -72,20 +73,6 @@ class MixingResult(NamedTuple):
     N: int
     t_mix: int
     tv_curve: tuple[tuple[int, float], ...]
-
-
-def point_mass(N: int) -> np.ndarray:
-    p = np.zeros(N)
-    p[0] = 1.0
-    return p
-
-
-def step_distribution(walk) -> np.ndarray:
-    """Step law: p[x] = (times x occurs in walk.steps) / n, for
-    N <= DEFAULT_N_MAX."""
-    N = walk.modulus
-    require_dense(N)
-    return np.bincount(walk.steps, minlength=N) / walk.n
 
 
 # Output entries per tile of the shift-and-add of 8-byte counts: every
@@ -148,7 +135,9 @@ def evolve(walk, t: int) -> np.ndarray:
         raise ValueError("t must be nonnegative")
     N = walk.modulus
     if t == 0:
-        return point_mass(N)
+        law = np.zeros(N)
+        law[0] = 1.0
+        return law
     # lam[m] = lambda_m for m <= N//2 and lambda_{N-m} = conj(lambda_m), so
     # irfft of conj(lam)^t is (1/N) sum_m lambda_m^t xi_N^(-m x) = P(X_t = x).
     # Clamping the moduli at 1 keeps rounding from growing |lambda^t| with t.
@@ -163,10 +152,17 @@ def _tv_excess(N: int, M: int, above: int, count: int) -> int:
     return N * above - count * (M % N)
 
 
-def tv_to_uniform(probs: np.ndarray) -> float:
-    """(1/2) sum_x |probs[x] - 1/N|, N = len(probs)."""
-    dev = probs - 1.0 / len(probs)
-    return 0.5 * float(np.abs(dev, out=dev).sum())
+def _above(counts: np.ndarray, k: int, out: np.ndarray | None = None):
+    """(sum max(c - k, 0), #{c > k}) over integer counts c, as Python ints.
+
+    Exact for uint8 to uint32 counts (numpy sums them in uint64) and for
+    int64 ones totalling below 2^63, which bounds the sum; k must fit the
+    counts' type.  out, which may be counts itself, is left holding
+    max(c - k, 0).
+    """
+    over = np.maximum(counts, k, out=out)
+    over -= k
+    return int(over.sum()), int(np.count_nonzero(over))
 
 
 def _sparse_step(pos: np.ndarray, cnt: np.ndarray, steps: np.ndarray, N: int):
@@ -266,9 +262,13 @@ def mixing_time(walk, epsilon: Fraction | float) -> MixingResult:
     epsilon is taken exactly, as a Fraction (a float by its binary
     value).  A curve holds at most MAX_ROWS rows, t = 0..MAX_ROWS - 1:
     ScanTooLong is raised before any step when scan_lower_bound puts
-    t_mix at MAX_ROWS or later, or when a single step never mixes, and at
-    t = MAX_ROWS - 1 if the scan is still undecided there.  The scan
-    advances the path counts c_x, whose total is M = n^t, in three phases:
+    t_mix at MAX_ROWS or later, or when the walk never mixes, and at
+    t = MAX_ROWS - 1 if the scan is still undecided there.  A walk never
+    mixes when epsilon < 1 - 1/d, d = gcd(N, g - g_1 over the steps g):
+    X_t lies in the coset t g_1 + dZ_N, which uniform weights 1/d, so
+    TV(t) >= 1 - 1/d at every t (d = N when every step is the same).
+    The scan advances the path counts c_x, whose total is M = n^t, in
+    three phases:
 
     - Sparse start.  After t steps at most C(n+t-1, t) residues are
       occupied, so while s occupied residues give s * n <= N/4 candidates
@@ -277,18 +277,19 @@ def mixing_time(walk, epsilon: Fraction | float) -> MixingResult:
       and advanced by _convolve_tiles, with no weights, while M < 2^63.
       With k = M // N the residues above uniform are A = {x : c_x > k},
       and TV(t) = (N * sum_A c_x - |A| * M) / (N * M).  Each tile
-      contributes sum max(c - k, 0) and its count above k while it is in
-      cache, so TV(t) <= p/q is one comparison of Python integers, and
-      the curve holds the correctly rounded TV(t).  The array is _NARROW
-      (uint32) while n * big is below its range, where big is the
-      largest count, taken per tile as max(max(c, k)) = max c (k is at
-      most the mean count); every count of the next step is then at most
-      n * big, so each add is exact.  Once that fails the counts are
-      widened to int64, once, into the spare buffer.  The uint32 arrays
-      are the first halves of the two int64 buffers, so the scan's block
-      stays 16 N bytes; a narrow step touches half of it.  Besides it the
-      scan holds one 512 KiB tile of scratch and the n steps, whose adds
-      _convolve_tiles works out per tile as it walks: O(N + n) in all.
+      contributes sum max(c - k, 0) and its count above k (_above) while
+      it is in cache, so TV(t) <= p/q is one comparison of Python
+      integers, and the curve holds the correctly rounded TV(t).  The
+      array is _NARROW (uint32) while n * big is below its range, where
+      big is the largest count, taken per tile as k + max(max(c - k, 0)):
+      that is max c, since k is at most the mean count.  Every count of
+      the next step is then at most n * big, so each add is exact.  Once
+      that fails the counts are widened to int64, once, into the spare
+      buffer.  The uint32 arrays are the first halves of the two int64
+      buffers, so the scan's block stays 16 N bytes; a narrow step
+      touches half of it.  Besides it the scan holds one 512 KiB tile of
+      scratch and the n steps, whose adds _convolve_tiles works out per
+      tile as it walks: O(N + n) in all.
     - Past the int64 range the counts are converted to float64 once, from
       either width, at t0, and advanced unweighted, rescaled by exact
       powers of two.  The scan then decides only outside an a-priori band
@@ -334,9 +335,11 @@ def mixing_time(walk, epsilon: Fraction | float) -> MixingResult:
     p, q = eps.numerator, eps.denominator
     N, n = walk.modulus, walk.n
     require_dense(N)
-    if n == 1 and q * (N - 1) > p * N:  # M = n^t would never leave int64
+    d = int(np.gcd.reduce(np.subtract(walk.steps, walk.steps[0]), initial=N))
+    if q * (d - 1) > p * d:  # also stops n = 1, where M = n^t never leaves int64
         raise ScanTooLong(
-            f"a single step moves the point mass whole, so TV(t) = 1 - 1/{N} "
+            f"every step is the first plus a multiple of d = {d}, a divisor of "
+            f"N = {N}, so X_t stays in one coset of dZ_N and TV(t) >= 1 - 1/{d} "
             f"> epsilon = {eps} for every t"
         )
     t_low = scan_lower_bound(walk, eps)
@@ -362,8 +365,7 @@ def mixing_time(walk, epsilon: Fraction | float) -> MixingResult:
     cnt = np.ones(1, dtype=np.int64)
     t, M = 0, 1
     while True:
-        over = np.maximum(cnt - M // N, 0)
-        if mixed(t, M, int(over.sum()), int(np.count_nonzero(over))):
+        if mixed(t, M, *_above(cnt, M // N)):
             return result(t)
         if len(pos) * n > N // 4 or M * n >= _INT64_PATHS:
             break
@@ -377,12 +379,9 @@ def mixing_time(walk, epsilon: Fraction | float) -> MixingResult:
     dtype = narrow if big * n < bound else np.int64
     cur, spare = (a.view(dtype)[:N] for a in wide)
     cur[pos] = cnt
-    del pos, cnt, over, steps
+    del pos, cnt, steps
     shifts = sorted(walk.steps)
-    # one 512 KiB tile of scratch; its first bytes double as the tile's mask
-    # once the tile's sum has been taken
-    scratch = np.empty(min(N, _TILE), dtype=np.int64)
-    mask = scratch.view(bool)
+    scratch = np.empty(min(N, _TILE), dtype=np.int64)  # one 512 KiB tile
     while M * n < _INT64_PATHS:
         if dtype is narrow and big * n >= bound:
             np.copyto(wide[1], cur)  # widen once, as the float phase converts
@@ -391,16 +390,13 @@ def mixing_time(walk, epsilon: Fraction | float) -> MixingResult:
         t, M = t + 1, M * n
         k = M // N
         above = count = big = 0
-        tops = scratch.view(dtype)
+        overs = scratch.view(dtype)
         for tile in _convolve_tiles(cur, spare, shifts):
-            w = len(tile)
-            top = np.maximum(tile, k, out=tops[:w])
+            over = overs[: len(tile)]
+            tile_above, tile_count = _above(tile, k, out=over)
+            above, count = above + tile_above, count + tile_count
             if dtype is narrow:
-                big = max(big, int(top.max()))  # k <= max c, so max top = max c
-            # sum max(c, k) <= M + N k <= 2M < 2^64, and numpy sums narrow
-            # counts in uint64 and int64 ones mod 2^64: exact either way
-            above += int(top.sum()) % (1 << 64) - w * k
-            count += int(np.count_nonzero(np.greater(tile, k, out=mask[:w])))
+                big = max(big, int(over.max()) + k)
         cur, spare, wide = spare, cur, wide[::-1]
         if mixed(t, M, above, count):
             return result(t)

@@ -20,6 +20,8 @@ from typing import Iterator
 
 import numpy as np
 
+from recwalk.spectrum import require_dense
+
 
 def iter_counts(window) -> Iterator[np.ndarray]:
     """The path counts after t = 0, 1, ... steps, without end."""
@@ -59,3 +61,27 @@ def t_mix(window, epsilon: Fraction) -> int:
     for t, tv in enumerate(iter_tv(window)):
         if tv <= epsilon:
             return t
+
+
+# Float laws over Z_N, for the tests of evolve and the spectrum: entry x
+# is the mass at x, and N is the array's length.
+
+
+def point_mass(N: int) -> np.ndarray:
+    p = np.zeros(N)
+    p[0] = 1.0
+    return p
+
+
+def step_distribution(walk) -> np.ndarray:
+    """Step law: p[x] = (times x occurs in walk.steps) / n, for
+    N <= DEFAULT_N_MAX."""
+    N = walk.modulus
+    require_dense(N)
+    return np.bincount(walk.steps, minlength=N) / walk.n
+
+
+def tv_to_uniform(probs: np.ndarray) -> float:
+    """(1/2) sum_x |probs[x] - 1/N|, N = len(probs)."""
+    dev = probs - 1.0 / len(probs)
+    return 0.5 * float(np.abs(dev, out=dev).sum())

@@ -21,7 +21,7 @@ from recwalk import (
 )
 from recwalk import montecarlo
 from recwalk.montecarlo import _MAX_TRAJECTORIES
-from recwalk.walk import MAX_ROWS
+from recwalk.walk import MAX_ROWS, _tv_excess
 
 import path_counts
 from test_walk import PROPERTY_SETTINGS, small_windows
@@ -380,6 +380,16 @@ def test_sparse_tv_never_exceeds_one():
     assert simulate_tv(config) == [(t, 1.0) for t in range(4)]
 
 
+@PROPERTY_SETTINGS
+@given(data=st.data(), N=st.integers(2, montecarlo.MAX_N))
+def test_sparse_row_is_one_minus_occupied_share_property(data, N):
+    # N > T: k = T // N = 0, so the scan's N T TV from (T, occupied),
+    # over N T, is (N - occupied) / N, both correctly rounded
+    T = data.draw(st.integers(1, min(N - 1, _MAX_TRAJECTORIES)))
+    occupied = data.draw(st.integers(1, T))
+    assert _tv_excess(N, T, T, occupied) / (N * T) == (N - occupied) / N
+
+
 @pytest.mark.parametrize("name, n", [("pow3", 2), ("pow3", 3), ("pow2", 13)])
 def test_histogram_from_n_n_r_trajectories(name, n):
     # T = N n R takes the histogram, one multinomial split a step; T - 1
@@ -429,13 +439,13 @@ def test_histogram_step_shifts_each_column_by_its_step(window, seed):
 def _histograms(config: SimConfig) -> list[np.ndarray]:
     """The histogram at each t = 0..t_max of one run, N <= T."""
     seen = []
-    reduce = montecarlo._histogram_tv
+    reduce = montecarlo._above
 
-    def record(hist, T):
+    def record(hist, k, out=None):
         seen.append(hist.copy())
-        return reduce(hist, T)
+        return reduce(hist, k, out=out)
 
-    with mock.patch.object(montecarlo, "_histogram_tv", record):
+    with mock.patch.object(montecarlo, "_above", record):
         simulate_tv(config)
     return seen
 

@@ -60,6 +60,17 @@ def test_all_names_resolve_to_their_module_objects():
                                         "spectrum", "verify", "walk"}
 
 
+def test_float_law_helpers_are_test_oracles_only():
+    # point_mass, step_distribution and tv_to_uniform live in
+    # tests/path_counts.py; every exact TV goes through walk._above
+    assert not {"point_mass", "step_distribution", "tv_to_uniform"} & set(recwalk.__all__)
+    tree = ast.parse((Path(recwalk.__file__).parent / "montecarlo.py").read_text())
+    from_walk = {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "walk"
+                 for alias in node.names}
+    assert from_walk == {"MAX_ROWS", "_above", "_tv_excess"}
+
+
 def test_star_import_binds_exactly_all():
     namespace = {}
     exec("from recwalk import *", namespace)

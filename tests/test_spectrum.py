@@ -17,7 +17,6 @@ from recwalk import (
     generate,
     half_spectrum,
     slem_streaming,
-    step_distribution,
     unnormalized_values,
 )
 
@@ -37,6 +36,7 @@ from recwalk.spectrum import (
 from recwalk.verify import lifting_suite
 
 from expected_values import SLEMS
+from path_counts import step_distribution
 
 # The reference exp rounds an angle below 2*pi (half an ulp of 2*pi), each
 # root an angle in (-pi, pi], then the exps and the roots' product add a

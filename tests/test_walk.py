@@ -4,11 +4,13 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from hypothesis import example, given, reject, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from recwalk import (
     InsideErrorBand,
@@ -23,19 +25,17 @@ from recwalk import (
     generate,
     half_spectrum,
     mixing_time,
-    point_mass,
     ratio_bounded,
     s_value,
     scan_lower_bound,
     slem_streaming,
-    step_distribution,
-    tv_to_uniform,
     Walk,
 )
 
 from recwalk import walk
 
 import path_counts
+from path_counts import point_mass, step_distribution, tv_to_uniform
 from expected_values import EXACT_TMIX, REFERENCE_TABLE
 from test_spectrum import per_term_exp_eigenvalues
 
@@ -527,6 +527,68 @@ def test_single_step_walk_never_mixes():
     assert mixing_time(Walk(5, (1,)), Fraction(4, 5)).t_mix == 0
     with pytest.raises(ScanTooLong, match="every t"):
         mixing_time(Walk(5, (1,)), Fraction(3, 5))
+
+
+@pytest.mark.parametrize(
+    "walk_, d",
+    [(Walk(4, (2, 0)), 2), (Walk(4, (1, 3)), 2), (Walk(9, (3, 6, 0)), 3)],
+)
+def test_walks_confined_to_a_coset_never_mix(walk_, d):
+    # every step is the first plus a multiple of d, so X_t stays in the
+    # coset t g_1 + dZ_N and TV(t) >= 1 - 1/d; the scan once ran these to
+    # the float phase and refused them by a SLEM of 1 instead
+    with pytest.raises(ScanTooLong, match=f"d = {d},.*every t"):
+        mixing_time(walk_, Fraction(d - 1, d) - Fraction(1, 20))
+    # at epsilon = 1 - 1/d the scan runs: one step is uniform on the coset
+    assert mixing_time(walk_, Fraction(d - 1, d)).t_mix == 1
+
+
+@PROPERTY_SETTINGS
+@given(walk_=small_walks(), factor=st.integers(2, 8), shift=st.integers(0, 2**15))
+def test_walks_confined_to_a_coset_are_refused_before_any_step_property(
+    walk_, factor, shift
+):
+    # factor g + shift on Z_{factor N}: the steps differ by multiples of factor
+    N = walk_.modulus * factor
+    lifted = Walk(N, [(factor * g + shift) % N for g in walk_.steps])
+    d = math.gcd(N, *(g - lifted.steps[0] for g in lifted.steps))
+    assert d % factor == 0
+    with (
+        mock.patch.object(walk, "_sparse_step", side_effect=AssertionError),
+        mock.patch.object(walk, "_convolve_tiles", side_effect=AssertionError),
+        pytest.raises(ScanTooLong, match=f"d = {d},.*every t"),
+    ):
+        mixing_time(lifted, Fraction(1, 4))
+
+
+@st.composite
+def counts_and_k(draw):
+    """Counts of each type _above takes, totalling below 2^63, and a k
+    that fits the type, from 0 to past the largest count."""
+    dtype = draw(st.sampled_from([np.uint8, np.uint16, np.uint32, np.int64]))
+    size = draw(st.integers(1, 300))
+    top = int(np.iinfo(dtype).max)
+    if dtype is np.int64:
+        top //= size
+    counts = draw(hnp.arrays(dtype, size, elements=st.integers(0, top)))
+    k = draw(st.integers(0, min(int(counts.max()) + 3, int(np.iinfo(dtype).max))))
+    return counts, k
+
+
+@PROPERTY_SETTINGS
+@given(case=counts_and_k(), out=st.sampled_from(["none", "counts", "scratch"]))
+def test_above_is_exact_property(case, out):
+    counts, k = case
+    values = counts.tolist()
+    want = (sum(max(c - k, 0) for c in values), sum(c > k for c in values))
+    over = {"none": None, "counts": counts, "scratch": np.empty_like(counts)}[out]
+    assert walk._above(counts, k, out=over) == want
+    if over is None:
+        assert counts.tolist() == values
+        return
+    assert over.tolist() == [max(c - k, 0) for c in values]
+    # the narrow scan's largest count: k + max over = max c whenever k <= max c
+    assert k + int(over.max()) == max(max(values), k)
 
 
 @pytest.mark.parametrize(
