@@ -34,12 +34,11 @@ from .errors import (
 _EXPORTS = {
     "recurrence": (
         "PRESETS", "GrowthEstimate", "RecurrenceSpec", "SequenceWindow", "Walk",
-        "eigenvalue_bound", "estimate_growth", "first_unbounded_j", "generate",
-        "ratio_bounded", "s_value",
+        "estimate_growth", "first_unbounded_j", "generate", "s_value",
     ),
     "spectrum": (
-        "DEFAULT_N_MAX", "full_spectrum", "half_spectrum", "slem_streaming",
-        "unnormalized_values",
+        "DEFAULT_N_MAX", "eigenvalue_bound", "full_spectrum", "half_spectrum",
+        "slem_streaming", "unnormalized_values",
     ),
     "walk": ("MixingResult", "evolve", "mixing_time", "scan_lower_bound"),
     "bounds": (

@@ -7,13 +7,12 @@ A sequence spec is the pair (coefficients, initial terms) of
 generated in exact integer arithmetic.  The window G_1..G_n doubles as
 the step multiset of the walk on Z_{G_n}; SequenceWindow.steps states it
 mod N.  A Walk is any such walk, fixed by its modulus and step multiset
-alone; the scan, the eigenvalue engine and the simulator read only those
-and eigenvalue_bound, the paper's bound for a window and None for a Walk.
+alone; the scan, the eigenvalue engine and the simulator read only
+modulus, n and steps, from a Walk or a window.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from typing import NamedTuple
@@ -89,14 +88,6 @@ class SequenceWindow(NamedTuple):
         hold G_n = 0 mod N.  Each is taken with probability 1/n."""
         return self.values[:-1] + (0,)
 
-    @property
-    def eigenvalue_bound(self) -> float | None:
-        """The paper's bound on every nontrivial |lambda_k| where s exists
-        and G_{j+1} <= s G_j for every j < n, and None otherwise."""
-        if max(self.spec.coeffs) <= 0 or not ratio_bounded(self):
-            return None
-        return eigenvalue_bound(self.n, s_value(self.spec))
-
 
 # typing.NamedTuple refuses a __new__, so the checks live in the subclass's
 class _WalkFields(NamedTuple):
@@ -108,9 +99,8 @@ class Walk(_WalkFields):
     """The walk X_{t+1} = X_t + z_t mod N, z_t uniform on the step multiset
     steps (residues 0..N-1, in any order, repeats counted), started at 0.
 
-    n = len(steps).  A SequenceWindow has the same four attributes,
-    modulus, n, steps and eigenvalue_bound, so every walk-level function
-    takes either.
+    n = len(steps).  A SequenceWindow has the same three attributes,
+    modulus, n and steps, so every walk-level function takes either.
     """
 
     __slots__ = ()
@@ -131,12 +121,6 @@ class Walk(_WalkFields):
     def n(self) -> int:
         """Number of steps, counted with multiplicity."""
         return len(self.steps)
-
-    @property
-    def eigenvalue_bound(self) -> None:
-        """None: a Walk vouches for no bound on |lambda_k|, so the mixing
-        scan takes its last float step from the engine's SLEM."""
-        return None
 
 
 class GrowthEstimate(NamedTuple):
@@ -209,33 +193,16 @@ def s_value(spec: RecurrenceSpec) -> int:
     return s
 
 
-def eigenvalue_bound(n: int, s: int) -> float:
-    """The paper's bound 1 - (2/n)(1 - |cos(pi/(s+1))|) on every nontrivial
-    |lambda_k| of an n-term window with G_{j+1} <= s G_j for every j < n.
-
-    Some root xi_N^(k G_j), j < n, has k G_j / N mod 1 in [1/(s+1),
-    s/(s+1)]: where k/N < 1/(s+1) (k and N - k share a modulus) it is the
-    first j at which k G_j / N reaches 1/(s+1), and G_j <= s G_{j-1} keeps
-    it below s/(s+1).  That root and the hold's 1 sum to at most
-    2 cos(pi/(s+1)) in modulus, the other n - 2 roots to at most n - 2.
-    """
-    return 1.0 - (2.0 / n) * (1.0 - abs(math.cos(math.pi / (s + 1))))
-
-
 def first_unbounded_j(window: SequenceWindow) -> int | None:
-    """The first j < n with G_{j+1} > s G_j, or None where there is none."""
+    """The first j < n with G_{j+1} > s G_j, or None where there is none:
+    the angle cover behind the general upper bound needs G_{j+1} <= s G_j
+    for every j, and past the d initial terms it always holds."""
     s = s_value(window.spec)
     v = window.values  # v[j] is G_{j+1}
     for j in range(1, window.n):
         if v[j] > s * v[j - 1]:
             return j
     return None
-
-
-def ratio_bounded(window: SequenceWindow) -> bool:
-    """G_{j+1} <= s G_j for every j < n, which the angle cover behind the
-    general upper bound needs; past the d initial terms it always holds."""
-    return first_unbounded_j(window) is None
 
 
 def estimate_growth(window: SequenceWindow) -> GrowthEstimate:

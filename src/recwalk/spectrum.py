@@ -32,10 +32,13 @@ times, the gap reached 1.4e-15.  BLAS orders each product's sums by its
 kernel, which it picks by CPU, so from n = 4 on the last digits can differ between CPUs and BLAS
 builds; on one host every product has one fixed shape, so lambda_k does
 not depend on the block that asks for it or on the BLAS thread count.
+eigenvalue_bound is the paper's bound on every nontrivial |lambda_k|;
+the mixing scan takes its s from a walk's steps.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -77,6 +80,15 @@ def _roots(N: int, r: np.ndarray) -> np.ndarray:
     out as the exact conjugate of xi_N^r.
     """
     return np.exp((2j * np.pi / N) * np.where(2 * r > N, r - N, r))
+
+
+def eigenvalue_bound(n: int, s: int) -> float:
+    """The paper's bound 1 - (2/n)(1 - |cos(pi/(s+1))|) on every nontrivial
+    |lambda_k| of a walk of n steps, a 1 and a 0 among them, whose distinct
+    nonzero steps and N each grow by a factor of at most s, as an n-term
+    window's do where G_{j+1} <= s G_j for every j < n; walk._bound_last_step
+    has the proof."""
+    return 1.0 - (2.0 / n) * (1.0 - abs(math.cos(math.pi / (s + 1))))
 
 
 def require_dense(N: int) -> None:

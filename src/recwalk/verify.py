@@ -17,9 +17,10 @@ import numpy as np
 
 from .errors import SUITE_NAMES, DomainError, UnknownSuite, WorkTooLarge
 from .recurrence import PRESETS, RecurrenceSpec, SequenceWindow, first_terms
-from .recurrence import eigenvalue_bound, first_unbounded_j, s_value
+from .recurrence import first_unbounded_j, s_value
 from .spectrum import (
     _INT64_SAFE_N,
+    eigenvalue_bound,
     half_spectrum,
     iter_k_rows,
     require_dense,
@@ -50,7 +51,7 @@ _CAP = 10**5
 # cost 0.56-1.17 ns there (OpenBLAS 0.3.31, one thread), about 2 s of its
 # budget.  It still undercounts windows whose n is large against log N,
 # where angle-cover's per-step numpy calls cost more than its terms: on
-# G_i = i, angle-cover at --nmax 1860 ran 31.4 s inside it, and
+# G_i = i, angle-cover at --nmax 1860 ran 30.3 s inside it, and
 # eigmod-bound at --nmax 2344 ran 8.6 s, down from 84.1 s (ROADMAP item 2).
 _TERM_BUDGET = {"eigmod-bound": 1 << 31, "angle-cover": 1 << 30}
 

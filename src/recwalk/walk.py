@@ -4,9 +4,9 @@ The walk is X_{t+1} = X_t + z_t mod N with z_t uniform on the step
 multiset walk.steps of n residues mod N, repeats counted, started from
 the point mass at 0.  Every function here takes a recurrence.Walk or a
 SequenceWindow (whose steps are G_1, ..., G_{n-1}, 0) and reads only its
-modulus, n, steps and eigenvalue_bound.  evolve returns a law as a dense
-float64 array over Z_N: entry x is the mass at x.  The mixing scan works
-on path counts instead: P^t(x) = c_x / n^t, where the integer c_x counts
+modulus, n and steps.  evolve returns a law as a dense float64 array
+over Z_N: entry x is the mass at x.  The mixing scan works on path
+counts instead: P^t(x) = c_x / n^t, where the integer c_x counts
 the step sequences of length t that end at x.  It holds them in uint32
 while n times the largest fits, then in int64 while n^t does, and then
 in float64.  Every exact TV from integer counts, the scan's and the
@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InsideErrorBand, ScanTooLong
-from .spectrum import half_spectrum, require_dense, slem_streaming
+from .spectrum import eigenvalue_bound, half_spectrum, require_dense, slem_streaming
 
 # Path counts, and sums of them, stay exact in int64 while their total n^t
 # is below this.
@@ -216,12 +216,27 @@ def _ubl_last_step(N: int, slem: float, eps: Fraction) -> int:
 
 
 def _bound_last_step(walk, eps: Fraction) -> int | None:
-    """_ubl_last_step at walk.eigenvalue_bound, which is at least the
-    engine's SLEM, so this t is never below the engine's; None where the
-    walk carries no bound (a Walk; a window with no s, or with some
-    G_{j+1} > s G_j) or the bound is 1 within _SLEM_ERROR."""
-    bound = walk.eigenvalue_bound
-    if bound is None or bound + _SLEM_ERROR >= 1.0:
+    """_ubl_last_step at the paper's bound eigenvalue_bound(n, s*), s* read
+    off the steps; None where they hold no 1 or no 0, or where the bound
+    is 1 within _SLEM_ERROR.
+
+    Let 1 = h_1 < ... < h_m be the distinct nonzero steps and h_{m+1} = N,
+    so that h_{j+1} <= s* h_j for s* = max ceil(h_{j+1} / h_j).  Take
+    1 <= k <= N/2 (k and N - k share a modulus).  If k/N >= 1/(s*+1), the
+    root xi_N^k of h_1 has k/N in [1/(s*+1), 1/2].  Otherwise take the
+    first j with k h_j / N >= 1/(s*+1), which exists since k h_{m+1} / N =
+    k >= 1.  Then j > 1, so k h_j / N <= s* k h_{j-1} / N < s*/(s*+1) < 1:
+    j <= m, and xi_N^(k h_j) has k h_j / N in [1/(s*+1), s*/(s*+1)).
+    Either way that root and one hold sum to at most 2 cos(pi/(s*+1)) in
+    modulus, the other n - 2 terms to at most n - 2.  So the bound is at
+    least the engine's SLEM, and this t is never below the engine's.  A
+    window with G_{j+1} <= s G_j for every j has s* <= s."""
+    steps = sorted(set(walk.steps))
+    if steps[:2] != [0, 1]:
+        return None
+    rungs = steps[1:] + [walk.modulus]
+    bound = eigenvalue_bound(walk.n, max(-(-b // a) for a, b in zip(rungs, rungs[1:])))
+    if bound + _SLEM_ERROR >= 1.0:
         return None
     return _ubl_last_step(walk.modulus, bound, eps)
 
@@ -296,13 +311,13 @@ def mixing_time(walk, epsilon: Fraction | float) -> MixingResult:
       delta around the float TV, and raises InsideErrorBand when epsilon
       is inside it.
       The last t it may need comes from a bound on the SLEM:
-      4 TV(t)^2 <= (N - 1) slem^(2t).  That t is taken from
-      walk.eigenvalue_bound (for a window, the paper's bound where
-      G_{j+1} <= s G_j for every j), and from the engine's SLEM
-      (slem_streaming) only where the walk carries none (a Walk never
-      does) or the bound leaves epsilon inside the band at its t; the
-      bound is at least the SLEM, so its t is never the smaller.  When epsilon is below the
-      band at the engine's t, or the SLEM is 1 within the engine's error,
+      4 TV(t)^2 <= (N - 1) slem^(2t).  That t is taken from the paper's
+      bound with s read off the steps (_bound_last_step), and from the
+      engine's SLEM (slem_streaming) only where the steps hold no 1 or
+      no 0, or the bound leaves epsilon inside the band at its t; the
+      bound is at least the SLEM, so its t is never the smaller.  When
+      d > 1 (|lambda_(N/d)| = 1), epsilon is below the band at the
+      engine's t, or the SLEM is 1 within the engine's error,
       InsideErrorBand is raised before any float step, so a slow walk at
       a small epsilon is refused at once, not after millions of float
       steps.  Otherwise the band alone ends the scan, by that t: there
@@ -402,6 +417,11 @@ def mixing_time(walk, epsilon: Fraction | float) -> MixingResult:
             return result(t)
 
     t0 = t
+    if d > 1:  # every step is the first plus a multiple of d
+        raise InsideErrorBand(
+            f"|lambda_(N/d)| = 1 at d = {d}: no t is known at which the float64 error "
+            f"band of TV is below epsilon = {eps}; path counts leave int64 after t = {t0}"
+        )
     t_last = _bound_last_step(walk, eps)
     if t_last is None or eps <= _band(n, max(t_last - t0, 0)):
         t_last = _ubl_last_step(N, slem_streaming(walk), eps)

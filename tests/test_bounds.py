@@ -33,7 +33,6 @@ from recwalk import (
     upper_general,
     RecurrenceSpec,
     first_unbounded_j,
-    ratio_bounded,
     s_value,
 )
 
@@ -444,7 +443,7 @@ def test_general_upper_bound_needs_bounded_ratios():
     # G_2 = 7 > s G_1 = 3: the general upper bound 5.43 would sit below the
     # exact t_mix 9 and the relaxation lower bound 6.31
     window = generate(RecurrenceSpec((3, 0), (1, 7)), 2)
-    assert not ratio_bounded(window)
+    assert first_unbounded_j(window) == 1
     report = build_report("custom0", window, 0.25)
     assert report.kappa_general is None and report.upper_general is None
     assert (report.ratio_bounded, report.first_unbounded_j) == (False, 1)
@@ -460,9 +459,9 @@ def test_general_upper_bound_holds_where_ratios_bounded_property(window, epsilon
     if window.n < 2 or max(window.spec.coeffs) <= 0:
         reject()  # no report, or no s
     report = build_report("custom0", window, epsilon)
-    assert report.ratio_bounded == ratio_bounded(window)
+    assert report.ratio_bounded == (first_unbounded_j(window) is None)
     assert report.first_unbounded_j == first_unbounded_j(window)
-    if ratio_bounded(window):
+    if report.ratio_bounded:
         assert report.exact_t_mix <= math.ceil(report.upper_general)
         assert report.kappa_general == kappa_general(s_value(window.spec))
     else:

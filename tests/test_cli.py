@@ -536,14 +536,17 @@ def test_prefix_windows_take_n_from_their_values(capsys, monkeypatch):
 
 def test_scans_past_int64_take_the_paper_bound_not_the_engine(capsys, monkeypatch):
     # both leave int64 (21^15 > 2^63), and the paper's bound on the SLEM
-    # puts epsilon above the float band wherever the scan may need to go
+    # puts epsilon above the float band wherever the scan may need to go;
+    # on the steps {1, 0} of Z_7, G_2 = 7 > s G_1 = 3, but s* = 7 off the
+    # steps bounds the SLEM all the same
     def no_engine(window):
         raise AssertionError("the engine ran")
 
     monkeypatch.setattr(walk, "slem_streaming", no_engine)
-    code, out, _ = run_cli(capsys, "mix", "--seq", "pow2", "--n", "21", "--epsilon", "1e-10")
-    assert code == 0
-    assert out.splitlines()[-1].startswith("224,")
+    for seq, n, t_mix in (("pow2", 21, 224), ('{"coeffs":[3,0],"init":[1,7]}', 2, 217)):
+        code, out, _ = run_cli(capsys, "mix", "--seq", seq, "--n", str(n), "--epsilon", "1e-10")
+        assert code == 0
+        assert out.splitlines()[-1].startswith(f"{t_mix},")
     for name, n, t_mix in (("pow2", 21, 15), ("pow3", 13, 17)):
         code, out, _ = run_cli(capsys, "bounds", "--seq", name, "--n", str(n))
         assert code == 0

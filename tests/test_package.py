@@ -102,7 +102,8 @@ def _imported_modules(tree):
 def test_walk_level_code_reads_no_recurrence():
     # the scan, the engine and the simulator take any Walk: walk.py and
     # montecarlo.py import nothing from recwalk.recurrence, and no function
-    # of theirs or of spectrum.py reads a window's .spec or .values
+    # of theirs or of spectrum.py reads a window's .spec or .values, or an
+    # .eigenvalue_bound: the scan reads its SLEM bound off the steps
     src = Path(recwalk.__file__).parent
     trees = {name: ast.parse((src / f"{name}.py").read_text())
              for name in ("walk", "montecarlo", "spectrum")}
@@ -114,4 +115,7 @@ def test_walk_level_code_reads_no_recurrence():
                 continue
             for node in ast.walk(func):
                 if isinstance(node, ast.Attribute):
-                    assert node.attr not in ("spec", "values"), (name, node.lineno)
+                    assert node.attr not in ("spec", "values", "eigenvalue_bound"), (
+                        name, node.lineno)
+    assert "ratio_bounded" not in recwalk.__all__
+    assert recwalk.eigenvalue_bound is recwalk.spectrum.eigenvalue_bound

@@ -22,7 +22,6 @@ from recwalk import (
     first_unbounded_j,
     generate,
     mixing_time,
-    ratio_bounded,
     s_value,
 )
 
@@ -121,11 +120,13 @@ def test_s_value_sums_positive_coefficients():
 def test_ratio_bounded_exactly():
     # the presets meet G_{j+1} <= s G_j with equality at G_2
     for name in PRESETS:
-        assert all(ratio_bounded(generate(PRESETS[name], n)) for n in range(1, 40))
-    assert ratio_bounded(generate(RecurrenceSpec((3, 0), (1, 3)), 5))
-    assert not ratio_bounded(generate(RecurrenceSpec((3, 0), (1, 4)), 2))
+        assert all(
+            first_unbounded_j(generate(PRESETS[name], n)) is None for n in range(1, 40)
+        )
+    assert first_unbounded_j(generate(RecurrenceSpec((3, 0), (1, 3)), 5)) is None
+    assert first_unbounded_j(generate(RecurrenceSpec((3, 0), (1, 4)), 2)) == 1
     # G_2 = 2^60 + 1 exceeds s G_1 = 2^60 by one, which float64 would lose
-    assert not ratio_bounded(generate(RecurrenceSpec((2**60, 0), (1, 2**60 + 1)), 2))
+    assert first_unbounded_j(generate(RecurrenceSpec((2**60, 0), (1, 2**60 + 1)), 2)) == 1
 
 
 def test_first_unbounded_j_names_the_first_failing_ratio():

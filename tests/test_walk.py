@@ -24,8 +24,8 @@ from recwalk import (
     full_spectrum,
     generate,
     half_spectrum,
+    first_unbounded_j,
     mixing_time,
-    ratio_bounded,
     s_value,
     scan_lower_bound,
     slem_streaming,
@@ -455,9 +455,6 @@ def small_walks(draw):
 def test_walk_checks_its_steps():
     walk_ = Walk(6, [5, 0, 5, 2, 0])
     assert walk_ == (6, (5, 0, 5, 2, 0)) and walk_.n == 5
-    assert walk_.eigenvalue_bound is None
-    with pytest.raises(AttributeError):
-        walk_.eigenvalue_bound = 0.5
     with pytest.raises(TypeError):
         Walk(6, (1, 0), 0.5)
     for steps in ((), (6,), (-1, 0)):
@@ -469,18 +466,17 @@ def test_walk_checks_its_steps():
 
 @pytest.mark.parametrize("name", list(PRESETS))
 def test_window_and_its_walk_agree(name):
-    # the walk-level functions read modulus, n, steps and eigenvalue_bound;
-    # the bound only picks where the scan's last float step comes from, so
-    # a window and the Walk of its steps give the same bytes
+    # the walk-level functions read modulus, n and steps, and both take
+    # the scan's last float step from the steps' own bound, so a window and
+    # the Walk of its steps give the same bytes
     for n in range(1, 9):
         window = generate(PRESETS[name], n)
         walk_ = Walk(window.modulus, window.steps)
         assert mixing_time(walk_, 0.01) == mixing_time(window, 0.01)
         assert half_spectrum(walk_).tobytes() == half_spectrum(window).tobytes()
         assert step_distribution(walk_).tobytes() == step_distribution(window).tobytes()
-    # past int64 the window's last step comes from the paper's bound and the
-    # Walk's from the engine: the same t_mix at 1e-10, the same refusal at
-    # 1e-12
+    # past int64 both take their last step from the paper's bound at the
+    # steps' s: the same t_mix at 1e-10, the same refusal at 1e-12
     window = generate(PRESETS[name], 10)
     walk_ = Walk(window.modulus, window.steps)
     eps = Fraction(1, 10**10)
@@ -498,12 +494,17 @@ def test_window_and_its_walk_agree(name):
 def test_scan_takes_its_last_step_from_the_walks_bound():
     window = generate(PRESETS["pow2"], 9)
     eps, bound = Fraction(1, 1000), eigenvalue_bound(9, 2)
-    assert window.eigenvalue_bound == bound
     assert walk._bound_last_step(window, eps) == walk._ubl_last_step(256, bound, eps)
-    assert walk._bound_last_step(Walk(256, window.steps), eps) is None
-    # no positive coefficient, so no s; and G_2 = 7 > s G_1 = 3
-    assert generate(RecurrenceSpec((0, 0, 0), (1, 19, 1)), 2).eigenvalue_bound is None
-    assert generate(RecurrenceSpec((3, 0), (1, 7)), 2).eigenvalue_bound is None
+    assert walk._bound_last_step(Walk(256, window.steps), eps) == walk._bound_last_step(
+        window, eps
+    )
+    # G_2 = 7 > s G_1 = 3, but the steps {1, 0} on Z_7 give s* = 7
+    window = generate(RecurrenceSpec((3, 0), (1, 7)), 2)
+    assert walk._bound_last_step(window, eps) == walk._ubl_last_step(
+        7, eigenvalue_bound(2, 7), eps
+    )
+    # no step 1: the steps {2, 0} on Z_100 bound no |lambda_k| below 1
+    assert walk._bound_last_step(Walk(100, (2, 0)), eps) is None
 
 
 def test_step_distribution_of_a_multiset():
@@ -727,12 +728,76 @@ def test_paper_bound_is_at_least_the_engine_slem_property(window, epsilon):
         return
     slem = slem_streaming(window)
     t_last = walk._bound_last_step(window, epsilon)
-    if max(window.spec.coeffs) > 0 and ratio_bounded(window):
+    s = _steps_s(window)  # every window with N >= 2 has the steps 1 and 0
+    assert eigenvalue_bound(window.n, s) >= slem
+    if max(window.spec.coeffs) > 0 and first_unbounded_j(window) is None:
         assert eigenvalue_bound(window.n, s_value(window.spec)) >= slem
-    else:
-        assert t_last is None
+        assert s <= s_value(window.spec)
     if t_last is not None:
         assert t_last >= walk._ubl_last_step(window.modulus, slem, epsilon)
+
+
+def _steps_s(walk_):
+    """s* = max ceil(h_{j+1} / h_j) over the distinct nonzero steps
+    1 = h_1 < ... < h_m and h_{m+1} = N, or None without a 1 or a 0."""
+    rungs = sorted({g for g in walk_.steps if g}) + [walk_.modulus]
+    if rungs[0] != 1 or 0 not in walk_.steps:
+        return None
+    return max(math.ceil(Fraction(b, a)) for a, b in zip(rungs, rungs[1:]))
+
+
+def _expected_last_step(walk_, epsilon):
+    """_bound_last_step's t from _steps_s, or None."""
+    s = _steps_s(walk_)
+    if s is None:
+        return None
+    bound = eigenvalue_bound(walk_.n, s)
+    if bound + walk._SLEM_ERROR >= 1.0:
+        return None
+    return walk._ubl_last_step(walk_.modulus, bound, epsilon)
+
+
+@PROPERTY_SETTINGS
+@given(
+    walk_=small_walks(),
+    epsilon=st.fractions(Fraction(1, 10**14), Fraction(1, 4), max_denominator=10**15),
+)
+def test_steps_bound_is_at_least_the_engine_slem_property(walk_, epsilon):
+    # a 1 and a 0 forced in: the angle cover runs up the distinct steps to N
+    walk_ = Walk(walk_.modulus, walk_.steps + (1, 0))
+    assert eigenvalue_bound(walk_.n, _steps_s(walk_)) >= slem_streaming(walk_)
+    assert walk._bound_last_step(walk_, epsilon) == _expected_last_step(walk_, epsilon)
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_steps_give_the_presets_s(name):
+    eps = Fraction(1, 1000)
+    for n in range(2, 33):
+        window = generate(PRESETS[name], n)
+        assert _steps_s(window) == s_value(PRESETS[name])
+        assert walk._bound_last_step(window, eps) == _expected_last_step(window, eps)
+
+
+def _engine_must_not_run(walk_):
+    raise AssertionError("the scan ran the eigenvalue engine")
+
+
+def test_steps_bound_spares_the_engine(monkeypatch):
+    # a Walk of pow2's steps gets s* = 2 from them, as its window does
+    monkeypatch.setattr(walk, "slem_streaming", _engine_must_not_run)
+    steps = generate(PRESETS["pow2"], 21).steps
+    assert mixing_time(Walk(2**20, steps), 1e-10).t_mix == 224
+
+
+def test_coset_walk_refused_before_the_engine(monkeypatch):
+    # d = gcd(100, 2 - 0) = 2, so |lambda_50| = 1 and TV(t) > 1/2 for
+    # ever: past int64 the scan refuses at once, without asking the engine
+    monkeypatch.setattr(walk, "slem_streaming", _engine_must_not_run)
+    with pytest.raises(InsideErrorBand, match=r"\|lambda_\(N/d\)\| = 1 at d = 2"):
+        mixing_time(Walk(100, (2, 0)), Fraction(5, 8))
+    # coset walks decided in the integer phases are unchanged
+    assert mixing_time(Walk(4, (2, 0)), Fraction(1, 2)).t_mix == 1
+    assert mixing_time(Walk(9, (3, 6, 0)), Fraction(2, 3)).t_mix == 1
 
 
 def test_epsilon_below_band_refused_before_float_scan():
