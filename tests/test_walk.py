@@ -21,10 +21,10 @@ from recwalk import (
     StateSpaceTooLarge,
     eigenvalue_bound,
     evolve,
+    first_unbounded_j,
     full_spectrum,
     generate,
     half_spectrum,
-    first_unbounded_j,
     mixing_time,
     s_value,
     scan_lower_bound,
@@ -715,6 +715,26 @@ def test_slem_at_one_refused_before_float_scan(monkeypatch):
         mixing_time(window, Fraction(1, 10**14))
 
 
+def _steps_s(walk_):
+    """s* = max ceil(h_{j+1} / h_j) over the distinct nonzero steps
+    1 = h_1 < ... < h_m and h_{m+1} = N, or None without a 1 or a 0."""
+    rungs = sorted({g for g in walk_.steps if g}) + [walk_.modulus]
+    if rungs[0] != 1 or 0 not in walk_.steps:
+        return None
+    return max(math.ceil(Fraction(b, a)) for a, b in zip(rungs, rungs[1:]))
+
+
+def _expected_last_step(walk_, epsilon):
+    """_bound_last_step's t from _steps_s, or None."""
+    s = _steps_s(walk_)
+    if s is None:
+        return None
+    bound = eigenvalue_bound(walk_.n, s)
+    if bound + walk._SLEM_ERROR >= 1.0:
+        return None
+    return walk._ubl_last_step(walk_.modulus, bound, epsilon)
+
+
 @PROPERTY_SETTINGS
 @given(
     window=small_windows(),
@@ -735,26 +755,6 @@ def test_paper_bound_is_at_least_the_engine_slem_property(window, epsilon):
         assert s <= s_value(window.spec)
     if t_last is not None:
         assert t_last >= walk._ubl_last_step(window.modulus, slem, epsilon)
-
-
-def _steps_s(walk_):
-    """s* = max ceil(h_{j+1} / h_j) over the distinct nonzero steps
-    1 = h_1 < ... < h_m and h_{m+1} = N, or None without a 1 or a 0."""
-    rungs = sorted({g for g in walk_.steps if g}) + [walk_.modulus]
-    if rungs[0] != 1 or 0 not in walk_.steps:
-        return None
-    return max(math.ceil(Fraction(b, a)) for a, b in zip(rungs, rungs[1:]))
-
-
-def _expected_last_step(walk_, epsilon):
-    """_bound_last_step's t from _steps_s, or None."""
-    s = _steps_s(walk_)
-    if s is None:
-        return None
-    bound = eigenvalue_bound(walk_.n, s)
-    if bound + walk._SLEM_ERROR >= 1.0:
-        return None
-    return walk._ubl_last_step(walk_.modulus, bound, epsilon)
 
 
 @PROPERTY_SETTINGS
@@ -790,7 +790,7 @@ def test_steps_bound_spares_the_engine(monkeypatch):
 
 
 def test_coset_walk_refused_before_the_engine(monkeypatch):
-    # d = gcd(100, 2 - 0) = 2, so |lambda_50| = 1 and TV(t) > 1/2 for
+    # d = gcd(100, 2 - 0) = 2, so |lambda_50| = 1 and TV(t) >= 1/2 for
     # ever: past int64 the scan refuses at once, without asking the engine
     monkeypatch.setattr(walk, "slem_streaming", _engine_must_not_run)
     with pytest.raises(InsideErrorBand, match=r"\|lambda_\(N/d\)\| = 1 at d = 2"):
